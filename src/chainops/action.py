@@ -9,7 +9,7 @@ pushed forward from their models is kept alongside as the oracle.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .complexes import boundary, contract
 from .elements import Element
@@ -203,11 +203,23 @@ class FaceTable:
             self.faces[sid] = list(s.get("faces", []))
             if s["dim"] > 0 and len(self.faces[sid]) != s["dim"] + 1:
                 raise InvalidInput(f"simplex {sid} needs {s['dim'] + 1} faces")
+        for sid, faces in self.faces.items():
+            want = self.dims[sid] - 1
+            for f in faces:
+                if self.dims.get(f) != want and f is not None:
+                    raise InvalidInput(
+                        f"face {f!r} of simplex {sid!r} is not a simplex of dimension {want}"
+                    )
+        self._by_dim = None
 
     def simplices(self, dim=None):
-        for sid, d in sorted(self.dims.items(), key=lambda kv: str(kv[0])):
-            if dim is None or d == dim:
-                yield sid
+        """Simplex ids ordered by str(id), all of them or those of one
+        dimension; the order is computed once, on first use."""
+        if self._by_dim is None:
+            self._by_dim = {None: sorted(self.dims, key=str)}
+            for sid in self._by_dim[None]:
+                self._by_dim.setdefault(self.dims[sid], []).append(sid)
+        return iter(self._by_dim.get(dim, ()))
 
     def face(self, sid, j):
         return self.faces[sid][j]
@@ -232,53 +244,85 @@ class Cochain:
         return self.values.get(sid, 0)
 
 
+def _check_operands(x, cochains):
+    src = x.complex if isinstance(x, Element) else None
+    if not isinstance(src, SurjectionComplex) or src.flavor != "bf":
+        raise InvalidInput("cochain operations expect an S^bf element")
+    if len(cochains) != src.n:
+        raise InvalidInput(f"need {src.n} cochains")
+
+
+def _pairing_plan(x, cochains, d):
+    """What evaluating Phi(x (x) alpha_1 ... alpha_n) on any d-simplex needs,
+    from one bf_action(x, d): the outer sign (-1)^(|x|(1+d)) and, for each
+    tensor term whose factor dimensions are the cochain degrees, its
+    coefficient times the pairing sign with, per factor, the cochain's
+    values and the model vertices to delete, highest first."""
+    values = [a.values for a in cochains]
+    terms = []
+    for gen, coeff in bf_action(x, d).terms.items():
+        if any(len(f) - 1 != a.degree for f, a in zip(gen, cochains)):
+            continue
+        odd = sum(1 for f in gen if len(f) % 2 == 0)
+        pair_sign = -1 if (odd * (odd - 1) // 2) % 2 else 1
+        deletions = (tuple(v for v in range(d, -1, -1) if v not in f) for f in gen)
+        terms.append((coeff * pair_sign, tuple(zip(values, deletions))))
+    outer = -1 if (x.degree * (1 + d)) % 2 else 1
+    return outer, terms
+
+
+def _evaluate(plan, table, sid):
+    """< Phi(x (x) alpha_1 (x) ... (x) alpha_n), sid > before normalisation,
+    for a simplex of the dimension the plan was made for."""
+    outer, terms = plan
+    faces = table.faces
+    total = 0
+    for prod, factors in terms:
+        for values, deletions in factors:
+            t = sid
+            for v in deletions:
+                t = faces[t][v]
+                if t is None:
+                    break
+            if t is None:
+                prod = 0
+                break
+            prod *= values.get(t, 0)
+            if prod == 0:
+                break
+        total += prod
+    return outer * total
+
+
 def cochain_evaluate(x, cochains, table, sid, ring=ZZ):
     """< Phi(x (x) alpha_1 (x) ... (x) alpha_n), c >  for the simplex c = sid.
 
     Signs follow the preferred hom-complex convention: the outer factor
     (-1)^(|x|(1+|c|)) and the duality pairing sign (-1)^(l(l-1)/2) with l
-    the number of odd-degree tensor factors.
+    the number of odd-degree tensor factors.  Each call computes
+    bf_action(x, |c|); to evaluate on many simplices use dual_operation,
+    which computes it once.
     """
-    if isinstance(x, Element):
-        src = x.complex
-    else:
-        raise InvalidInput("cochain_evaluate expects an S^bf element")
-    if not isinstance(src, SurjectionComplex) or src.flavor != "bf":
-        raise InvalidInput("cochain_evaluate expects an S^bf element")
-    n = src.n
-    if len(cochains) != n:
-        raise InvalidInput(f"need {n} cochains")
-    d = table.dims[sid]
-    k = x.degree
-    total = 0
-    value = bf_action(x, d)
-    for gen, coeff in value.terms.items():
-        dims = [len(f) - 1 for f in gen]
-        if any(dims[j] != cochains[j].degree for j in range(n)):
-            continue
-        odd = sum(1 for t in dims if t % 2)
-        pair_sign = -1 if (odd * (odd - 1) // 2) % 2 else 1
-        prod = coeff * pair_sign
-        for j in range(n):
-            target_id = table.subface(sid, gen[j])
-            if target_id is None:
-                prod = 0
-                break
-            prod *= cochains[j](target_id)
-            if prod == 0:
-                break
-        total += prod
-    outer = -1 if (k * (1 + d)) % 2 else 1
-    return ring.normalize(outer * total)
+    _check_operands(x, cochains)
+    if sid not in table.dims:
+        raise InvalidInput(f"no simplex with id {sid!r} in the face table")
+    plan = _pairing_plan(x, cochains, table.dims[sid])
+    return ring.normalize(_evaluate(plan, table, sid))
 
 
 def dual_operation(x, cochains, table, ring=ZZ):
-    """The cochain Phi(x (x) alpha_1 ... alpha_n) as a Cochain on the table."""
+    """The cochain Phi(x (x) alpha_1 ... alpha_n) as a Cochain on the table.
+
+    The bulk path: bf_action(x, d) is computed once for the output
+    dimension d and evaluated on every simplex of that dimension.
+    """
+    _check_operands(x, cochains)
     out_dim = sum(a.degree for a in cochains) - x.degree
     values = {}
     if out_dim >= 0:
+        plan = _pairing_plan(x, cochains, out_dim)
         for sid in table.simplices(out_dim):
-            v = cochain_evaluate(x, cochains, table, sid, ring)
+            v = ring.normalize(_evaluate(plan, table, sid))
             if v:
                 values[sid] = v
     return Cochain(out_dim, values)
@@ -323,7 +367,8 @@ def sz_square(x, ys, m, ring=ZZ):
     u_val = bf_action(x, m)
     ydegs = [y.degree for y in ys]
     tau_exp = x.degree * sum(ydegs)
-    right = target.zero(ring, left.degree)
+    inner = {}  # (j, e) -> Phi(y_j (x) Delta^e)
+    acc = {}
     for gen, coeff in u_val.terms.items():
         dims = [len(f) - 1 for f in gen]
         eval_exp = 0
@@ -331,30 +376,25 @@ def sz_square(x, ys, m, ring=ZZ):
             eval_exp += ydegs[j] * sum(dims[:j])
         sign = -1 if (tau_exp + eval_exp) % 2 else 1
         pieces = []
-        dead = False
         for j in range(r):
+            key = (j, dims[j])
+            if key not in inner:
+                inner[key] = bf_action(ys[j], dims[j])
             vmap = list(gen[j])
-            inner = bf_action(ys[j], dims[j])
-            pushed = inner.map_terms(
+            pushed = inner[key].map_terms(
                 lambda g: [(1, tuple(push_face(vmap, f) for f in g))],
                 codomain=tensor_power(m, sizes[j]),
             )
             if pushed.is_zero():
-                dead = True
                 break
-            pieces.append(pushed)
-        if dead:
-            continue
-        # amalgamate the s_j-tensors into one s-tensor
-        from itertools import product as _product
-
-        for combo in _product(*(list(p.terms.items()) for p in pieces)):
-            g_out = tuple(f for piece_gen, _ in combo for f in piece_gen)
-            c_out = coeff * sign
-            for _, c in combo:
-                c_out *= c
-            g_canon = target.canonical(g_out)
-            if g_canon is None:
-                continue
-            right = right + target.el(ring, g_canon, c_out)
+            pieces.append(pushed.terms.items())
+        else:
+            # amalgamate the s_j-tensors into one s-tensor
+            for combo in product(*pieces):
+                g_out = tuple(f for piece_gen, _ in combo for f in piece_gen)
+                c_out = coeff * sign
+                for _, c in combo:
+                    c_out *= c
+                acc[g_out] = acc.get(g_out, 0) + c_out
+    right = Element(target, ring, left.degree, acc)
     return left, right

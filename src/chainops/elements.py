@@ -113,7 +113,7 @@ class Element:
         )
 
     def __hash__(self):
-        return hash((id(self.complex), self.ring, frozenset(self.terms.items())))
+        return hash((self.complex, self.ring, frozenset(self.terms.items())))
 
     # -- linear extension ---------------------------------------------------
 

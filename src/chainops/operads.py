@@ -10,7 +10,6 @@ and aj surjection structure maps are obtained by conjugating with the
 flavor isomorphisms.
 """
 
-from functools import lru_cache
 from itertools import combinations_with_replacement, product as _product
 
 from .complexes import TensorComplex, act, boundary, contract
@@ -76,13 +75,16 @@ class TwistedOperadMap:
         self.components = components
         self.ring = ring
         self._memo = {}
+        self._domains = {}
 
-    @lru_cache(maxsize=None)
     def domain(self, arities):
-        factors = (self.components.component(arities[0]),) + tuple(
-            self.components.component(s) for s in arities[1:]
-        )
-        return TensorComplex(factors)
+        dom = self._domains.get(arities)
+        if dom is None:
+            factors = (self.components.component(arities[0]),) + tuple(
+                self.components.component(s) for s in arities[1:]
+            )
+            dom = self._domains[arities] = TensorComplex(factors)
+        return dom
 
     def target(self, arities):
         return self.components.component(sum(arities[1:]))

@@ -800,19 +800,20 @@ def action_suite(max_n=3, max_k=2, max_m=3):
     co = [c for c, g in terms if g == ((0, 1, 2, 4, 5), (0, 1, 2, 3, 4), (2, 5))]
     checks.append(Check("monomial action golden term, sign +1", co == [1]))
 
-    bad = None
-    for n in range(2, max_n + 1):
-        S = surjection_complex("bf", n)
-        std = bf_action_standard(n)
-        for k in range(0, max_k + 1):
-            for gen in S.basis(k):
-                for m in range(0, max_m + 1):
+    def closed_vs_recursive():
+        for n in range(2, max_n + 1):
+            S = surjection_complex("bf", n)
+            std = bf_action_standard(n)
+            for k in range(0, max_k + 1):
+                for gen in S.basis(k):
                     x = S.el(ZZ, gen)
-                    if bf_action(x, m) != std.apply(x, m):
-                        bad = (n, gen, m)
+                    for m in range(0, max_m + 1):
+                        yield (n, gen, m), bf_action(x, m) == std.apply(x, m)
+
     checks.append(
-        Check(
-            f"closed = recursive (n<={max_n}, k<={max_k}, m<={max_m})", bad is None, bad
+        _first_fail(
+            f"closed = recursive (n<={max_n}, k<={max_k}, m<={max_m})",
+            closed_vs_recursive(),
         )
     )
 

@@ -1,7 +1,8 @@
 """The Berger-Fresse action, its composites, mod-p constants, and the
 dual cochain operations."""
 
-from itertools import combinations_with_replacement
+import random
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -21,6 +22,8 @@ from chainops.action import (
     sz_square,
 )
 from chainops.complexes import act, boundary
+from chainops.elements import Element
+from chainops.errors import InvalidInput
 from chainops.groups import SymmetricGroup
 from chainops.minimal import minimal_complex
 from chainops.perms import Perm
@@ -146,6 +149,24 @@ def test_action_for_eg_degree_zero():
     assert val == want
 
 
+def test_action_suite_reports_first_counterexample(monkeypatch):
+    import chainops.action
+    from chainops.suites import action_suite
+
+    calls = []
+
+    class WrongEngine:
+        def apply(self, x, m):
+            calls.append((x, m))
+            return None
+
+    monkeypatch.setattr(chainops.action, "bf_action_standard", lambda n: WrongEngine())
+    [check] = [c for c in action_suite().checks if c.name.startswith("closed = recursive")]
+    assert not check.ok
+    assert check.counterexample == (2, next(iter(S(2).basis(0))), 0)
+    assert len(calls) == 1
+
+
 def test_steenrod_constants():
     assert steenrod_constant(2, 5) == 4
     assert steenrod_constant(1, 3) == 1
@@ -239,6 +260,95 @@ def test_cup_one_coboundary_identity():
                     assert lhs == rhs.values, (p, q, alpha.values, beta.values)
 
 
+# the 3-simplex on vertices 0..3, plus a triangle c = (0, 1, 1) whose
+# 0-th face is the degenerate edge (1, 1)
+SIMPLEX3 = {
+    "dim": 3,
+    "simplices": [
+        {
+            "id": "".join(map(str, s)),
+            "dim": len(s) - 1,
+            "faces": ["".join(map(str, s[:j] + s[j + 1 :])) for j in range(len(s))]
+            if len(s) > 1
+            else [],
+        }
+        for k in range(1, 5)
+        for s in combinations(range(4), k)
+    ]
+    + [{"id": "c", "dim": 2, "faces": [None, "01", "01"]}],
+}
+
+
+def dual_operation_oracle(x, cochains, tab, ring):
+    """dual_operation recomputed from bf_action(x, d) for each simplex and
+    the public FaceTable.subface, independently of the evaluation plan."""
+    out_dim = sum(a.degree for a in cochains) - x.degree
+    values = {}
+    for sid in sorted(tab.dims, key=str):
+        if tab.dims[sid] != out_dim:
+            continue
+        total = 0
+        for gen, coeff in bf_action(x, out_dim).terms.items():
+            dims = [len(f) - 1 for f in gen]
+            if dims != [a.degree for a in cochains]:
+                continue
+            odd = sum(t % 2 for t in dims)
+            prod = coeff * (-1) ** (odd * (odd - 1) // 2)
+            for f, a in zip(gen, cochains):
+                face = tab.subface(sid, f)
+                prod *= 0 if face is None else a(face)
+            total += prod
+        v = ring.normalize((-1) ** (x.degree * (1 + out_dim)) * total)
+        if v:
+            values[sid] = v
+    return values
+
+
+def test_dual_operation_against_per_simplex_oracle():
+    rng = random.Random(5)
+    tab = FaceTable(SIMPLEX3)
+    assert any(None in f for f in tab.faces.values())
+    by_dim = {d: [sid for sid in tab.dims if tab.dims[sid] == d] for d in range(4)}
+    for ring in (ZZ, GF(3)):
+        for n in (2, 3):
+            for k in (0, 1, 2):
+                x = Element(
+                    S(n), ring, k, [(rng.randint(1, 4), g) for g in S(n).basis(k)]
+                )
+                for degrees in product(range(4), repeat=n):
+                    if not 0 <= sum(degrees) - k <= 3:
+                        continue
+                    cochains = [
+                        Cochain(d, {sid: rng.randint(-3, 3) for sid in by_dim[d]})
+                        for d in degrees
+                    ]
+                    want = dual_operation_oracle(x, cochains, tab, ring)
+                    got = dual_operation(x, cochains, tab, ring)
+                    assert got.degree == sum(degrees) - k
+                    assert list(got.values.items()) == list(want.items())
+                    for sid in by_dim[got.degree]:
+                        value = cochain_evaluate(x, cochains, tab, sid, ring)
+                        assert value == want.get(sid, 0)
+
+
+def test_cochain_operands_are_validated():
+    tab = table()
+    alpha = Cochain(1, {"e01": 1})
+    x = S(2).el(ZZ, (1, 2, 1))
+    with pytest.raises(InvalidInput):
+        cochain_evaluate(x, [alpha, alpha], tab, "nowhere")
+    for bad_x, cochains in (
+        (S(3).el(ZZ, (1, 2, 3)), [alpha, alpha]),
+        (surjection_complex("ms", 2).el(ZZ, (1, 2, 1)), [alpha, alpha]),
+        (x, [alpha]),
+    ):
+        # the output degree 1 + 1 - |x| is negative for some of these
+        with pytest.raises(InvalidInput):
+            dual_operation(bad_x, cochains, tab)
+        with pytest.raises(InvalidInput):
+            cochain_evaluate(bad_x, cochains, tab, "t")
+
+
 def test_face_table_validation():
     with pytest.raises(Exception):
         FaceTable(
@@ -247,6 +357,45 @@ def test_face_table_validation():
                 "simplices": [{"id": "e", "dim": 1, "faces": ["a"]}],
             }
         )
+    # every face must name a simplex one dimension lower, or be null
+    for faces in (["a", "z"], ["a", "e"]):
+        with pytest.raises(InvalidInput):
+            FaceTable(
+                {
+                    "dim": 1,
+                    "simplices": [
+                        {"id": "a", "dim": 0},
+                        {"id": "e", "dim": 1, "faces": faces},
+                    ],
+                }
+            )
+    FaceTable(
+        {
+            "dim": 1,
+            "simplices": [
+                {"id": "e", "dim": 1, "faces": [None, "a"]},
+                {"id": "a", "dim": 0},
+            ],
+        }
+    )
+
+
+def test_simplices_order_by_str_id():
+    tab = FaceTable(
+        {
+            "dim": 1,
+            "simplices": [
+                {"id": 10, "dim": 0},
+                {"id": "b", "dim": 1, "faces": [10, 9]},
+                {"id": 9, "dim": 0},
+                {"id": "a", "dim": 1, "faces": [9, 10]},
+            ],
+        }
+    )
+    assert list(tab.simplices()) == [10, 9, "a", "b"]
+    assert list(tab.simplices(0)) == [10, 9]
+    assert list(tab.simplices(1)) == ["a", "b"]
+    assert list(tab.simplices(2)) == []
 
 
 def test_sz_square_cases():

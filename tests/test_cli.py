@@ -201,26 +201,28 @@ def test_cli_compose_and_partial():
     assert "(1,2,1,4,2,3,2)" in out.stdout
 
 
-def test_cli_eval_cochain(tmp_path):
-    faces = {
-        "dim": 2,
-        "simplices": [
-            {"id": "v0", "dim": 0},
-            {"id": "v1", "dim": 0},
-            {"id": "v2", "dim": 0},
-            {"id": "e01", "dim": 1, "faces": ["v1", "v0"]},
-            {"id": "e02", "dim": 1, "faces": ["v2", "v0"]},
-            {"id": "e12", "dim": 1, "faces": ["v2", "v1"]},
-            {"id": "t", "dim": 2, "faces": ["e12", "e02", "e01"]},
-        ],
-    }
+TRIANGLE = {
+    "dim": 2,
+    "simplices": [
+        {"id": "v0", "dim": 0},
+        {"id": "v1", "dim": 0},
+        {"id": "v2", "dim": 0},
+        {"id": "e01", "dim": 1, "faces": ["v1", "v0"]},
+        {"id": "e02", "dim": 1, "faces": ["v2", "v0"]},
+        {"id": "e12", "dim": 1, "faces": ["v2", "v1"]},
+        {"id": "t", "dim": 2, "faces": ["e12", "e02", "e01"]},
+    ],
+}
+
+
+def eval_cochain(tmp_path, faces, *extra):
     ft = tmp_path / "faces.json"
     ft.write_text(json.dumps(faces))
     a = tmp_path / "a.json"
     a.write_text(json.dumps({"degree": 1, "values": {"e01": 1}}))
     b = tmp_path / "b.json"
     b.write_text(json.dumps({"degree": 1, "values": {"e12": 1}}))
-    out = run_cli(
+    return run_cli(
         "eval-cochain",
         "--n",
         "2",
@@ -231,9 +233,30 @@ def test_cli_eval_cochain(tmp_path):
         "--cochains",
         str(a),
         str(b),
-        "--simplex-id",
-        "t",
+        *extra,
     )
+
+
+def test_cli_eval_cochain(tmp_path):
+    out = eval_cochain(tmp_path, TRIANGLE, "--simplex-id", "t")
+    assert out.returncode == 0 and out.stdout.strip() == "-1"
+
+
+def test_cli_eval_cochain_invalid_input(tmp_path):
+    out = eval_cochain(tmp_path, TRIANGLE, "--simplex-id", "nowhere")
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and "nowhere" in out.stderr
+    assert "Traceback" not in out.stderr
+    # a face naming no simplex of one dimension lower
+    for bad_face in ("v9", "v2"):
+        faces = json.loads(json.dumps(TRIANGLE))
+        faces["simplices"][-1]["faces"][0] = bad_face
+        out = eval_cochain(tmp_path, faces)
+        assert out.returncode == 2 and out.stderr.startswith("error: ")
+    # a null (degenerate) face is allowed; the cup product never reads face 1
+    faces = json.loads(json.dumps(TRIANGLE))
+    faces["simplices"][-1]["faces"][1] = None
+    out = eval_cochain(tmp_path, faces, "--simplex-id", "t")
     assert out.returncode == 0 and out.stdout.strip() == "-1"
 
 

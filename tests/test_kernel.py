@@ -152,6 +152,17 @@ def test_element_add_assoc_comm_random():
         assert a + b == b + a
 
 
+def test_equal_elements_of_equal_tensor_complexes_hash_equal():
+    from chainops.complexes import TensorComplex
+
+    S = simplex_complex(2)
+    x = TensorComplex((S, S)).el(ZZ, ((0, 1), (1, 2)), 3)
+    y = TensorComplex((S, S)).el(ZZ, ((0, 1), (1, 2)), 3)
+    assert x.complex is not y.complex
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y}) == 1
+
+
 def test_canonicalization_idempotent_and_degenerate_dropped():
     S = simplex_complex(3)
     x = Element(S, ZZ, 1, [(1, (0, 0)), (2, (0, 1))])

@@ -1,6 +1,8 @@
 """Operad structure maps: symmetric-group operad, Barratt-Eccles,
 surjection operad, partial compositions, axioms, and morphism squares."""
 
+import gc
+import weakref
 from itertools import product as _product
 
 import pytest
@@ -17,6 +19,8 @@ from chainops.operads import (
     oplus,
     partial_compose,
     sigma_compose,
+    SurjectionComponents,
+    TwistedOperadMap,
     surj_compose,
     surj_engine,
 )
@@ -347,3 +351,13 @@ def test_ms_aj_degree_zero_against_sigma():
                     assert coeff == u.parity() * v.parity() * Perm(
                         expected_gen
                     ).parity()
+
+
+def test_dropped_engine_is_freed():
+    engine = TwistedOperadMap(SurjectionComponents("bf"))
+    assert engine.domain((2, 1, 2)) is engine.domain((2, 1, 2))
+    ref = weakref.ref(engine)
+    del engine
+    gc.collect()
+    assert ref() is None
+
