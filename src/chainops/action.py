@@ -11,20 +11,16 @@ pushed forward from their models is kept alongside as the oracle.
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .complexes import boundary, contract
+from .complexes import boundary
 from .elements import Element
 from .errors import InvalidInput
 from .maclane import MacLaneComplex, cyc_eg, cyclic_into_symmetric, induced_map, sym_eg
 from .minimal import MinimalComplex, phi_to_EC
 from .morphisms import table_reduction
-from .perms import koszul_sign
+from .perms import koszul_permute
+from .procedure import RecursiveMap
 from .rings import ZZ
-from .simplex import (
-    face_vmap,
-    push_face,
-    push_simplex_element,
-    tensor_power,
-)
+from .simplex import face_vmap, multidiagonal_standard, push_face, tensor_power
 from .surjections import SurjectionComplex, caesuras, iso, surjection_complex
 
 
@@ -78,71 +74,60 @@ def bf_action(x, m):
 
 def perm_act(g, x):
     """Left Sigma_n action on a tensor power with Koszul signs."""
-    T = x.complex
-    ginv = g.inverse()
+    factors = x.complex.factors
 
     def terms(gen):
-        degrees = [f.degree_of(a) for f, a in zip(T.factors, gen)]
-        sign = koszul_sign(g, degrees)
-        out = tuple(gen[ginv(i) - 1] for i in range(1, g.n + 1))
-        return [(sign, out)]
+        degrees = [f.degree_of(a) for f, a in zip(factors, gen)]
+        return [koszul_permute(g, gen, degrees)]
 
     return x.map_terms(terms)
 
 
-class BFActionStandard:
+class BFActionStandard(RecursiveMap):
     """The functorial standard procedure for Phi, memoized on (basis
     generator, ambient dimension)."""
 
+    _act = staticmethod(perm_act)
+
     def __init__(self, n, ring=ZZ):
+        super().__init__(ring)
         self.n = n
-        self.ring = ring
         self.S = surjection_complex("bf", n)
-        self._memo = {}
 
     def target(self, m):
         return tensor_power(m, self.n)
 
-    def on_basis(self, b, m):
-        key = (b, m)
-        try:
-            return self._memo[key]
-        except KeyError:
-            pass
+    def seed(self, key):
+        b, m = key
         k = self.S.degree_of(b)
-        target = self.target(m)
         if k == 0:
-            from .simplex import multidiagonal_standard
+            return multidiagonal_standard(self.n, m)
+        if m == 0:
+            return self.target(m).zero(self.ring, k)
+        return None
 
-            value = multidiagonal_standard(self.n, m)
-        elif m == 0:
-            value = target.zero(self.ring, k)
-        else:
-            total = self.apply(boundary(self.S.el(self.ring, b)), m)
-            inner = self.on_gen_element(b, m - 1)
-            for j in range(m + 1):
-                vmap = face_vmap(m, j)
-                total = total + ((-1) ** (k + j)) * push_simplex_element(
-                    inner, vmap, target
-                )
-            value = contract(total)
-        self._memo[key] = value
-        return value
+    def defect(self, key):
+        """Phi(d b (x) Delta^m) plus the faces of Delta^m pushed forward
+        from Phi(b (x) Delta^(m-1))."""
+        b, m = key
+        k = self.S.degree_of(b)
+        below = self.apply(boundary(self.S.el(self.ring, b)), m)
+        pairs = [(c, g) for g, c in below.terms.items()]
+        inner = self.on_basis((b, m - 1)).terms.items()
+        for j in range(m + 1):
+            vmap = face_vmap(m, j)
+            sign = -1 if (k + j) % 2 else 1
+            pairs.extend(
+                (sign * c, tuple(push_face(vmap, f) for f in gen)) for gen, c in inner
+            )
+        return Element(self.target(m), self.ring, k + m - 1, pairs)
 
-    def on_gen_element(self, gen, m):
+    def split(self, gen, m):
         g, coeff, b = self.S.decompose(gen)
-        value = self.on_basis(b, m)
-        if not g.is_identity():
-            value = perm_act(g, value)
-        return coeff * value
+        return (b, m), coeff, None if g.is_identity() else g
 
     def apply(self, x, m):
-        target = self.target(m)
-        if x.is_zero():
-            return target.zero(self.ring, x.degree)
-        return x.map_terms(
-            lambda gen: self.on_gen_element(gen, m), codomain=target
-        )
+        return self._map(x, self.target(m), m, m)
 
 
 @lru_cache(maxsize=None)
@@ -194,15 +179,22 @@ class FaceTable:
     dimensions, and ordered face ids (null marks a degenerate face)."""
 
     def __init__(self, data):
-        self.dim = data["dim"]
+        try:
+            self.dim = data["dim"]
+            simplices = data["simplices"]
+        except (KeyError, TypeError):
+            raise InvalidInput("a face table needs a 'dim' and a 'simplices' list") from None
         self.dims = {}
         self.faces = {}
-        for s in data["simplices"]:
-            sid = s["id"]
-            self.dims[sid] = s["dim"]
+        for s in simplices:
+            try:
+                sid, dim = s["id"], s["dim"]
+            except (KeyError, TypeError):
+                raise InvalidInput(f"simplex {s!r} needs an 'id' and a 'dim'") from None
+            self.dims[sid] = dim
             self.faces[sid] = list(s.get("faces", []))
-            if s["dim"] > 0 and len(self.faces[sid]) != s["dim"] + 1:
-                raise InvalidInput(f"simplex {sid} needs {s['dim'] + 1} faces")
+            if dim > 0 and len(self.faces[sid]) != dim + 1:
+                raise InvalidInput(f"simplex {sid} needs {dim + 1} faces")
         for sid, faces in self.faces.items():
             want = self.dims[sid] - 1
             for f in faces:

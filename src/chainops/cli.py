@@ -106,6 +106,17 @@ class ElementParser:
             element = self.complex.zero(self.ring, 0)
         return element
 
+    def generator_only(self, text):
+        """Parse a single generator (no sums), as the aw/ez rows are."""
+        self.text = text
+        self.tokens = tokenize(text)
+        self.pos = 0
+        gen = self.generator()
+        kind, _, at = self.peek()
+        if kind != "end":
+            raise ExprError(text, at, "expected a single generator")
+        return gen
+
     def peek(self):
         return self.tokens[self.pos]
 
@@ -452,6 +463,10 @@ def cmd_eval_cochain(args):
 
     with open(args.faces) as fh:
         table = FaceTable(json.load(fh))
+    # cochain files key their values by JSON strings, so other ids never match
+    for sid in table.dims:
+        if not isinstance(sid, str):
+            raise InvalidInput(f"simplex id {sid!r} is not a string")
     cochains = []
     for path in args.cochains:
         with open(path) as fh:
@@ -509,21 +524,6 @@ def cmd_verify(args):
         print(report)
     if not report.ok:
         sys.exit(1)
-
-
-# parse a single generator (no sums) for aw/ez rows
-def _generator_only(self, text):
-    self.text = text
-    self.tokens = tokenize(text)
-    self.pos = 0
-    gen = self.generator()
-    kind, _, at = self.peek()
-    if kind != "end":
-        raise ExprError(text, at, "expected a single generator")
-    return gen
-
-
-ElementParser.generator_only = _generator_only
 
 
 def build_parser():

@@ -278,7 +278,7 @@ def aw_maclane(x):
 
 def ez_maclane(x):
     """EZ: N(EH) (x) N(EG) -> N(E(HxG)), signed lattice paths."""
-    from .simplex import shuffle_words
+    from .simplex import ez_columns
 
     src = x.complex
     if not isinstance(src, TensorComplex) or len(src.factors) != 2:
@@ -288,16 +288,7 @@ def ez_maclane(x):
     )
 
     def terms(gen):
-        dims = [len(t) - 1 for t in gen]
-        out = []
-        for sign, word in shuffle_words(dims):
-            idx = [0] * len(gen)
-            cols = [tuple(t[0] for t in gen)]
-            for letter in word:
-                idx[letter] += 1
-                cols.append(tuple(t[idx[i]] for i, t in enumerate(gen)))
-            out.append((sign, tuple(cols)))
-        return out
+        return [(sign, tuple(cols)) for sign, cols in ez_columns(gen)]
 
     return x.map_terms(terms, codomain=target)
 
@@ -370,12 +361,13 @@ class JoinHomotopy:
     def _on_gen(self, gen):
         for v in gen:
             self._check_vertex(v)
-        total = self.codomain.zero(self.ring, len(gen))
+        pairs = []
         for j in range(len(gen)):
             front = self.phi0(self.domain.el(self.ring, gen[: j + 1]))
             back = self.phi1(self.domain.el(self.ring, gen[j:]))
-            total = total + (-1) ** j * join(front, back)
-        return total
+            sign = (-1) ** j
+            pairs.extend((sign * c, g) for g, c in join(front, back).terms.items())
+        return Element(self.codomain, self.ring, len(gen), pairs)
 
     def __call__(self, x):
         if not isinstance(x, Element):

@@ -12,12 +12,13 @@ flavor isomorphisms.
 
 from itertools import combinations_with_replacement, product as _product
 
-from .complexes import TensorComplex, act, boundary, contract
+from .complexes import TensorComplex, boundary
 from .errors import InvalidInput
 from .maclane import sym_eg
-from .perms import Perm, block_perm, koszul_sign
+from .perms import Perm, block_perm, koszul_permute, koszul_sign, permute_by
+from .procedure import RecursiveMap
 from .rings import ZZ
-from .simplex import shuffle_words
+from .simplex import ez_columns
 from .surjections import caesuras, iso, surjection_complex
 
 
@@ -45,21 +46,18 @@ def oplus(vs):
 # -- the recursive twisted-equivariant engine -------------------------------------
 
 
-class OperadComponents:
-    """A family n -> contracted Sigma_n-complex closed under the engine."""
+class BarrattEcclesComponents:
+    """The family n -> N(ESigma_n) the engine builds Barratt-Eccles maps on."""
 
-    def component(self, n):
-        raise NotImplementedError
-
-
-class BarrattEcclesComponents(OperadComponents):
     name = "barratt-eccles"
 
     def component(self, n):
         return sym_eg(n)
 
 
-class SurjectionComponents(OperadComponents):
+class SurjectionComponents:
+    """The family n -> S^flavor(n) the engine builds surjection maps on."""
+
     def __init__(self, flavor="bf"):
         self.flavor = flavor
         self.name = f"surjection-{flavor}"
@@ -68,13 +66,13 @@ class SurjectionComponents(OperadComponents):
         return surjection_complex(self.flavor, n)
 
 
-class TwistedOperadMap:
-    """The standard twisted-equivariant procedure structure map O_B."""
+class TwistedOperadMap(RecursiveMap):
+    """The standard twisted-equivariant procedure structure map O_B,
+    memoized on (arities, basis tensor)."""
 
     def __init__(self, components, ring=ZZ):
+        super().__init__(ring)
         self.components = components
-        self.ring = ring
-        self._memo = {}
         self._domains = {}
 
     def domain(self, arities):
@@ -89,57 +87,39 @@ class TwistedOperadMap:
     def target(self, arities):
         return self.components.component(sum(arities[1:]))
 
-    def on_basis(self, arities, gen):
-        key = (arities, gen)
-        try:
-            return self._memo[key]
-        except KeyError:
-            pass
-        dom = self.domain(arities)
+    def seed(self, key):
+        arities, gen = key
+        if self.domain(arities).degree_of(gen) != 0:
+            return None
         target = self.target(arities)
-        if dom.degree_of(gen) == 0:
-            value = target.el(self.ring, target.basepoint_gen())
-        else:
-            db = boundary(dom.el(self.ring, gen))
-            value = contract(self.apply(arities, db))
-        self._memo[key] = value
-        return value
+        return target.el(self.ring, target.basepoint_gen())
 
-    def _on_gen(self, arities, gen):
+    def defect(self, key):
+        arities, gen = key
+        return self.apply(arities, boundary(self.domain(arities).el(self.ring, gen)))
+
+    def split(self, gen, arities):
+        """O_B(g^ x) = O_Sigma(g^) O_B(tau_g x): the inner inputs of the
+        basis tensor are reordered by g^-1 with its Koszul sign."""
         dom = self.domain(arities)
         ghat, coeff, b = dom.decompose(gen)
         g, hs = ghat[0], ghat[1:]
         inner = b[1:]
-        new_arities = arities
-        sign = 1
         if not g.is_identity():
-            degrees = [
-                self.components.component(s).degree_of(x)
-                for s, x in zip(arities[1:], inner)
-            ]
-            sign = koszul_sign(g.inverse(), degrees)
-            inner = tuple(inner[g(i) - 1] for i in range(1, g.n + 1))
-            new_arities = (arities[0],) + tuple(
-                arities[g(i)] for i in range(1, g.n + 1)
-            )
-        value = self.on_basis(new_arities, (b[0],) + inner)
+            ginv = g.inverse()
+            degrees = [f.degree_of(y) for f, y in zip(dom.factors[1:], inner)]
+            sign, inner = koszul_permute(ginv, inner, degrees)
+            coeff *= sign
+            arities = (arities[0],) + tuple(permute_by(ginv, arities[1:]))
         osig = sigma_compose(g, list(hs))
-        if not osig.is_identity():
-            value = act(osig, value)
-        return (coeff * sign) * value
+        return (arities, (b[0],) + inner), coeff, None if osig.is_identity() else osig
 
     def apply(self, arities, x):
-        target = self.target(arities)
-        if x.is_zero():
-            return target.zero(self.ring, x.degree)
-        return x.map_terms(
-            lambda gen: self._on_gen(arities, gen), codomain=target
-        )
+        return self._map(x, self.target(arities), 0, arities)
 
 
 def engine_compose(engine, outer, inners):
     """Evaluate a TwistedOperadMap on elements (outer; inner_1, ..., inner_r)."""
-    comp = engine.components
 
     def arity_of(e):
         c = e.complex
@@ -161,19 +141,10 @@ def engine_compose(engine, outer, inners):
 
 def be_compose_terms(gen, arities):
     """EZ of the tuple tensor followed by vertexwise O_Sigma."""
-    dims = [len(t) - 1 for t in gen]
-    out = []
-    for sign, word in shuffle_words(dims):
-        idx = [0] * len(gen)
-        cols = []
-        col = tuple(t[0] for t in gen)
-        cols.append(sigma_compose(col[0], list(col[1:])))
-        for letter in word:
-            idx[letter] += 1
-            col = tuple(t[idx[i]] for i, t in enumerate(gen))
-            cols.append(sigma_compose(col[0], list(col[1:])))
-        out.append((sign, tuple(cols)))
-    return out
+    return [
+        (sign, tuple(sigma_compose(col[0], list(col[1:])) for col in cols))
+        for sign, cols in ez_columns(gen)
+    ]
 
 
 def be_compose(outer, inners, ring=ZZ):

@@ -119,6 +119,12 @@ def permute_by(g, values):
     return out
 
 
+def koszul_permute(g, factors, degrees):
+    """Left action of g on a tensor of graded factors: the Koszul sign and
+    the permuted factors, factor i moved to slot g(i)."""
+    return koszul_sign(g, degrees), tuple(permute_by(g, factors))
+
+
 def block_perm(u, sizes):
     """The block permutation u_*(s_1, ..., s_r) in Sigma_(sum sizes).
 

@@ -1,10 +1,16 @@
 """The recursive standard procedure and contraction validators.
 
-standard_map builds the equivariant chain map phi(b) = h_C(phi(d b))
-from a degree-0 seed, memoized on basis generators; standard_homotopy
-builds H(b) = h_C(phi1(b) - phi0(b) - H(db)).  verify_contracted
-checks the contraction identities (d^2 = 0, dh + hd = Id - rho,
-h^2 = 0, h iota = 0, equivariance of d) degree by degree.
+RecursiveMap is the one engine behind every standard-procedure
+construction: memoized on basis keys, a value is seed(key) in the base
+case and h(defect(key)) otherwise, and a generator is split into a basis
+key, a coefficient and a twist it acts by.  StandardMap builds the
+equivariant chain map phi(b) = h_C(phi(d b)) from a degree-0 seed;
+StandardHomotopy builds H(b) = h_C(phi1(b) - phi0(b) - H(db)); the
+operad structure maps (operads.TwistedOperadMap) and the Berger-Fresse
+action (action.BFActionStandard) are the other two instances.
+verify_contracted checks the contraction identities (d^2 = 0,
+dh + hd = Id - rho, h^2 = 0, h iota = 0, equivariance of d) degree by
+degree.
 
 For huge MacLane sweeps the verifier can consume relabeling classes:
 all the identities are built from entry deletions, prepending e, and
@@ -20,7 +26,70 @@ from .errors import InvalidInput
 from .rings import ZZ
 
 
-class StandardMap:
+class RecursiveMap:
+    """The memoized standard procedure, with three hooks:
+
+    seed(key)         the value on a base-case basis key, else None;
+    defect(key)       the element whose contraction is the value otherwise;
+    split(gen, ctx)   (key, coeff, twist) with gen = coeff * twist . key,
+                      twist None for the identity.
+
+    The default split, for maps with a fixed `domain`, `codomain`,
+    `group_hom` and `equivariant` flag, writes a generator as coeff * g.b
+    over the domain's group, g translated by group_hom.  A twist acts on
+    values through `_act`; `shift` is the degree of the map `__call__` is.
+    """
+
+    shift = 0
+    _act = staticmethod(act)
+
+    def __init__(self, ring):
+        self.ring = ring
+        self._memo = {}
+
+    def seed(self, key):
+        return None
+
+    def split(self, gen, ctx):
+        if not self.equivariant:
+            return gen, 1, None
+        g, coeff, b = self.domain.decompose(gen)
+        if self.domain.group.is_identity(g):
+            return b, coeff, None
+        return b, coeff, g if self.group_hom is None else self.group_hom(g)
+
+    def on_basis(self, key):
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = self.seed(key)
+        if value is None:
+            value = contract(self.defect(key))
+        self._memo[key] = value
+        return value
+
+    def on_gen(self, gen, ctx=None):
+        key, coeff, twist = self.split(gen, ctx)
+        value = self.on_basis(key)
+        if twist is not None:
+            value = self._act(twist, value)
+        return value if coeff == 1 else coeff * value
+
+    def _map(self, x, target, shift, ctx=None):
+        if not isinstance(x, Element):
+            return self.on_gen(x, ctx)
+        if x.is_zero():
+            return target.zero(self.ring, x.degree + shift)
+        return x.map_terms(
+            lambda gen: self.on_gen(gen, ctx), codomain=target, degree_shift=shift
+        )
+
+    def __call__(self, x):
+        return self._map(x, self.codomain, self.shift)
+
+
+class StandardMap(RecursiveMap):
     """phi(b) = h_C(phi(d_B b)) on basis generators, extended equivariantly.
 
     degree0 maps a degree-0 basis generator to an Element of the
@@ -33,104 +102,55 @@ class StandardMap:
         self, domain, codomain, ring=ZZ, degree0=None, group_hom=None,
         equivariant=True,
     ):
+        super().__init__(ring)
         self.domain = domain
         self.codomain = codomain
-        self.ring = ring
         self.group_hom = group_hom
         self.equivariant = equivariant and domain.group is not None
-        self._memo = {}
         if degree0 is None:
             degree0 = lambda b: codomain.el(
                 ring, codomain.basepoint_gen(), domain.augmentation(b)
             )
         self.degree0 = degree0
 
-    def on_basis(self, b):
-        try:
-            return self._memo[b]
-        except KeyError:
-            pass
-        if self.domain.degree_of(b) == 0:
-            value = self.degree0(b)
-            if augment(value) != self.ring.normalize(self.domain.augmentation(b)):
-                raise InvalidInput(
-                    "degree-0 seed is not augmentation-compatible "
-                    f"on {self.domain.format_gen(b)}"
-                )
-        else:
-            db = boundary(self.domain.el(self.ring, b))
-            value = contract(self(db))
-        self._memo[b] = value
+    def seed(self, b):
+        if self.domain.degree_of(b) != 0:
+            return None
+        value = self.degree0(b)
+        if augment(value) != self.ring.normalize(self.domain.augmentation(b)):
+            raise InvalidInput(
+                "degree-0 seed is not augmentation-compatible "
+                f"on {self.domain.format_gen(b)}"
+            )
         return value
 
-    def _on_gen(self, gen):
-        if not self.equivariant:
-            return self.on_basis(gen)
-        g, coeff, b = self.domain.decompose(gen)
-        value = self.on_basis(b)
-        if not self.domain.group.is_identity(g):
-            if self.group_hom is not None:
-                g = self.group_hom(g)
-            value = act(g, value)
-        return coeff * value
-
-    def __call__(self, x):
-        if not isinstance(x, Element):
-            return self._on_gen(x)
-        if x.is_zero():
-            return self.codomain.zero(self.ring, x.degree)
-        return x.map_terms(self._on_gen, codomain=self.codomain)
+    def defect(self, b):
+        return self(boundary(self.domain.el(self.ring, b)))
 
 
-class StandardHomotopy:
-    """H with dH + Hd = phi1 - phi0, built recursively; H = 0 in degree 0."""
+class StandardHomotopy(RecursiveMap):
+    """H with dH + Hd = phi1 - phi0, built recursively."""
+
+    shift = 1
 
     def __init__(
         self, phi0, phi1, domain, codomain, ring=ZZ, group_hom=None,
         equivariant=True,
     ):
-        self.phi0 = phi0
-        self.phi1 = phi1
+        super().__init__(ring)
         self.domain = domain
         self.codomain = codomain
-        self.ring = ring
         self.group_hom = group_hom
         self.equivariant = equivariant and domain.group is not None
-        self._memo = {}
+        self.phi0 = phi0
+        self.phi1 = phi1
 
-    def on_basis(self, b):
-        try:
-            return self._memo[b]
-        except KeyError:
-            pass
+    def defect(self, b):
+        # in degree 0, H(db) = 0 and h(phi1 - phi0) is zero whenever phi0
+        # and phi1 agree there; in general it is correct as long as the
+        # augmentations of phi0 and phi1 match
         eb = self.domain.el(self.ring, b)
-        if self.domain.degree_of(b) == 0:
-            # zero whenever phi0 and phi1 agree in degree 0; in general
-            # correct as long as the augmentations of phi0 and phi1 match
-            value = contract(self.phi1(eb) - self.phi0(eb))
-        else:
-            defect = self.phi1(eb) - self.phi0(eb) - self(boundary(eb))
-            value = contract(defect)
-        self._memo[b] = value
-        return value
-
-    def _on_gen(self, gen):
-        if not self.equivariant:
-            return self.on_basis(gen)
-        g, coeff, b = self.domain.decompose(gen)
-        value = self.on_basis(b)
-        if not self.domain.group.is_identity(g):
-            if self.group_hom is not None:
-                g = self.group_hom(g)
-            value = act(g, value)
-        return coeff * value
-
-    def __call__(self, x):
-        if not isinstance(x, Element):
-            return self._on_gen(x)
-        if x.is_zero():
-            return self.codomain.zero(self.ring, x.degree + 1)
-        return x.map_terms(self._on_gen, codomain=self.codomain)
+        return self.phi1(eb) - self.phi0(eb) - self(boundary(eb))
 
 
 # -- comparators used by the uniqueness tests ---------------------------------

@@ -228,19 +228,23 @@ def shuffle_words(counts):
     yield from rec(list(counts), [])
 
 
-def ez_terms(faces):
-    """Signed lattice-path terms for EZ on a tuple of simplex faces."""
-    dims = [len(f) - 1 for f in faces]
-    out = []
+def ez_columns(rows):
+    """The signed lattice paths of EZ on a tuple of sequences: for every
+    shuffle of the steps, its sign and the columns it visits, one entry
+    per sequence."""
+    dims = [len(r) - 1 for r in rows]
     for sign, word in shuffle_words(dims):
-        idx = [0] * len(faces)
-        rows = [[f[0]] for f in faces]
+        idx = [0] * len(rows)
+        cols = [tuple(r[0] for r in rows)]
         for letter in word:
             idx[letter] += 1
-            for i, f in enumerate(faces):
-                rows[i].append(f[idx[i]])
-        out.append((sign, tuple(tuple(r) for r in rows)))
-    return out
+            cols.append(tuple(r[i] for r, i in zip(rows, idx)))
+        yield sign, cols
+
+
+def ez_terms(faces):
+    """Signed lattice-path terms for EZ on a tuple of simplex faces."""
+    return [(sign, tuple(zip(*cols))) for sign, cols in ez_columns(faces)]
 
 
 def ez(a, b, m=None, n=None):
@@ -320,26 +324,24 @@ def ez_standard(m, n):
     target = product_complex(m, n)
     if m == 0 and n == 0:
         return Element(target, ZZ, 0, [(1, ((0,), (0,)))])
-    total = target.zero(ZZ, m + n - 1)
+    pairs = []
     if m > 0:
+        inner = ez_standard(m - 1, n).terms.items()
         for j in range(m + 1):
-            inner = ez_standard(m - 1, n)
             vmap = face_vmap(m, j)
-            pushed = inner.map_terms(
-                lambda gen: [(1, (push_face(vmap, gen[0]), gen[1]))],
-                codomain=target,
+            sign = (-1) ** j
+            pairs.extend(
+                (sign * c, (push_face(vmap, gen[0]), gen[1])) for gen, c in inner
             )
-            total = total + (-1) ** j * pushed
     if n > 0:
+        inner = ez_standard(m, n - 1).terms.items()
         for j in range(n + 1):
-            inner = ez_standard(m, n - 1)
             vmap = face_vmap(n, j)
-            pushed = inner.map_terms(
-                lambda gen: [(1, (gen[0], push_face(vmap, gen[1])))],
-                codomain=target,
+            sign = (-1) ** (m + j)
+            pairs.extend(
+                (sign * c, (gen[0], push_face(vmap, gen[1]))) for gen, c in inner
             )
-            total = total + ((-1) ** (m + j)) * pushed
-    return contract(total)
+    return contract(Element(target, ZZ, m + n - 1, pairs))
 
 
 @lru_cache(maxsize=None)
@@ -349,9 +351,11 @@ def multidiagonal_standard(n, m):
     target = tensor_power(m, n)
     if m == 0:
         return Element(target, ZZ, 0, [(1, ((0,),) * n)])
-    total = target.zero(ZZ, m - 1)
+    inner = multidiagonal_standard(n, m - 1).terms.items()
+    pairs = []
     for j in range(m + 1):
-        inner = multidiagonal_standard(n, m - 1)
         vmap = face_vmap(m, j)
-        total = total + (-1) ** j * push_simplex_element(inner, vmap, target)
-    return contract(total)
+        pairs.extend(
+            ((-1) ** j * c, tuple(push_face(vmap, f) for f in gen)) for gen, c in inner
+        )
+    return contract(Element(target, ZZ, m - 1, pairs))

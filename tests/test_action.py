@@ -167,6 +167,27 @@ def test_action_suite_reports_first_counterexample(monkeypatch):
     assert len(calls) == 1
 
 
+def test_action_suite_reports_first_vanishing_counterexample(monkeypatch):
+    import chainops.action
+    from chainops.suites import action_suite
+
+    calls = []
+
+    class NonZero:
+        def is_zero(self):
+            return False
+
+    def wrong_action(x, m):
+        calls.append((x.complex.n, next(iter(x.terms)), m))
+        return NonZero()
+
+    monkeypatch.setattr(chainops.action, "bf_action", wrong_action)
+    [check] = [c for c in action_suite().checks if c.name == "Phi = 0 when k > m(n-1)"]
+    assert not check.ok
+    assert check.counterexample == (2, next(iter(S(2).basis(1))), 0)
+    assert calls[-1] == check.counterexample
+
+
 def test_steenrod_constants():
     assert steenrod_constant(2, 5) == 4
     assert steenrod_constant(1, 3) == 1
@@ -378,6 +399,17 @@ def test_face_table_validation():
             ],
         }
     )
+    # a missing key or a malformed record is invalid input, not a KeyError
+    for data in (
+        {"simplices": []},
+        {"dim": 0},
+        {"dim": 0, "simplices": [{"dim": 0}]},
+        {"dim": 0, "simplices": [{"id": "v"}]},
+        {"dim": 0, "simplices": ["v"]},
+        [],
+    ):
+        with pytest.raises(InvalidInput):
+            FaceTable(data)
 
 
 def test_simplices_order_by_str_id():

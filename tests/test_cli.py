@@ -253,6 +253,19 @@ def test_cli_eval_cochain_invalid_input(tmp_path):
         faces["simplices"][-1]["faces"][0] = bad_face
         out = eval_cochain(tmp_path, faces)
         assert out.returncode == 2 and out.stderr.startswith("error: ")
+    # a missing key, and integer ids that no cochain file can name
+    integer_ids = {
+        "dim": 1,
+        "simplices": [
+            {"id": 0, "dim": 0},
+            {"id": 1, "dim": 0},
+            {"id": 2, "dim": 1, "faces": [1, 0]},
+        ],
+    }
+    for faces in ({"simplices": []}, integer_ids):
+        out = eval_cochain(tmp_path, faces)
+        assert out.returncode == 2 and out.stderr.startswith("error: ")
+        assert "Traceback" not in out.stderr
     # a null (degenerate) face is allowed; the cup product never reads face 1
     faces = json.loads(json.dumps(TRIANGLE))
     faces["simplices"][-1]["faces"][1] = None

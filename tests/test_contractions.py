@@ -221,3 +221,33 @@ def test_standard_homotopy_between_induced_maps():
         for gen in E.basis(k):
             x = E.el(ZZ, gen)
             assert boundary(H(x)) + H(boundary(x)) == f2(x) - f1(x)
+
+
+def test_zero_results_carry_the_output_degree():
+    # Element equality ignores the degree of zeros, so compare .degree
+    from chainops.action import BFActionStandard
+    from chainops.operads import surj_engine
+    from chainops.surjections import surjection_complex
+
+    E = sym_eg(2)
+    x = E.el(ZZ, next(iter(E.basis(1))))
+    phi = StandardMap(E, E)
+    H = StandardHomotopy(phi, phi, E, E)
+    assert H(x).is_zero() and H(x).degree == 2
+    assert H(E.zero(ZZ, 1)).degree == 2
+
+    S = simplex_complex(2)
+    const = StandardMap(S, S)
+    edge = S.el(ZZ, (0, 1))
+    assert const(edge).is_zero() and const(edge).degree == 1
+    assert const(S.zero(ZZ, 1)).degree == 1
+
+    engine = surj_engine("bf")
+    arities = (2, 1, 1)
+    assert engine.apply(arities, engine.domain(arities).zero(ZZ, 1)).degree == 1
+
+    std = BFActionStandard(2)
+    S2 = surjection_complex("bf", 2)
+    y = S2.el(ZZ, (1, 2, 1, 2))  # Phi = 0 when |y| > m(n-1)
+    assert std.apply(y, 1).is_zero() and std.apply(y, 1).degree == 3
+    assert std.apply(S2.zero(ZZ, 2), 1).degree == 3
