@@ -101,7 +101,8 @@ class BFActionStandard(RecursiveMap):
         b, m = key
         k = self.S.degree_of(b)
         if k == 0:
-            return multidiagonal_standard(self.n, m)
+            value = multidiagonal_standard(self.n, m)
+            return Element(value.complex, self.ring, value.degree, value.terms)
         if m == 0:
             return self.target(m).zero(self.ring, k)
         return None

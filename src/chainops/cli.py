@@ -471,6 +471,16 @@ def cmd_eval_cochain(args):
     for path in args.cochains:
         with open(path) as fh:
             data = json.load(fh)
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("degree"), int)
+            and isinstance(data.get("values"), dict)
+            and all(isinstance(v, int) for v in data["values"].values())
+        ):
+            raise InvalidInput(
+                f"cochain file {path} needs an integer 'degree' and a 'values' "
+                "object of integers"
+            )
         cochains.append(Cochain(data["degree"], data["values"]))
     x = ElementParser(surjection_complex("bf", args.n), ring).parse(read_expr(args.x))
     if args.simplex_id is not None:

@@ -201,28 +201,24 @@ class TensorComplex(ChainComplex):
         return tuple(f.basepoint_gen() for f in self.factors)
 
     def basis(self, degree):
-        def rec(i, remaining):
-            if i == len(self.factors):
-                if remaining == 0:
-                    yield ()
-                return
-            f = self.factors[i]
-            for d in range(remaining + 1):
-                for g in f.basis(d):
-                    for rest in rec(i + 1, remaining - d):
-                        yield (g,) + rest
-
-        return rec(0, degree)
+        return self._split(degree, "basis")
 
     def gbasis(self, degree):
+        return self._split(degree, "gbasis")
+
+    def _split(self, degree, method):
+        """Tensors of total degree `degree`, each factor's generators drawn
+        from its own `method` (basis or gbasis) in every degree split."""
+        enums = [getattr(f, method) for f in self.factors]
+        last = len(enums) - 1
+
         def rec(i, remaining):
-            if i == len(self.factors):
-                if remaining == 0:
-                    yield ()
+            if i == last:
+                for g in enums[i](remaining):
+                    yield (g,)
                 return
-            f = self.factors[i]
             for d in range(remaining + 1):
-                for g in f.gbasis(d):
+                for g in enums[i](d):
                     for rest in rec(i + 1, remaining - d):
                         yield (g,) + rest
 

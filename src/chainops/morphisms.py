@@ -10,14 +10,13 @@ converted to permutations, with flavor signs c(x) and p(x).
 from .errors import InvalidInput
 from .maclane import MacLaneComplex, sym_eg
 from .perms import Perm
-from .procedure import StandardMap
+from .procedure import Report, StandardMap, first_fail
 from .rings import ZZ
 from .simplex import shuffle_words
 from .surjections import (
     SurjectionComplex,
     caesura_word,
-    sign_c,
-    sign_p,
+    iso_sign,
     surjection_complex,
     value_positions,
 )
@@ -53,21 +52,14 @@ def table_rows(X, partition):
     return tuple(seq)
 
 def table_reduction_terms(flavor, X):
-    """All partition summands of TR(X) with flavor signs."""
+    """All partition summands of TR(X), each with the sign of the iso
+    S^bf -> S^flavor (for aj the recursion confirms p(x_a)c(x_a), not the
+    bare p(x_a))."""
     n = X[0].n
     k = len(X) - 1
-    out = []
-    for partition in _partitions(n + k, k + 1, n):
-        x = table_rows(X, partition)
-        if flavor == "bf":
-            out.append((1, x))
-        elif flavor == "ms":
-            out.append((sign_c(x), x))
-        else:
-            # the iso S^bf -> S^aj carries sign p.c, and the recursion
-            # confirms p(x_a)c(x_a) here (not the bare p(x_a))
-            out.append((sign_p(x) * sign_c(x), x))
-    return out
+    sign = iso_sign("bf", flavor)
+    rows = (table_rows(X, a) for a in _partitions(n + k, k + 1, n))
+    return [(sign(x), x) for x in rows]
 
 def table_reduction(flavor, x):
     """TR (tr for the aj flavor): N(ESigma_n) -> S^flavor(n), linear."""
@@ -130,13 +122,7 @@ def prism_map(flavor, x):
     if not isinstance(src, SurjectionComplex) or src.flavor != flavor:
         raise InvalidInput(f"prism_map expects an element of S^{flavor}")
     target = sym_eg(src.n)
-
-    if flavor == "ms":
-        sign_fn = lambda gen: 1
-    elif flavor == "bf":
-        sign_fn = sign_c
-    else:
-        sign_fn = sign_p
+    sign_fn = iso_sign(flavor, "ms")
 
     def terms(gen):
         s = sign_fn(gen)
@@ -146,43 +132,31 @@ def prism_map(flavor, x):
 
 def roundtrip_check(flavor, n, max_degree, ring=ZZ):
     """TR . PR = Id and the fundamental-simplex dichotomy, exhaustively."""
-    from .procedure import Check, Report
-
     S = surjection_complex(flavor, n)
-    checks = []
-    bad = None
-    for k in range(max_degree + 1):
-        for gen in S.basis(k):
-            x = S.el(ring, gen)
-            if table_reduction(flavor, prism_map(flavor, x)) != x:
-                bad = gen
-                break
-        if bad:
-            break
-    checks.append(Check(f"TR.PR = Id on S^{flavor}({n}), k<={max_degree}", bad is None, bad))
+    gens = [gen for k in range(max_degree + 1) for gen in S.basis(k)]
 
-    bad = None
-    if flavor == "bf":
+    def roundtrip():
+        for gen in gens:
+            x = S.el(ring, gen)
+            yield gen, table_reduction(flavor, prism_map(flavor, x)) == x
+
+    def dichotomy():
         E = sym_eg(n)
-        for k in range(max_degree + 1):
-            for gen in S.basis(k):
-                fund = fundamental_simplex(gen)
-                for c, simplex in prism_terms(gen):
-                    if E.canonical(simplex) is None:
-                        continue
-                    tr = table_reduction(flavor, E.el(ring, simplex))
-                    if simplex == fund:
-                        if tr != S.el(ring, gen):
-                            bad = (gen, simplex)
-                    elif not tr.is_zero():
-                        bad = (gen, simplex)
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+        for gen in gens:
+            fund = fundamental_simplex(gen)
+            for _, simplex in prism_terms(gen):
+                if E.canonical(simplex) is None:
+                    continue
+                tr = table_reduction(flavor, E.el(ring, simplex))
+                ok = tr == S.el(ring, gen) if simplex == fund else tr.is_zero()
+                yield (gen, simplex), ok
+
+    checks = [first_fail(f"TR.PR = Id on S^{flavor}({n}), k<={max_degree}", roundtrip())]
+    if flavor == "bf":
         checks.append(
-            Check(f"fundamental-simplex dichotomy on S^bf({n}), k<={max_degree}", bad is None, bad)
+            first_fail(
+                f"fundamental-simplex dichotomy on S^bf({n}), k<={max_degree}",
+                dichotomy(),
+            )
         )
     return Report(f"TR/PR roundtrip S^{flavor}({n})", checks)

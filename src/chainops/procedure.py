@@ -207,6 +207,19 @@ class Check:
         return self.line()
 
 
+def first_fail(name, cases):
+    """The Check of a stream of (case, ok) pairs: it stops at the first
+    case that is not ok and reports it.  A name that states the number of
+    cases is a function of that number, the count run so far on failure."""
+    label = name if callable(name) else lambda count: name
+    count = 0
+    for case, ok in cases:
+        count += 1
+        if not ok:
+            return Check(label(count), False, case)
+    return Check(label(count), True)
+
+
 class Report:
     def __init__(self, title, checks):
         self.title = title

@@ -1,10 +1,17 @@
 """Named verification suites, shared by the CLI `verify` command and the
 acceptance tests.  Each suite returns a Report; suites compose under
-`run_suite("all", ...)`."""
+`run_suite("all", ...)`.
+
+Every exhaustive check is stated the same way: a generator yields
+(case, ok) pairs and procedure.first_fail turns them into a Check that
+stops at the first case that is not ok and carries it as the
+counterexample.  A passing check keeps its name, including the case
+counts some names state.
+"""
 
 from itertools import product as _product
 
-from .complexes import act, boundary, contract
+from .complexes import TensorComplex, boundary, contract
 from .errors import InvalidInput
 from .groups import SymmetricGroup
 from .maclane import (
@@ -37,7 +44,7 @@ from .operads import (
     surj_engine,
 )
 from .perms import Perm, all_perms, block_perm
-from .procedure import Check, Report, StandardMap, verify_contracted
+from .procedure import Check, Report, StandardMap, first_fail, verify_contracted
 from .rings import GF, ZZ
 from .simplex import (
     simplex_complex,
@@ -47,6 +54,7 @@ from .surjections import (
     caesuras,
     is_clean_gen,
     iso,
+    iso_sign,
     ms_signs,
     sign_c,
     sign_delta,
@@ -56,11 +64,23 @@ from .surjections import (
 )
 
 
-def _first_fail(name, it):
-    for gen, ok in it:
-        if not ok:
-            return Check(name, False, gen)
-    return Check(name, True)
+def _basis(flavor, max_n, max_k):
+    """(S^flavor(n), gen) for every basis generator, 2 <= n <= max_n,
+    degree <= max_k."""
+    for n in range(2, max_n + 1):
+        S = surjection_complex(flavor, n)
+        for k in range(max_k + 1):
+            for gen in S.basis(k):
+                yield S, gen
+
+
+def _tensors(comps, max_degree, ring=ZZ, basis="basis"):
+    """(gens, elements) for every tensor of basis generators of the
+    factors, total degree <= max_degree."""
+    enum = getattr(TensorComplex(comps), basis)
+    for D in range(max_degree + 1):
+        for gens in enum(D):
+            yield gens, [c.el(ring, g) for c, g in zip(comps, gens)]
 
 
 # -- contraction suite ------------------------------------------------------------
@@ -159,20 +179,15 @@ def golden_boundaries_suite():
 
 
 def signs_suite(max_n=4, max_k=4):
-    checks = []
-    bad = None
-    for n in range(2, max_n + 1):
-        S = surjection_complex("bf", n)
-        for k in range(0, max_k + 1):
-            for x in S.basis(k):
-                if sign_p(x) != sign_c(x) * sign_delta(x) * tau_f(x):
-                    bad = x
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(Check(f"p = c.delta.tau_f (n<={max_n}, k<={max_k})", bad is None, bad))
+    checks = [
+        first_fail(
+            f"p = c.delta.tau_f (n<={max_n}, k<={max_k})",
+            (
+                (x, sign_p(x) == sign_c(x) * sign_delta(x) * tau_f(x))
+                for _, x in _basis("bf", max_n, max_k)
+            ),
+        )
+    ]
 
     x = (2, 1, 2, 3, 4, 2, 3, 1, 5, 4, 1, 2)
     checks.append(
@@ -187,86 +202,74 @@ def signs_suite(max_n=4, max_k=4):
     )
     # delta via the caesuras-in-even-blocks count, the interpretation that
     # holds exhaustively (the raw aj/bf sign discrepancy count does not)
-    bad = None
-    for n in range(2, max_n + 1):
-        S = surjection_complex("bf", n)
-        for k in range(0, 4):
-            for x in S.basis(k):
-                caes = set(caesuras(x))
-                evens = 0
-                in_block = 0
-                block_no = 1
-                for j in range(1, len(x) + 1):
-                    if j in caes:
-                        in_block += 1
-                    else:
-                        if block_no % 2 == 0:
-                            evens += in_block
-                        in_block = 0
-                        block_no += 1
-                if block_no % 2 == 0:
-                    evens += in_block
-                if sign_delta(x) != (-1) ** evens:
-                    bad = x
-    checks.append(Check("delta = parity of caesuras in even blocks", bad is None, bad))
+    checks.append(
+        first_fail(
+            "delta = parity of caesuras in even blocks",
+            (
+                (x, sign_delta(x) == (-1) ** _even_block_caesuras(x))
+                for _, x in _basis("bf", max_n, 3)
+            ),
+        )
+    )
     return Report("sign identities", checks)
+
+
+def _even_block_caesuras(x):
+    caes = set(caesuras(x))
+    evens = 0
+    in_block = 0
+    block_no = 1
+    for j in range(1, len(x) + 1):
+        if j in caes:
+            in_block += 1
+        else:
+            if block_no % 2 == 0:
+                evens += in_block
+            in_block = 0
+            block_no += 1
+    if block_no % 2 == 0:
+        evens += in_block
+    return evens
 
 
 # -- isomorphism suite ----------------------------------------------------------------
 
 
-def iso_suite(max_n=4, max_k=3):
-    checks = []
-    pairs = [
-        ("bf", "ms", sign_c),
-        ("aj", "ms", sign_p),
-        ("aj", "bf", lambda x: sign_p(x) * sign_c(x)),
-    ]
-    for src_fl, dst_fl, sign_fn in pairs:
-        bad = None
-        for n in range(2, max_n + 1):
-            A = surjection_complex(src_fl, n)
-            B = surjection_complex(dst_fl, n)
-            elements = list(SymmetricGroup(n).elements())
-            for k in range(0, max_k + 1):
-                for gen in A.basis(k):
-                    xa = A.el(ZZ, gen)
-                    fwd = iso(src_fl, dst_fl, xa)
-                    if iso(src_fl, dst_fl, boundary(xa)) != boundary(fwd):
-                        bad = ("chain", n, gen)
-                        break
-                    if iso(src_fl, dst_fl, contract(xa)) != contract(fwd):
-                        bad = ("contraction", n, gen)
-                        break
-                    if iso(dst_fl, src_fl, fwd) != xa:
-                        bad = ("roundtrip", n, gen)
-                        break
-                    # equivariance as the scalar identity
-                    # s(gx) asign_src(g, x) = asign_dst(g, x) s(x)
-                    for g in elements:
-                        (sa, gx), = A.act_terms(g, gen)
-                        (sb, _), = B.act_terms(g, gen)
-                        if sign_fn(gx) * sa != sb * sign_fn(gen):
-                            bad = ("equivariance", n, gen, g)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        checks.append(Check(f"iso {src_fl}->{dst_fl} suite", bad is None, bad))
-
-    bad = None
+def _iso_cases(src_fl, dst_fl, max_n, max_k):
+    sign_fn = iso_sign(src_fl, dst_fl)
     for n in range(2, max_n + 1):
-        A = surjection_complex("aj", n)
+        A = surjection_complex(src_fl, n)
+        B = surjection_complex(dst_fl, n)
+        elements = list(SymmetricGroup(n).elements())
         for k in range(0, max_k + 1):
             for gen in A.basis(k):
                 xa = A.el(ZZ, gen)
-                trip = iso("ms", "aj", iso("bf", "ms", iso("aj", "bf", xa)))
-                if trip != xa:
-                    bad = (n, gen)
-    checks.append(Check("aj->bf->ms->aj = Id", bad is None, bad))
+                fwd = iso(src_fl, dst_fl, xa)
+                yield ("chain", n, gen), iso(src_fl, dst_fl, boundary(xa)) == boundary(fwd)
+                yield ("contraction", n, gen), iso(
+                    src_fl, dst_fl, contract(xa)
+                ) == contract(fwd)
+                yield ("roundtrip", n, gen), iso(dst_fl, src_fl, fwd) == xa
+                # equivariance as the scalar identity
+                # s(gx) asign_src(g, x) = asign_dst(g, x) s(x)
+                for g in elements:
+                    (sa, gx), = A.act_terms(g, gen)
+                    (sb, _), = B.act_terms(g, gen)
+                    yield ("equivariance", n, gen, g), sign_fn(gx) * sa == sb * sign_fn(gen)
+
+
+def iso_suite(max_n=4, max_k=3):
+    checks = [
+        first_fail(f"iso {src_fl}->{dst_fl} suite", _iso_cases(src_fl, dst_fl, max_n, max_k))
+        for src_fl, dst_fl in (("bf", "ms"), ("aj", "ms"), ("aj", "bf"))
+    ]
+
+    def triple():
+        for A, gen in _basis("aj", max_n, max_k):
+            xa = A.el(ZZ, gen)
+            yield (A.n, gen), iso("ms", "aj", iso("bf", "ms", iso("aj", "bf", xa))) == xa
+
+    checks.append(first_fail("aj->bf->ms->aj = Id", triple()))
     return Report("isomorphism suite", checks)
 
 
@@ -280,21 +283,23 @@ def trpr_suite(max_n=4, max_k=3):
             rep = roundtrip_check(flavor, n, max_k)
             checks.extend(rep.checks)
 
-    bad = None
-    for flavor in ("bf", "ms", "aj"):
-        for n in (2, 3):
-            E = sym_eg(n)
-            std = table_reduction_standard(flavor, n)
-            for k in range(0, 3):
-                for gen in E.basis(k):
-                    x = E.el(ZZ, gen)
-                    if table_reduction(flavor, x) != std(x):
-                        bad = (flavor, n, gen)
-                    if table_reduction(flavor, contract(x)) != contract(
-                        table_reduction(flavor, x)
-                    ):
-                        bad = (flavor, n, gen, "h")
-    checks.append(Check("TR closed = recursive, commutes with h (n<=3)", bad is None, bad))
+    def closed_vs_recursive():
+        for flavor in ("bf", "ms", "aj"):
+            for n in (2, 3):
+                E = sym_eg(n)
+                std = table_reduction_standard(flavor, n)
+                for k in range(0, 3):
+                    for gen in E.basis(k):
+                        x = E.el(ZZ, gen)
+                        tr = table_reduction(flavor, x)
+                        yield (flavor, n, gen), tr == std(x)
+                        yield (flavor, n, gen, "h"), table_reduction(
+                            flavor, contract(x)
+                        ) == contract(tr)
+
+    checks.append(
+        first_fail("TR closed = recursive, commutes with h (n<=3)", closed_vs_recursive())
+    )
 
     x = (2, 1, 2, 3, 4, 2, 3, 1, 5, 4, 1, 2)
     expect = [
@@ -323,32 +328,33 @@ def trpr_suite(max_n=4, max_k=3):
 def minimal_suite():
     checks = []
     for n in (3, 5):
-        M = minimal_complex(n)
-        bad = None
-        for k in range(0, 7):
-            if pi_from_EC(phi_to_EC(M.el(ZZ, (0, k)))) != M.el(ZZ, (0, k)):
-                bad = k
-        checks.append(Check(f"pi.phi = Id on M({n}), k<=6", bad is None, bad))
+        ys = [minimal_complex(n).el(ZZ, (0, k)) for k in range(0, 7)]
+        checks.append(
+            first_fail(
+                f"pi.phi = Id on M({n}), k<=6",
+                ((k, pi_from_EC(phi_to_EC(y)) == y) for k, y in enumerate(ys)),
+            )
+        )
 
     M5 = minimal_complex(5)
-    bad = None
-    for k in range(0, 5):
-        for i in range(5):
-            x = M5.el(ZZ, (i, k))
-            if lambda_power(2, boundary(x)) != boundary(lambda_power(2, x)):
-                bad = (i, k)
-    checks.append(Check("lambda chain-map identity (n=5, ell=2)", bad is None, bad))
+
+    def lambda_chain_map():
+        for k in range(0, 5):
+            for i in range(5):
+                x = M5.el(ZZ, (i, k))
+                yield (i, k), lambda_power(2, boundary(x)) == boundary(lambda_power(2, x))
+
+    checks.append(first_fail("lambda chain-map identity (n=5, ell=2)", lambda_chain_map()))
 
     M3 = minimal_complex(3)
     T3 = minimal_tensor(3, 3)
     std3 = StandardMap(M3, T3, group_hom=lambda a: (a, a, a))
-    bad = None
-    for k in range(0, 5):
-        x = M3.el(ZZ, (0, k))
-        if multidiagonal_M(3, x) != std3(x):
-            bad = k
+    ys = [M3.el(ZZ, (0, k)) for k in range(0, 5)]
     checks.append(
-        Check("(Id x Delta).Delta = h3-standard diagonal (k<=4, n=3)", bad is None, bad)
+        first_fail(
+            "(Id x Delta).Delta = h3-standard diagonal (k<=4, n=3)",
+            ((k, multidiagonal_M(3, y) == std3(y)) for k, y in enumerate(ys)),
+        )
     )
 
     y2 = M3.el(ZZ, (0, 2))
@@ -402,96 +408,89 @@ def sigma_suite(max_r=3, max_size=3, assoc_bound=3):
         )
     )
 
-    bad = None
-    for r in range(1, 5):
-        for sizes in _product(range(1, 4), repeat=r):
-            for h in all_perms(r):
-                for g in all_perms(r):
-                    lhs = block_perm(h * g, sizes)
-                    rhs = block_perm(h, sizes) * block_perm(
-                        g, tuple(sizes[h(i) - 1] for i in range(1, r + 1))
-                    )
-                    if lhs != rhs:
-                        bad = (h, g, sizes)
-    checks.append(Check("block-perm composition law exhaustive (r<=4, sizes<=3)", bad is None, bad))
-
-    bad = None
-    count = 0
-    for r in range(1, max_r + 1):
-        for sizes in _product(range(1, max_size + 1), repeat=r):
-            for g in all_perms(r):
-                for u_ in all_perms(r):
-                    for vs_ in _perm_tuples(sizes):
-                        lhs = sigma_compose(g * u_, list(vs_))
-                        vg = [vs_[g(i) - 1] for i in range(1, r + 1)]
-                        rhs = block_perm(g, sizes) * sigma_compose(u_, vg)
-                        count += 1
-                        if lhs != rhs:
-                            bad = (g, u_, vs_)
-    checks.append(
-        Check(f"equivariance axiom 1 exhaustive [{count} cases]", bad is None, bad)
-    )
-
-    bad = None
-    count = 0
-    for r in range(1, max_r + 1):
-        for sizes in _product(range(1, max_size + 1), repeat=r):
-            for u_ in all_perms(r):
-                for hs in _perm_tuples(sizes):
-                    for vs_ in _perm_tuples(sizes):
-                        lhs = sigma_compose(
-                            u_, [h * v for h, v in zip(hs, vs_)]
+    def composition_law():
+        for r in range(1, 5):
+            for sizes in _product(range(1, 4), repeat=r):
+                for h in all_perms(r):
+                    for g in all_perms(r):
+                        lhs = block_perm(h * g, sizes)
+                        rhs = block_perm(h, sizes) * block_perm(
+                            g, tuple(sizes[h(i) - 1] for i in range(1, r + 1))
                         )
-                        rhs = oplus(list(hs)) * sigma_compose(u_, list(vs_))
-                        count += 1
-                        if lhs != rhs:
-                            bad = (u_, hs, vs_)
+                        yield (h, g, sizes), lhs == rhs
+
     checks.append(
-        Check(f"equivariance axiom 2 exhaustive [{count} cases]", bad is None, bad)
+        first_fail("block-perm composition law exhaustive (r<=4, sizes<=3)", composition_law())
     )
 
-    bad = None
-    count = 0
-    for r in range(1, assoc_bound + 1):
-        for r_list in _product(range(1, assoc_bound + 1), repeat=r):
-            size_choices = []
-            for ri in r_list:
-                choices = [
-                    c
-                    for c in _product(range(1, assoc_bound + 1), repeat=ri)
-                    if sum(c) <= assoc_bound
-                ]
-                size_choices.append(choices)
-            for s_matrix in _product(*size_choices):
-                for u_ in all_perms(r):
-                    for vs_ in _perm_tuples(r_list):
-                        for ws_flat in _perm_tuples(
-                            tuple(s for row in s_matrix for s in row)
-                        ):
-                            ws = []
-                            idx = 0
-                            for row in s_matrix:
-                                ws.append(ws_flat[idx : idx + len(row)])
-                                idx += len(row)
-                            inner = [
-                                sigma_compose(vs_[i], list(ws[i]))
-                                for i in range(r)
-                            ]
-                            top = sigma_compose(u_, inner)
-                            mid = sigma_compose(u_, list(vs_))
-                            bottom = sigma_compose(mid, list(ws_flat))
-                            count += 1
-                            if top != bottom:
-                                bad = (u_, vs_, ws)
+    def equivariance_1():
+        for r in range(1, max_r + 1):
+            for sizes in _product(range(1, max_size + 1), repeat=r):
+                for g in all_perms(r):
+                    g_blocks = block_perm(g, sizes)
+                    for u_ in all_perms(r):
+                        for vs_ in _perm_tuples(sizes):
+                            lhs = sigma_compose(g * u_, list(vs_))
+                            vg = [vs_[g(i) - 1] for i in range(1, r + 1)]
+                            rhs = g_blocks * sigma_compose(u_, vg)
+                            yield (g, u_, vs_), lhs == rhs
+
     checks.append(
-        Check(f"associativity diagram exhaustive [{count} cases]", bad is None, bad)
+        first_fail(lambda n: f"equivariance axiom 1 exhaustive [{n} cases]", equivariance_1())
+    )
+
+    def equivariance_2():
+        for r in range(1, max_r + 1):
+            for sizes in _product(range(1, max_size + 1), repeat=r):
+                for u_ in all_perms(r):
+                    for hs in _perm_tuples(sizes):
+                        h_sum = oplus(list(hs))
+                        for vs_ in _perm_tuples(sizes):
+                            lhs = sigma_compose(
+                                u_, [h * v for h, v in zip(hs, vs_)]
+                            )
+                            rhs = h_sum * sigma_compose(u_, list(vs_))
+                            yield (u_, hs, vs_), lhs == rhs
+
+    checks.append(
+        first_fail(lambda n: f"equivariance axiom 2 exhaustive [{n} cases]", equivariance_2())
+    )
+
+    def associativity():
+        for r in range(1, assoc_bound + 1):
+            for r_list in _product(range(1, assoc_bound + 1), repeat=r):
+                size_choices = []
+                for ri in r_list:
+                    choices = [
+                        c
+                        for c in _product(range(1, assoc_bound + 1), repeat=ri)
+                        if sum(c) <= assoc_bound
+                    ]
+                    size_choices.append(choices)
+                for s_matrix in _product(*size_choices):
+                    for u_ in all_perms(r):
+                        for vs_ in _perm_tuples(r_list):
+                            mid = sigma_compose(u_, list(vs_))
+                            for ws_flat in _perm_tuples(
+                                tuple(s for row in s_matrix for s in row)
+                            ):
+                                ws = []
+                                idx = 0
+                                for row in s_matrix:
+                                    ws.append(ws_flat[idx : idx + len(row)])
+                                    idx += len(row)
+                                inner = [
+                                    sigma_compose(vs_[i], list(ws[i]))
+                                    for i in range(r)
+                                ]
+                                top = sigma_compose(u_, inner)
+                                bottom = sigma_compose(mid, list(ws_flat))
+                                yield (u_, vs_, ws), top == bottom
+
+    checks.append(
+        first_fail(lambda n: f"associativity diagram exhaustive [{n} cases]", associativity())
     )
     return Report("symmetric group operad", checks)
-
-
-def _unit_el(components, ring):
-    c1 = components.component(1)
-    return c1.el(ring, c1.basepoint_gen())
 
 
 def _family_compose(kind, outer, inners, ring):
@@ -509,95 +508,65 @@ def _family_component(kind, n):
 def family_associativity(kind, r, r_list, s_matrix, max_degree, ring=ZZ):
     """Both routes around the associativity square on all basis tensors of total degree
     <= max_degree; the regrouping isomorphism carries Koszul signs."""
-    comps = []
-    comps.append(_family_component(kind, r))
+    comps = [_family_component(kind, r)]
     for i in range(r):
         comps.append(_family_component(kind, r_list[i]))
-        for s in s_matrix[i]:
-            comps.append(_family_component(kind, s))
-    bad = None
+        comps.extend(_family_component(kind, s) for s in s_matrix[i])
 
-    def splits(total, parts):
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for a in range(total + 1):
-            for rest in splits(total - a, parts - 1):
-                yield (a,) + rest
+    def squares():
+        for gens, els in _tensors(comps, max_degree, ring):
+            u = els[0]
+            idx = 1
+            vs, ws = [], []
+            for i in range(r):
+                vs.append(els[idx])
+                idx += 1
+                ws.append(els[idx : idx + len(s_matrix[i])])
+                idx += len(s_matrix[i])
+            # top: inner composites then outer
+            inner_vals = [_family_compose(kind, vs[i], ws[i], ring) for i in range(r)]
+            top = _family_compose(kind, u, inner_vals, ring)
+            # bottom: Koszul for moving each v_i left past earlier w-blocks
+            exp = 0
+            for i in range(1, r):
+                wdeg = sum(w.degree for row in ws[:i] for w in row)
+                exp += vs[i].degree * wdeg
+            mid = _family_compose(kind, u, vs, ring)
+            flat = [w for row in ws for w in row]
+            bottom = (-1) ** exp * _family_compose(kind, mid, flat, ring)
+            yield gens, top == bottom
 
-    nfac = len(comps)
-    for D in range(0, max_degree + 1):
-        for split in splits(D, nfac):
-            gen_lists = [list(c.basis(d)) for c, d in zip(comps, split)]
-            if any(not gl for gl in gen_lists):
-                continue
-            for combo in _product(*gen_lists):
-                els = [c.el(ring, g) for c, g in zip(comps, combo)]
-                u = els[0]
-                idx = 1
-                vs, ws = [], []
-                for i in range(r):
-                    vs.append(els[idx])
-                    idx += 1
-                    ws.append(els[idx : idx + len(s_matrix[i])])
-                    idx += len(s_matrix[i])
-                # top: inner composites then outer
-                inner_vals = [
-                    _family_compose(kind, vs[i], ws[i], ring) for i in range(r)
-                ]
-                top = _expand(kind, u, inner_vals, ring)
-                # bottom: Koszul for moving each v_i left past earlier w-blocks
-                exp = 0
-                for i in range(1, r):
-                    wdeg = sum(w.degree for row in ws[:i] for w in row)
-                    exp += vs[i].degree * wdeg
-                mid = _family_compose(kind, u, vs, ring)
-                flat = [w for row in ws for w in row]
-                bottom = (-1) ** exp * _expand_outer(kind, mid, flat, ring)
-                if top != bottom:
-                    bad = combo
-                    return Check(
-                        f"{kind} associativity {r};{r_list};{s_matrix}", False, bad
-                    )
-    return Check(
+    return first_fail(
         f"{kind} associativity (r={r}, inner={r_list}, sizes={s_matrix}, deg<={max_degree})",
-        True,
+        squares(),
     )
 
 
-def _expand(kind, outer, inner_vals, ring):
-    total = None
-    from itertools import product as prod
-
-    pairs = [list(v.terms.items()) for v in inner_vals]
-    for combo in prod(*pairs):
-        coeff = 1
-        els = []
-        for (g, c), v in zip(combo, inner_vals):
-            coeff *= c
-            els.append(v.complex.el(ring, g))
-        val = coeff * _family_compose(kind, outer, els, ring)
-        total = val if total is None else total + val
-    if total is None:
-        s = sum(v.complex.n for v in inner_vals)
-        total = _family_component(kind, s).zero(
-            ring, outer.degree + sum(v.degree for v in inner_vals)
-        )
-    return total
+def _recursive_vs_closed(kind, engine, max_degree):
+    for sizes in ((1, 2), (2, 2)):
+        comps = [_family_component(kind, n) for n in (2,) + sizes]
+        for gens, els in _tensors(comps, max_degree):
+            closed = _family_compose(kind, els[0], els[1:], ZZ)
+            yield (sizes,) + gens, engine_compose(engine, els[0], els[1:]) == closed
 
 
-def _expand_outer(kind, mid, flat, ring):
-    total = None
-    for g, c in mid.terms.items():
-        val = c * _family_compose(kind, mid.complex.el(ring, g), flat, ring)
-        total = val if total is None else total + val
-    if total is None:
-        s = sum(v.complex.n for v in flat)
-        total = _family_component(kind, s).zero(
-            ring, mid.degree + sum(v.degree for v in flat)
-        )
-    return total
+def _unit_axioms():
+    for kind in ("be", "bf"):
+        unit = _family_component(kind, 1).basepoint(ZZ)
+        comp2 = _family_component(kind, 2)
+        for k in range(0, 3):
+            for b in comp2.basis(k):
+                el = comp2.el(ZZ, b)
+                yield (kind, b, "right unit"), _family_compose(kind, el, [unit, unit], ZZ) == el
+                yield (kind, b, "left unit"), _family_compose(kind, unit, [el], ZZ) == el
+
+
+def _clean_outputs():
+    for sizes in ((2, 2), (1, 2)):
+        comps = [surjection_complex("bf", n) for n in (2,) + sizes]
+        for gens, els in _tensors(comps, 2, basis="gbasis"):
+            for g in surj_compose("bf", els[0], els[1:]).terms:
+                yield gens + (g,), is_clean_gen(g)
 
 
 def operads_suite(max_degree=2):
@@ -631,55 +600,14 @@ def operads_suite(max_degree=2):
 
     # recursive engines against closed forms
     for kind, engine in (("be", be_engine()), ("bf", surj_engine("bf"))):
-        bad = None
-        for sizes in ((1, 2), (2, 2)):
-            comps = [_family_component(kind, 2)] + [
-                _family_component(kind, s) for s in sizes
-            ]
-            for D in range(0, max_degree + 1):
-                for d0 in range(D + 1):
-                    for d1 in range(D + 1 - d0):
-                        d2 = D - d0 - d1
-                        for b0 in comps[0].basis(d0):
-                            for b1 in comps[1].basis(d1):
-                                for b2 in comps[2].basis(d2):
-                                    els = [
-                                        comps[0].el(ZZ, b0),
-                                        comps[1].el(ZZ, b1),
-                                        comps[2].el(ZZ, b2),
-                                    ]
-                                    a = engine_compose(engine, els[0], els[1:])
-                                    b = _family_compose(kind, els[0], els[1:], ZZ)
-                                    if a != b:
-                                        bad = (sizes, b0, b1, b2)
         checks.append(
-            Check(
+            first_fail(
                 f"{kind} recursive = closed at (2;1,2),(2;2,2), deg<={max_degree}",
-                bad is None,
-                bad,
+                _recursive_vs_closed(kind, engine, max_degree),
             )
         )
 
-    # unit axiom
-    bad = None
-    for kind in ("be", "bf"):
-        unit = _unit_el(
-            be_engine().components if kind == "be" else surj_engine().components, ZZ
-        )
-        comp2 = _family_component(kind, 2)
-        for k in range(0, 3):
-            for b in comp2.basis(k):
-                el = comp2.el(ZZ, b)
-                if _family_compose(kind, el, [unit, unit], ZZ) != el:
-                    bad = (kind, b, "right unit")
-        c1 = _family_component(kind, 1)
-        u1 = c1.el(ZZ, c1.basepoint_gen())
-        for k in range(0, 3):
-            for b in comp2.basis(k):
-                el = comp2.el(ZZ, b)
-                if _family_compose(kind, u1, [el], ZZ) != el:
-                    bad = (kind, b, "left unit")
-    checks.append(Check("unit axioms", bad is None, bad))
+    checks.append(first_fail("unit axioms", _unit_axioms()))
 
     # associativity squares, degrees <= 1
     for kind in ("be", "bf"):
@@ -693,26 +621,7 @@ def operads_suite(max_degree=2):
             family_associativity(kind, 2, (2, 1), ((2, 1), (1,)), 1)
         )
 
-    # clean inputs give clean outputs
-    bad = None
-    for sizes in ((2, 2), (1, 2)):
-        comps = [S(2)] + [S(s) for s in sizes]
-        for D in range(0, 3):
-            for d0 in range(D + 1):
-                for d1 in range(D + 1 - d0):
-                    d2 = D - d0 - d1
-                    for b0 in comps[0].gbasis(d0):
-                        for b1 in comps[1].gbasis(d1):
-                            for b2 in comps[2].gbasis(d2):
-                                val = surj_compose(
-                                    "bf",
-                                    comps[0].el(ZZ, b0),
-                                    [comps[1].el(ZZ, b1), comps[2].el(ZZ, b2)],
-                                )
-                                for g in val.terms:
-                                    if not is_clean_gen(g):
-                                        bad = (b0, b1, b2, g)
-    checks.append(Check("clean inputs, clean output summands", bad is None, bad))
+    checks.append(first_fail("clean inputs, clean output summands", _clean_outputs()))
     return Report("operad suite", checks)
 
 
@@ -720,62 +629,39 @@ def morphism_squares_suite():
     """The table-reduction quotient square and the chain-action square."""
     from .action import sz_square
 
-    checks = []
-    bad = None
-    E = lambda n: sym_eg(n)
     S = lambda n: surjection_complex("bf", n)
-    for sizes in ((1, 2), (2, 2)):
-        comps = [E(2)] + [E(s) for s in sizes]
-        scomps = [S(2)] + [S(s) for s in sizes]
-        for D in range(0, 2):
-            for d0 in range(D + 1):
-                for d1 in range(D + 1 - d0):
-                    d2 = D - d0 - d1
-                    for b0 in comps[0].basis(d0):
-                        for b1 in comps[1].basis(d1):
-                            for b2 in comps[2].basis(d2):
-                                X = comps[0].el(ZZ, b0)
-                                Y1 = comps[1].el(ZZ, b1)
-                                Y2 = comps[2].el(ZZ, b2)
-                                lhs = table_reduction("bf", be_compose(X, [Y1, Y2]))
-                                rhs = surj_compose(
-                                    "bf",
-                                    table_reduction("bf", X),
-                                    [
-                                        table_reduction("bf", Y1),
-                                        table_reduction("bf", Y2),
-                                    ],
-                                )
-                                if lhs != rhs:
-                                    bad = (b0, b1, b2)
-    checks.append(
-        Check("TR quotient square (2;1,2),(2;2,2), deg<=1", bad is None, bad)
-    )
 
-    bad = None
-    x = S(2).el(ZZ, (1, 2, 1))
-    for sizes in ((1, 2), (2, 2)):
-        inner = []
-        for s in sizes:
-            gens = [g for d in (0, 1) for g in S(s).basis(d)]
-            inner.append([S(s).el(ZZ, g) for g in gens])
-        for y1 in inner[0]:
-            for y2 in inner[1]:
-                for m in (0, 1, 2):
-                    l, r = sz_square(x, [y1, y2], m)
-                    if l != r:
-                        bad = (
-                            tuple(y1.terms),
-                            tuple(y2.terms),
-                            m,
-                        )
-    checks.append(
-        Check(
+    def quotient_square():
+        for sizes in ((1, 2), (2, 2)):
+            comps = [sym_eg(n) for n in (2,) + sizes]
+            for gens, (X, Y1, Y2) in _tensors(comps, 1):
+                lhs = table_reduction("bf", be_compose(X, [Y1, Y2]))
+                rhs = surj_compose(
+                    "bf",
+                    table_reduction("bf", X),
+                    [table_reduction("bf", Y1), table_reduction("bf", Y2)],
+                )
+                yield gens, lhs == rhs
+
+    def action_square():
+        x = S(2).el(ZZ, (1, 2, 1))
+        for sizes in ((1, 2), (2, 2)):
+            inner = [
+                [S(s).el(ZZ, g) for d in (0, 1) for g in S(s).basis(d)] for s in sizes
+            ]
+            for y1 in inner[0]:
+                for y2 in inner[1]:
+                    for m in (0, 1, 2):
+                        l, r = sz_square(x, [y1, y2], m)
+                        yield (tuple(y1.terms), tuple(y2.terms), m), l == r
+
+    checks = [
+        first_fail("TR quotient square (2;1,2),(2;2,2), deg<=1", quotient_square()),
+        first_fail(
             "S -> Z square on x=(1,2,1), inner degree<=1, m<=2 (exhaustive)",
-            bad is None,
-            bad,
-        )
-    )
+            action_square(),
+        ),
+    ]
     return Report("operad morphism squares", checks)
 
 
@@ -801,17 +687,14 @@ def action_suite(max_n=3, max_k=2, max_m=3):
     checks.append(Check("monomial action golden term, sign +1", co == [1]))
 
     def closed_vs_recursive():
-        for n in range(2, max_n + 1):
-            S = surjection_complex("bf", n)
-            std = bf_action_standard(n)
-            for k in range(0, max_k + 1):
-                for gen in S.basis(k):
-                    x = S.el(ZZ, gen)
-                    for m in range(0, max_m + 1):
-                        yield (n, gen, m), bf_action(x, m) == std.apply(x, m)
+        for S, gen in _basis("bf", max_n, max_k):
+            std = bf_action_standard(S.n)
+            x = S.el(ZZ, gen)
+            for m in range(0, max_m + 1):
+                yield (S.n, gen, m), bf_action(x, m) == std.apply(x, m)
 
     checks.append(
-        _first_fail(
+        first_fail(
             f"closed = recursive (n<={max_n}, k<={max_k}, m<={max_m})",
             closed_vs_recursive(),
         )
@@ -825,7 +708,7 @@ def action_suite(max_n=3, max_k=2, max_m=3):
                     for gen in S.basis(k):
                         yield (n, gen, m), bf_action(S.el(ZZ, gen), m).is_zero()
 
-    checks.append(_first_fail("Phi = 0 when k > m(n-1)", vanishing()))
+    checks.append(first_fail("Phi = 0 when k > m(n-1)", vanishing()))
 
     checks.append(Check("c_{2,5} = 4", steenrod_constant(2, 5) == 4))
     checks.append(Check("c_{1,3} = 1", steenrod_constant(1, 3) == 1))

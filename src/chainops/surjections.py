@@ -327,6 +327,19 @@ _ISO_SIGN = {
 }
 
 
+def _no_sign(x):
+    return 1
+
+
+def iso_sign(src_flavor, dst_flavor):
+    """The sign function s of the flavor isomorphism, iso(x) = s(x) x on a
+    generator x; constant 1 between equal flavors.  Table reduction carries
+    the sign of S^bf -> S^flavor and the prism map that of S^flavor -> S^ms."""
+    if src_flavor == dst_flavor:
+        return _no_sign
+    return _ISO_SIGN[(src_flavor, dst_flavor)]
+
+
 def iso(src_flavor, dst_flavor, x):
     """The equivariant chain isomorphism between two flavors, x -> (+-1) x."""
     if src_flavor not in FLAVORS or dst_flavor not in FLAVORS:
@@ -337,5 +350,5 @@ def iso(src_flavor, dst_flavor, x):
     if src_flavor == dst_flavor:
         return x
     target = surjection_complex(dst_flavor, src.n)
-    fn = _ISO_SIGN[(src_flavor, dst_flavor)]
+    fn = iso_sign(src_flavor, dst_flavor)
     return x.map_terms(lambda gen: [(fn(gen), gen)], codomain=target)

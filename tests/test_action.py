@@ -188,6 +188,16 @@ def test_action_suite_reports_first_vanishing_counterexample(monkeypatch):
     assert calls[-1] == check.counterexample
 
 
+def test_bf_action_standard_values_carry_the_engine_ring():
+    F3 = GF(3)
+    std = BFActionStandard(2, F3)
+    value = std.on_gen((1, 2), 1)
+    assert value.ring == F3
+    closed = bf_action(S(2).el(F3, (1, 2)), 1)
+    assert value == closed
+    assert value + closed == 2 * closed
+
+
 def test_steenrod_constants():
     assert steenrod_constant(2, 5) == 4
     assert steenrod_constant(1, 3) == 1

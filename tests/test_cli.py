@@ -215,11 +215,14 @@ TRIANGLE = {
 }
 
 
-def eval_cochain(tmp_path, faces, *extra):
+ALPHA = {"degree": 1, "values": {"e01": 1}}
+
+
+def eval_cochain(tmp_path, faces, *extra, alpha=ALPHA):
     ft = tmp_path / "faces.json"
     ft.write_text(json.dumps(faces))
     a = tmp_path / "a.json"
-    a.write_text(json.dumps({"degree": 1, "values": {"e01": 1}}))
+    a.write_text(json.dumps(alpha))
     b = tmp_path / "b.json"
     b.write_text(json.dumps({"degree": 1, "values": {"e12": 1}}))
     return run_cli(
@@ -265,6 +268,20 @@ def test_cli_eval_cochain_invalid_input(tmp_path):
     for faces in ({"simplices": []}, integer_ids):
         out = eval_cochain(tmp_path, faces)
         assert out.returncode == 2 and out.stderr.startswith("error: ")
+        assert "Traceback" not in out.stderr
+    # cochain files without an integer degree and an object of integer values
+    for alpha in (
+        {"values": {}},
+        {"degree": 1},
+        {"degree": "1", "values": {}},
+        {"degree": 1, "values": [1]},
+        {"degree": 1, "values": {"e01": "x"}},
+        {"degree": 1, "values": {"e01": 1.5}},
+        [1, 2],
+        "alpha",
+    ):
+        out = eval_cochain(tmp_path, TRIANGLE, alpha=alpha)
+        assert out.returncode == 2 and out.stderr.startswith("error: "), alpha
         assert "Traceback" not in out.stderr
     # a null (degenerate) face is allowed; the cup product never reads face 1
     faces = json.loads(json.dumps(TRIANGLE))

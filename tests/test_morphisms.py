@@ -187,3 +187,26 @@ def test_table_reduction_not_a_coalgebra_map():
     )
     assert not trtr.is_zero()
     assert ((1, 2, 3, 2), (1, 3, 1, 2)) in trtr.terms
+
+
+def test_trpr_suite_reports_first_counterexample(monkeypatch):
+    import chainops.suites
+
+    calls = []
+
+    def wrong_engine(flavor, n):
+        def std(x):
+            calls.append((flavor, n, x))
+            return None
+
+        return std
+
+    monkeypatch.setattr(chainops.suites, "table_reduction_standard", wrong_engine)
+    [check] = [
+        c
+        for c in chainops.suites.trpr_suite(max_n=2, max_k=0).checks
+        if c.name.startswith("TR closed = recursive")
+    ]
+    assert not check.ok
+    assert check.counterexample == ("bf", 2, next(iter(sym_eg(2).basis(0))))
+    assert len(calls) == 1

@@ -361,3 +361,24 @@ def test_dropped_engine_is_freed():
     gc.collect()
     assert ref() is None
 
+
+
+def test_morphism_squares_suite_reports_first_counterexample(monkeypatch):
+    import chainops.suites
+
+    calls = []
+
+    def wrong_compose(flavor, outer, inners, ring=ZZ):
+        calls.append((outer, inners))
+        return None
+
+    monkeypatch.setattr(chainops.suites, "surj_compose", wrong_compose)
+    [check] = [
+        c
+        for c in chainops.suites.morphism_squares_suite().checks
+        if c.name.startswith("TR quotient square")
+    ]
+    assert not check.ok
+    first = TensorComplex((sym_eg(2), sym_eg(1), sym_eg(2))).basis(0)
+    assert check.counterexample == next(iter(first))
+    assert len(calls) == 1
