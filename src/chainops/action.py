@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from .complexes import boundary
-from .elements import Element
+from .elements import Element, collect, reduce_terms
 from .errors import InvalidInput
 from .maclane import MacLaneComplex, cyc_eg, cyclic_into_symmetric, induced_map, sym_eg
 from .minimal import MinimalComplex, phi_to_EC
@@ -102,7 +102,8 @@ class BFActionStandard(RecursiveMap):
         k = self.S.degree_of(b)
         if k == 0:
             value = multidiagonal_standard(self.n, m)
-            return Element(value.complex, self.ring, value.degree, value.terms)
+            terms = reduce_terms(value.terms, self.ring)
+            return Element(value.complex, self.ring, value.degree, terms, _clean=True)
         if m == 0:
             return self.target(m).zero(self.ring, k)
         return None
@@ -121,7 +122,7 @@ class BFActionStandard(RecursiveMap):
             pairs.extend(
                 (sign * c, tuple(push_face(vmap, f) for f in gen)) for gen, c in inner
             )
-        return Element(self.target(m), self.ring, k + m - 1, pairs)
+        return collect(self.target(m), self.ring, k + m - 1, pairs)
 
     def split(self, gen, m):
         g, coeff, b = self.S.decompose(gen)
@@ -228,10 +229,18 @@ class FaceTable:
         return sid
 
 
+def is_integral(degree, values):
+    """Whether a cochain's degree and all its values (a dict) are integers."""
+    return isinstance(degree, int) and all(isinstance(v, int) for v in values.values())
+
+
 class Cochain:
     def __init__(self, degree, values):
+        values = dict(values)
+        if not is_integral(degree, values):
+            raise InvalidInput("a cochain needs an integer degree and integer values")
         self.degree = degree
-        self.values = dict(values)
+        self.values = values
 
     def __call__(self, sid):
         return self.values.get(sid, 0)
@@ -361,7 +370,7 @@ def sz_square(x, ys, m, ring=ZZ):
     ydegs = [y.degree for y in ys]
     tau_exp = x.degree * sum(ydegs)
     inner = {}  # (j, e) -> Phi(y_j (x) Delta^e)
-    acc = {}
+    pairs = []
     for gen, coeff in u_val.terms.items():
         dims = [len(f) - 1 for f in gen]
         eval_exp = 0
@@ -388,6 +397,6 @@ def sz_square(x, ys, m, ring=ZZ):
                 c_out = coeff * sign
                 for _, c in combo:
                     c_out *= c
-                acc[g_out] = acc.get(g_out, 0) + c_out
-    right = Element(target, ring, left.degree, acc)
+                pairs.append((c_out, g_out))
+    right = collect(target, ring, left.degree, pairs)
     return left, right

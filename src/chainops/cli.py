@@ -90,7 +90,6 @@ class ElementParser:
             sign = -1 if self.take()[0] == "-" else 1
             coeff, gen = self.term()
             pairs.append((sign * coeff, gen))
-        degree = None
         element = None
         for coeff, gen in pairs:
             canon = self.complex.canonical(gen)
@@ -459,7 +458,7 @@ def cmd_bf_action(args):
 
 def cmd_eval_cochain(args):
     ring = ring_of(args)
-    from .action import Cochain, FaceTable, cochain_evaluate, dual_operation
+    from .action import Cochain, FaceTable, cochain_evaluate, dual_operation, is_integral
 
     with open(args.faces) as fh:
         table = FaceTable(json.load(fh))
@@ -473,9 +472,8 @@ def cmd_eval_cochain(args):
             data = json.load(fh)
         if not (
             isinstance(data, dict)
-            and isinstance(data.get("degree"), int)
             and isinstance(data.get("values"), dict)
-            and all(isinstance(v, int) for v in data["values"].values())
+            and is_integral(data.get("degree"), data["values"])
         ):
             raise InvalidInput(
                 f"cochain file {path} needs an integer 'degree' and a 'values' "

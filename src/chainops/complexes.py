@@ -1,11 +1,17 @@
 """Chain complex descriptors and element-level operators.
 
-A complex object owns its generator encoding: canonicalization
-(degenerate generators collapse to zero), degrees, boundary and
-contraction formulas on generators, augmentation and basepoint, basis
-enumeration, and the group action when one exists.  Elements tie a
-complex to a coefficient ring; the operators here extend the
-generator-level formulas linearly.
+A complex object owns its generator encoding: normal forms (degenerate
+generators collapse to zero), degrees, boundary and contraction formulas
+on generators, augmentation and basepoint, basis enumeration, and the
+group action when one exists.  Elements tie a complex to a coefficient
+ring; the operators here extend the generator-level formulas linearly.
+
+Input is validated at the edge and normalised inside.  `canonical(gen)`
+is for generators from outside (parsers, `Element(...)` with raw pairs,
+`el`): it runs the family's `validate`, which raises InvalidInput on a
+malformed generator, then `normalize`.  `normalize(gen)` is for the
+generators the library builds itself (structure maps, bases, sums): it
+only decides degeneracy or the normal form, and never raises.
 
 Every contraction in the library satisfies h^2 = 0 and h(iota) = 0;
 `verify_contracted` in procedure.py checks this degree by degree.
@@ -13,7 +19,7 @@ Every contraction in the library satisfies h^2 = 0 and h(iota) = 0;
 
 from itertools import product as _product
 
-from .elements import Element, single
+from .elements import Element, collect, single
 from .errors import InvalidInput
 
 
@@ -24,6 +30,17 @@ class ChainComplex:
     # -- generator encoding -------------------------------------------------
 
     def canonical(self, gen):
+        """A generator from outside, validated and then normalised."""
+        return self.normalize(self.validate(gen))
+
+    def validate(self, gen):
+        """gen in the encoding's form, or InvalidInput; families that check
+        input override this."""
+        return gen
+
+    def normalize(self, gen):
+        """The normal form of a generator the library built, or None when it
+        is degenerate; never raises."""
         return gen
 
     def degree_of(self, gen):
@@ -133,10 +150,13 @@ class TensorComplex(ChainComplex):
 
             self.group = ProductGroup(groups)
 
-    def canonical(self, gen):
+    def validate(self, gen):
+        return tuple(f.validate(g) for f, g in zip(self.factors, gen))
+
+    def normalize(self, gen):
         out = []
         for f, g in zip(self.factors, gen):
-            g = f.canonical(g)
+            g = f.normalize(g)
             if g is None:
                 return None
             out.append(g)
@@ -166,29 +186,16 @@ class TensorComplex(ChainComplex):
 
     def contraction_terms(self, gen):
         out = []
+        rho_parts = []
         for i, (f, g) in enumerate(zip(self.factors, gen)):
             # rho on the factors before slot i, h on slot i
-            ok = True
-            rho_parts = []
-            for j in range(i):
-                fj, gj = self.factors[j], gen[j]
-                rj = fj.rho_terms(gj)
-                if not rj:
-                    ok = False
-                    break
-                rho_parts.append(rj)
-            if not ok:
-                continue
             for c, hg in f.contraction_terms(g):
-                for combo in _product(*rho_parts) if rho_parts else [()]:
-                    coeff = c
-                    head = []
-                    for cc, gg in combo:
-                        coeff *= cc
-                        head.append(gg)
-                    out.append(
-                        (coeff, tuple(head) + (hg,) + gen[i + 1 :])
-                    )
+                for coeff, head in _tensor_terms(rho_parts):
+                    out.append((c * coeff, head + (hg,) + gen[i + 1 :]))
+            rho = f.rho_terms(g)
+            if not rho:
+                break
+            rho_parts.append(rho)
         return out
 
     def augmentation(self, gen):
@@ -226,19 +233,9 @@ class TensorComplex(ChainComplex):
 
     def act_terms(self, ghat, gen):
         """Factorwise action of a product-group element (no Koszul signs)."""
-        parts = [
-            f.act_terms(g, x)
-            for f, g, x in zip(self.factors, ghat, gen)
-        ]
-        out = []
-        for combo in _product(*parts):
-            coeff = 1
-            gens = []
-            for c, g in combo:
-                coeff *= c
-                gens.append(g)
-            out.append((coeff, tuple(gens)))
-        return out
+        return list(
+            _tensor_terms(f.act_terms(g, x) for f, g, x in zip(self.factors, ghat, gen))
+        )
 
     def decompose(self, gen):
         gs, coeff, bs = [], 1, []
@@ -256,6 +253,16 @@ class TensorComplex(ChainComplex):
         return hash(self.factors)
 
 
+def _tensor_terms(parts):
+    """(product of the coefficients, tuple of the generators) for every
+    choice of one (coeff, gen) pair from each part."""
+    for combo in _product(*parts):
+        coeff = 1
+        for c, _ in combo:
+            coeff *= c
+        yield coeff, tuple(g for _, g in combo)
+
+
 def tensor_elements(target, *xs):
     """Tensor elements x_1 (x) ... (x) x_k into the given TensorComplex."""
     ring = xs[0].ring
@@ -263,18 +270,5 @@ def tensor_elements(target, *xs):
         if x.ring != ring:
             raise InvalidInput("tensoring elements over different rings")
     degree = sum(x.degree for x in xs)
-    terms = {}
-    for combo in _product(*(list(x.terms.items()) for x in xs)):
-        gen = tuple(g for g, _ in combo)
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        gen = target.canonical(gen)
-        if gen is None:
-            continue
-        c = ring.normalize(terms.get(gen, 0) + coeff)
-        if c:
-            terms[gen] = c
-        else:
-            terms.pop(gen, None)
-    return Element(target, ring, degree, terms, _clean=True)
+    parts = [[(c, g) for g, c in x.terms.items()] for x in xs]
+    return collect(target, ring, degree, _tensor_terms(parts))

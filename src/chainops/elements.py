@@ -1,10 +1,16 @@
-"""Sparse formal sums over canonical generators of a chain complex.
+"""Sparse formal sums over normalised generators of a chain complex.
 
 An Element is a finite map generator -> nonzero coefficient, tagged
 with its complex, coefficient ring, and (homogeneous) degree.  Zero
 elements keep a degree tag; adding a zero across degrees is allowed.
-Generators are canonicalized on construction: the complex may declare
-a raw generator degenerate (dropped) but never rescales it.
+
+Sums of (coeff, raw generator) pairs are collected by one loop,
+`add_terms`: each generator goes through a normal-form function of the
+complex, which may declare it degenerate (dropped) but never rescales
+it.  `Element(...)` with raw pairs and `single` take input from outside
+and use the complex's `canonical` (validate, then normalise); `collect`,
+`map_terms` and the library's own constructions use its `normalize`, which
+never raises.
 """
 
 from .errors import InvalidInput, check_guard
@@ -27,17 +33,7 @@ class Element:
                 if isinstance(terms, dict)
                 else terms
             )
-            acc = {}
-            for coeff, gen in pairs:
-                gen = complex.canonical(gen)
-                if gen is None:
-                    continue
-                c = acc.get(gen, 0) + coeff
-                if c:
-                    acc[gen] = c
-                else:
-                    acc.pop(gen, None)
-            self.terms = {g: nc for g, c in acc.items() if (nc := ring.normalize(c))}
+            self.terms = reduce_terms(add_terms({}, pairs, complex.canonical), ring)
         check_guard(len(self.terms))
 
     # -- basic queries ----------------------------------------------------
@@ -101,6 +97,11 @@ class Element:
         return Element(self.complex, ring, self.degree, terms, _clean=True)
 
     def __eq__(self, other):
+        """Same complex, ring, degree and terms, except that two zeros of
+        one complex and ring are equal whatever their degree tags (and hash
+        equal, as the hash leaves the degree out).  A zero carries no
+        homogeneous degree of its own: `__add__` lets it cross degrees, and
+        a map's zero image is tagged with whatever degree that map chose."""
         if not isinstance(other, Element):
             return NotImplemented
         if self.is_zero() and other.is_zero():
@@ -121,10 +122,11 @@ class Element:
         """Apply a generator-wise linear map and collect the result.
 
         fn(gen) returns either an Element or an iterable of (coeff, raw
-        generator) pairs in `codomain` (default: this complex).
+        generator) pairs in `codomain` (default: this complex); the library
+        builds those generators, so they are normalised, not validated.
         """
         target = codomain if codomain is not None else self.complex
-        ring = self.ring
+        ring, normalize = self.ring, target.normalize
         acc = {}
         out_degree = self.degree + degree_shift
         for gen, coeff in self.terms.items():
@@ -135,18 +137,9 @@ class Element:
                 pairs = ((c, g) for g, c in image.terms.items())
             else:
                 pairs = image
-            for c, g in pairs:
-                g = target.canonical(g)
-                if g is None:
-                    continue
-                tot = acc.get(g, 0) + coeff * c
-                if tot:
-                    acc[g] = tot
-                else:
-                    acc.pop(g, None)
+            add_terms(acc, pairs, normalize, coeff)
             check_guard(len(acc))
-        terms = {g: nc for g, c in acc.items() if (nc := ring.normalize(c))}
-        return Element(target, ring, out_degree, terms, _clean=True)
+        return Element(target, ring, out_degree, reduce_terms(acc, ring), _clean=True)
 
     def __repr__(self):
         if self.is_zero():
@@ -166,15 +159,36 @@ class Element:
         return out[2:] if out.startswith("+ ") else out
 
 
-def from_pairs(complex, ring, degree, pairs):
-    return Element(complex, ring, degree, list(pairs))
+def add_terms(acc, pairs, normalize, scale=1):
+    """Add scale * coeff to acc[normalize(gen)] for every (coeff, raw
+    generator) pair, skipping generators normalize sends to None and
+    removing entries that cancel; returns acc."""
+    for c, g in pairs:
+        g = normalize(g)
+        if g is None:
+            continue
+        v = acc.get(g, 0) + scale * c
+        if v:
+            acc[g] = v
+        else:
+            acc.pop(g, None)
+    return acc
+
+
+def reduce_terms(acc, ring):
+    """The coefficients of acc in the ring's normal form, zeros dropped."""
+    return {g: nc for g, c in acc.items() if (nc := ring.normalize(c))}
+
+
+def collect(complex, ring, degree, pairs):
+    """The Element summing (coeff, generator) pairs the library built:
+    each generator goes through complex.normalize, unvalidated."""
+    acc = add_terms({}, pairs, complex.normalize)
+    return Element(complex, ring, degree, reduce_terms(acc, ring), _clean=True)
 
 
 def single(complex, ring, gen, coeff=1):
     gen_c = complex.canonical(gen)
     degree = complex.degree_of(gen_c if gen_c is not None else gen)
-    if gen_c is None:
-        return Element(complex, ring, degree)
-    c = ring.normalize(coeff)
-    terms = {gen_c: c} if c else {}
+    terms = {} if gen_c is None else reduce_terms({gen_c: coeff}, ring)
     return Element(complex, ring, degree, terms, _clean=True)

@@ -7,9 +7,10 @@ symmetric groups.
 """
 
 from functools import lru_cache
+from operator import eq
 
 from .complexes import ChainComplex, TensorComplex, augment
-from .elements import Element
+from .elements import Element, collect
 from .errors import InvalidInput
 from .groups import CyclicGroup, ProductGroup, SymmetricGroup
 
@@ -19,14 +20,11 @@ class MacLaneComplex(ChainComplex):
         self.group = group
         self.name = f"N(E{group!r})"
 
-    def canonical(self, gen):
+    def normalize(self, gen):
+        """None for the empty tuple and for two equal neighbours."""
         gen = tuple(gen)
-        if not gen:
+        if not gen or any(map(eq, gen, gen[1:])):
             return None
-        key = self.group.key
-        for a, b in zip(gen, gen[1:]):
-            if key(a) == key(b):
-                return None
         return gen
 
     def degree_of(self, gen):
@@ -152,6 +150,7 @@ class CoinvariantComplex(ChainComplex):
             raise InvalidInput("parity twist needs a symmetric group")
         self.group = None
         self.base_group = group
+        self.eg = maclane_complex(group)
         self.twist = twist
         tw = "~" if twist else ""
         self.name = f"{tw}N(B{group!r})"
@@ -168,14 +167,11 @@ class CoinvariantComplex(ChainComplex):
                 coeff = self.base_group.parity(g0)
         return [(coeff, gen)]
 
-    def canonical(self, gen):
-        gen = tuple(gen)
-        if not gen or not self.base_group.is_identity(gen[0]):
+    def normalize(self, gen):
+        """None unless gen is a nondegenerate EG tuple with first entry e."""
+        gen = self.eg.normalize(gen)
+        if gen is None or not self.base_group.is_identity(gen[0]):
             return None
-        key = self.base_group.key
-        for a, b in zip(gen, gen[1:]):
-            if key(a) == key(b):
-                return None
         return gen
 
     def degree_of(self, gen):
@@ -200,15 +196,11 @@ class CoinvariantComplex(ChainComplex):
                 out.append(((-1) ** j * c, cls))
         return out
 
-    def augmentation(self, gen):
-        return 1
-
     def basepoint_gen(self):
         return (self.base_group.identity,)
 
     def basis(self, degree):
-        eg = maclane_complex(self.base_group)
-        yield from eg.gbasis(degree)
+        yield from self.eg.gbasis(degree)
 
     def __eq__(self, other):
         return (
@@ -315,21 +307,12 @@ def join(x, y):
     """Concatenation join N_p(EG) (x) N_q(EG) -> N_(p+q+1)(EG), bilinear."""
     if x.complex != y.complex:
         raise InvalidInput("join needs both elements in the same MacLane model")
-    cplx, ring = x.complex, x.ring
     if x.ring != y.ring:
         raise InvalidInput("join over mixed rings")
-    terms = {}
-    for gx, cx in x.terms.items():
-        for gy, cy in y.terms.items():
-            gen = cplx.canonical(gx + gy)
-            if gen is None:
-                continue
-            c = ring.normalize(terms.get(gen, 0) + cx * cy)
-            if c:
-                terms[gen] = c
-            else:
-                terms.pop(gen, None)
-    return Element(cplx, ring, x.degree + y.degree + 1, terms, _clean=True)
+    pairs = (
+        (cx * cy, gx + gy) for gx, cx in x.terms.items() for gy, cy in y.terms.items()
+    )
+    return collect(x.complex, x.ring, x.degree + y.degree + 1, pairs)
 
 
 class JoinHomotopy:
@@ -367,7 +350,7 @@ class JoinHomotopy:
             back = self.phi1(self.domain.el(self.ring, gen[j:]))
             sign = (-1) ** j
             pairs.extend((sign * c, g) for g, c in join(front, back).terms.items())
-        return Element(self.codomain, self.ring, len(gen), pairs)
+        return collect(self.codomain, self.ring, len(gen), pairs)
 
     def __call__(self, x):
         if not isinstance(x, Element):
@@ -414,7 +397,7 @@ def cyclic_into_symmetric(p):
     """T -> (2, 3, ..., p, 1): the inclusion C_p -> Sigma_p on MacLane models."""
     from .perms import Perm
 
-    t = Perm(tuple(range(2, p + 1)) + (1,))
+    t = Perm._trusted(tuple(range(2, p + 1)) + (1,))
 
     def fn(i):
         out = Perm.identity(p)

@@ -24,7 +24,7 @@ class MinimalComplex(ChainComplex):
         self.group = CyclicGroup(n)
         self.name = f"M({n})"
 
-    def canonical(self, gen):
+    def normalize(self, gen):
         i, k = gen
         if k < 0:
             return None
@@ -36,9 +36,6 @@ class MinimalComplex(ChainComplex):
     def format_gen(self, gen):
         i, k = gen
         return f"T^{i}.y{k}" if i else f"y{k}"
-
-    def encode_gen(self, gen):
-        return list(gen)
 
     def boundary_terms(self, gen):
         i, k = gen

@@ -35,7 +35,7 @@ def sigma_compose(u, vs):
         b = u(i)
         base = starts[b - 1]
         out.extend(base + vs[b - 1](j) for j in range(1, sizes[b - 1] + 1))
-    return Perm(out)
+    return Perm._trusted(tuple(out))
 
 
 def oplus(vs):
@@ -147,8 +147,18 @@ def be_compose_terms(gen, arities):
     ]
 
 
-def be_compose(outer, inners, ring=ZZ):
-    """O_E: N(ESigma_r) (x) N(ESigma_s1) (x) ... -> N(ESigma_s), closed form."""
+def _inputs_ring(outer, ring):
+    """The ring of the inputs, which a composite is over; a ring passed
+    explicitly must be that ring."""
+    if ring is not None and ring != outer.ring:
+        raise InvalidInput(f"inputs are over {outer.ring}, not {ring}")
+    return outer.ring
+
+
+def be_compose(outer, inners, ring=None):
+    """O_E: N(ESigma_r) (x) N(ESigma_s1) (x) ... -> N(ESigma_s), closed form,
+    over the inputs' ring."""
+    _inputs_ring(outer, ring)
     r = outer.complex.group.n
     if r != len(inners):
         raise InvalidInput("outer arity does not match the number of inner inputs")
@@ -265,12 +275,14 @@ def surj_compose_terms(gen, arities):
     ]
 
 
-def surj_compose(flavor, outer, inners, ring=ZZ):
-    """O_S on S^flavor; bf natively, ms/aj by conjugating the isomorphisms."""
+def surj_compose(flavor, outer, inners, ring=None):
+    """O_S on S^flavor over the inputs' ring; bf natively, ms/aj by
+    conjugating the isomorphisms."""
+    _inputs_ring(outer, ring)
     if flavor != "bf":
         outer_bf = iso(flavor, "bf", outer)
         inners_bf = [iso(flavor, "bf", y) for y in inners]
-        return iso("bf", flavor, surj_compose("bf", outer_bf, inners_bf, ring))
+        return iso("bf", flavor, surj_compose("bf", outer_bf, inners_bf))
     r = outer.complex.n
     if r != len(inners):
         raise InvalidInput("outer arity does not match the number of inner inputs")
@@ -287,9 +299,10 @@ def surj_compose(flavor, outer, inners, ring=ZZ):
     )
 
 
-def partial_compose(flavor, i, x, y, ring=ZZ):
+def partial_compose(flavor, i, x, y, ring=None):
     """O_i(x; y): the structure map with all inner inputs trivial except the
-    i-th."""
+    i-th, over the inputs' ring."""
+    ring = _inputs_ring(x, ring)
     r = x.complex.n
     if not 1 <= i <= r:
         raise InvalidInput(f"slot {i} outside 1..{r}")

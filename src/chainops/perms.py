@@ -22,8 +22,17 @@ class Perm:
         self._parity = None
 
     @classmethod
+    def _trusted(cls, images):
+        """The permutation with this tuple of images, unchecked: for
+        permutations the library composes, never for input."""
+        g = object.__new__(cls)
+        g.images = images
+        g._parity = None
+        return g
+
+    @classmethod
     def identity(cls, n):
-        return cls(range(1, n + 1))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @property
     def n(self):
@@ -33,26 +42,21 @@ class Perm:
         return self.images[i - 1]
 
     def __mul__(self, other):
-        if self.n != other.n:
+        images = self.images
+        if len(images) != len(other.images):
             raise InvalidInput("composing permutations of different sizes")
-        return Perm(self.images[j - 1] for j in other.images)
+        return Perm._trusted(tuple([images[j - 1] for j in other.images]))
 
     def inverse(self):
         inv = [0] * self.n
         for i, v in enumerate(self.images, start=1):
             inv[v - 1] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def parity(self):
         """The parity character tau: (-1)^inversions."""
         if self._parity is None:
-            inv = 0
-            img = self.images
-            for i in range(len(img)):
-                for j in range(i + 1, len(img)):
-                    if img[i] > img[j]:
-                        inv += 1
-            self._parity = -1 if inv % 2 else 1
+            self._parity = perm_of_word(self.images)
         return self._parity
 
     def is_identity(self):
@@ -73,7 +77,7 @@ class Perm:
 
 def all_perms(n):
     for images in _permutations(range(1, n + 1)):
-        yield Perm(images)
+        yield Perm._trusted(images)
 
 
 def parity(g):
@@ -102,13 +106,7 @@ def koszul_sign(g, degrees):
     """
     if g.n != len(degrees):
         raise InvalidInput("degree list does not match permutation size")
-    odd = [g(i) for i in range(1, g.n + 1) if degrees[i - 1] % 2]
-    inv = 0
-    for i in range(len(odd)):
-        for j in range(i + 1, len(odd)):
-            if odd[i] > odd[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    return perm_of_word([g(i) for i in range(1, g.n + 1) if degrees[i - 1] % 2])
 
 
 def permute_by(g, values):
@@ -142,4 +140,4 @@ def block_perm(u, sizes):
     for i in range(1, u.n + 1):
         b = u(i)
         out.extend(range(starts[b - 1] + 1, starts[b] + 1))
-    return Perm(out)
+    return Perm._trusted(tuple(out))

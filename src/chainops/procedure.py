@@ -20,8 +20,10 @@ fixing e.  Complexes that opt in expose pattern_reps(degree) yielding
 an exact, exhaustive check of the whole basis.
 """
 
+from functools import partial
+
 from .complexes import act, augment, boundary, contract
-from .elements import Element
+from .elements import Element, add_terms, reduce_terms
 from .errors import InvalidInput
 from .rings import ZZ
 
@@ -257,24 +259,27 @@ def verify_contracted(cplx, max_degree, ring=ZZ, check_equivariance=True):
     max_degree: d^2 = 0, dh + hd = Id - rho, h^2 = 0, h iota = 0, and
     equivariance of the boundary when a group acts.
 
-    Works on raw (coeff, gen) pairs to keep exhaustive sweeps cheap."""
+    Works on (coeff, generator) pairs, not Elements, to keep exhaustive
+    sweeps cheap: the generators the structure maps emit go through
+    cplx.normalize, and elements.add_terms sums them."""
     checks = []
-    canon = cplx.canonical
-    normalize = ring.normalize
+    normalize = cplx.normalize
+    d, h = cplx.boundary_terms, cplx.contraction_terms
 
-    def add_into(acc, coeff, pairs):
-        for c, g in pairs:
-            g = canon(g)
-            if g is None:
-                continue
-            v = acc.get(g, 0) + coeff * c
-            if v:
-                acc[g] = v
-            else:
-                del acc[g]
+    def normal(pairs):
+        """The raw (coeff, gen) pairs with nondegenerate generators, normalised."""
+        return [(c, n) for c, g in pairs if (n := normalize(g)) is not None]
 
-    def is_zero(acc):
-        return all(not normalize(c) for c in acc.values())
+    def then(pairs, second):
+        """The terms of `second` on normalised (coeff, gen) pairs."""
+        return [(c * c2, g2) for c, g in pairs for c2, g2 in second(g)]
+
+    def vanishes(*parts):
+        """Whether the sum of scale * pairs over the (scale, pairs) parts is 0."""
+        acc = {}
+        for scale, pairs in parts:
+            add_terms(acc, pairs, normalize, scale)
+        return not reduce_terms(acc, ring)
 
     def sweep(name, test):
         count = 0
@@ -286,63 +291,32 @@ def verify_contracted(cplx, max_degree, ring=ZZ, check_equivariance=True):
                     return
         checks.append(Check(name, True, None, count))
 
-    def dd_zero(gen):
-        acc = {}
-        for c, g in cplx.boundary_terms(gen):
-            g = canon(g)
-            if g is not None:
-                add_into(acc, c, cplx.boundary_terms(g))
-        return is_zero(acc)
-
     def homotopy(gen):
-        acc = {}
-        for c, g in cplx.contraction_terms(gen):
-            g = canon(g)
-            if g is not None:
-                add_into(acc, c, cplx.boundary_terms(g))
-        for c, g in cplx.boundary_terms(gen):
-            g = canon(g)
-            if g is not None:
-                add_into(acc, c, cplx.contraction_terms(g))
-        add_into(acc, -1, [(1, gen)])
-        add_into(acc, 1, cplx.rho_terms(gen))
-        return is_zero(acc)
+        return vanishes(
+            (1, then(normal(h(gen)), d)),
+            (1, then(normal(d(gen)), h)),
+            (-1, [(1, gen)]),
+            (1, cplx.rho_terms(gen)),
+        )
 
-    def h_squared(gen):
-        acc = {}
-        for c, g in cplx.contraction_terms(gen):
-            g = canon(g)
-            if g is not None:
-                add_into(acc, c, cplx.contraction_terms(g))
-        return is_zero(acc)
-
-    sweep("d.d = 0", dd_zero)
+    sweep("d.d = 0", lambda gen: vanishes((1, then(normal(d(gen)), d))))
     sweep("dh + hd = Id - rho", homotopy)
-    sweep("h.h = 0", h_squared)
+    sweep("h.h = 0", lambda gen: vanishes((1, then(normal(h(gen)), h))))
 
     iota = cplx.basepoint(ring)
     checks.append(Check("h.iota = 0", contract(iota).is_zero(), None, 1))
 
     if check_equivariance and cplx.group is not None:
-        elements = [
-            g for g in cplx.group.elements() if not cplx.group.is_identity(g)
+        acts = [
+            partial(cplx.act_terms, g)
+            for g in cplx.group.elements()
+            if not cplx.group.is_identity(g)
         ]
 
         def equivariant(gen):
-            dx = [
-                (c, gc)
-                for c, g in cplx.boundary_terms(gen)
-                if (gc := canon(g)) is not None
-            ]
-            for g in elements:
-                acc = {}
-                for c, h in cplx.act_terms(g, gen):
-                    h = canon(h)
-                    if h is not None:
-                        add_into(acc, c, cplx.boundary_terms(h))
-                for c, h in dx:
-                    add_into(acc, -c, cplx.act_terms(g, h))
-                if not is_zero(acc):
+            dx = normal(d(gen))
+            for act_g in acts:
+                if not vanishes((1, then(normal(act_g(gen)), d)), (-1, then(dx, act_g))):
                     return False
             return True
 

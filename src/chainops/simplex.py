@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations, product as _product
 
 from .complexes import ChainComplex, TensorComplex, contract
-from .elements import Element
+from .elements import Element, collect
 from .errors import InvalidInput
 from .rings import ZZ
 
@@ -30,18 +30,25 @@ class SimplexComplex(ChainComplex):
         self.m = m
         self.name = f"N(Delta^{m})"
 
-    def canonical(self, gen):
+    def validate(self, gen):
         gen = tuple(gen)
-        if not gen:
-            return None
         prev = -1
         for v in gen:
             if v < 0 or v > self.m:
                 raise InvalidInput(f"vertex {v} outside Delta^{self.m}")
-            if v == prev:
-                return None
             if v < prev:
                 raise InvalidInput(f"vertices {gen} out of order")
+            prev = v
+        return gen
+
+    def normalize(self, gen):
+        """None for the empty face and for a repeated vertex."""
+        if not gen:
+            return None
+        prev = None
+        for v in gen:
+            if v == prev:
+                return None
             prev = v
         return gen
 
@@ -81,7 +88,7 @@ class ProductSimplexComplex(ChainComplex):
     """N_*(Delta^{m_1} x ... x Delta^{m_r}) with h = prepend the zero column.
 
     A pair of rows can be jointly nondegenerate even when each row
-    repeats vertices, so canonicalization only kills repeated columns.
+    repeats vertices, so normalisation only kills repeated columns.
     """
 
     def __init__(self, ambients):
@@ -90,7 +97,7 @@ class ProductSimplexComplex(ChainComplex):
             raise InvalidInput("empty product of simplices")
         self.name = "N(" + " x ".join(f"Delta^{m}" for m in self.ambients) + ")"
 
-    def canonical(self, gen):
+    def validate(self, gen):
         rows = tuple(tuple(r) for r in gen)
         width = len(rows[0])
         if any(len(r) != width for r in rows) or width == 0:
@@ -103,16 +110,17 @@ class ProductSimplexComplex(ChainComplex):
                 if v < prev:
                     raise InvalidInput(f"row {r} out of order")
                 prev = v
-        for j in range(width - 1):
-            if all(r[j] == r[j + 1] for r in rows):
-                return None
         return rows
+
+    def normalize(self, gen):
+        """None when two neighbouring columns are equal."""
+        for j in range(len(gen[0]) - 1):
+            if all(r[j] == r[j + 1] for r in gen):
+                return None
+        return gen
 
     def degree_of(self, gen):
         return len(gen[0]) - 1
-
-    def key(self, gen):
-        return gen
 
     def format_gen(self, gen):
         cols = list(zip(*gen))
@@ -149,7 +157,7 @@ class ProductSimplexComplex(ChainComplex):
             ]
 
         for combo in _product(*(rows_for(m) for m in self.ambients)):
-            gen = self.canonical(combo)
+            gen = self.normalize(combo)
             if gen is not None:
                 yield gen
 
@@ -302,7 +310,10 @@ def push_face(vmap, face):
 
 
 def push_simplex_element(x, vmap, target):
-    """Push an element of N(Delta^k)^(x)n forward along a vertex map."""
+    """Push an element of N(Delta^k)^(x)n forward along a vertex map, a
+    nondecreasing list of target vertices."""
+    for f in target.factors:
+        f.validate(vmap)
     return x.map_terms(
         lambda gen: [(1, tuple(push_face(vmap, f) for f in gen))],
         codomain=target,
@@ -323,7 +334,7 @@ def ez_standard(m, n):
     h(EZ(d(...))) with boundary faces pushed forward from their models."""
     target = product_complex(m, n)
     if m == 0 and n == 0:
-        return Element(target, ZZ, 0, [(1, ((0,), (0,)))])
+        return collect(target, ZZ, 0, [(1, ((0,), (0,)))])
     pairs = []
     if m > 0:
         inner = ez_standard(m - 1, n).terms.items()
@@ -341,7 +352,7 @@ def ez_standard(m, n):
             pairs.extend(
                 (sign * c, (gen[0], push_face(vmap, gen[1]))) for gen, c in inner
             )
-    return contract(Element(target, ZZ, m + n - 1, pairs))
+    return contract(collect(target, ZZ, m + n - 1, pairs))
 
 
 @lru_cache(maxsize=None)
@@ -350,7 +361,7 @@ def multidiagonal_standard(n, m):
     tensor-power contraction."""
     target = tensor_power(m, n)
     if m == 0:
-        return Element(target, ZZ, 0, [(1, ((0,),) * n)])
+        return collect(target, ZZ, 0, [(1, ((0,),) * n)])
     inner = multidiagonal_standard(n, m - 1).terms.items()
     pairs = []
     for j in range(m + 1):
@@ -358,4 +369,4 @@ def multidiagonal_standard(n, m):
         pairs.extend(
             ((-1) ** j * c, tuple(push_face(vmap, f) for f in gen)) for gen, c in inner
         )
-    return contract(Element(target, ZZ, m - 1, pairs))
+    return contract(collect(target, ZZ, m - 1, pairs))

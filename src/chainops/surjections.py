@@ -107,18 +107,21 @@ class SurjectionComplex(ChainComplex):
         self.group = SymmetricGroup(n)
         self.name = f"S^{flavor}({n})"
 
-    def canonical(self, gen):
+    def validate(self, gen):
         gen = tuple(gen)
-        seen = set()
-        prev = None
         for v in gen:
             if not 1 <= v <= self.n:
                 raise InvalidInput(f"entry {v} outside 1..{self.n}")
+        return gen
+
+    def normalize(self, gen):
+        """None unless gen is surjective with no equal neighbours."""
+        prev = None
+        for v in gen:
             if v == prev:
                 return None
-            seen.add(v)
             prev = v
-        if len(seen) < self.n:
+        if len(set(gen)) < self.n:
             return None
         return gen
 
@@ -127,9 +130,6 @@ class SurjectionComplex(ChainComplex):
 
     def format_gen(self, gen):
         return "(" + ",".join(str(v) for v in gen) + ")"
-
-    def encode_gen(self, gen):
-        return list(gen)
 
     def signs(self, gen):
         if self.flavor == "aj":
@@ -150,16 +150,17 @@ class SurjectionComplex(ChainComplex):
 
     def augmentation(self, gen):
         if self.flavor == "aj":
-            return Perm(gen).parity()
+            return perm_of_word(gen)
         return 1
 
     def basepoint_gen(self):
         return tuple(range(1, self.n + 1))
 
     def act_terms(self, g, gen):
-        if g.n != self.n:
+        images = g.images
+        if len(images) != self.n:
             raise InvalidInput("arity mismatch in surjection action")
-        image = tuple(g(v) for v in gen)
+        image = tuple([images[v - 1] for v in gen])
         if self.flavor == "bf":
             return [(1, image)]
         if self.flavor == "aj":
@@ -225,7 +226,7 @@ class SurjectionComplex(ChainComplex):
         for v in gen:
             if v not in seen:
                 seen.append(v)
-        return Perm(seen)
+        return Perm._trusted(tuple(seen))
 
     def decompose(self, gen):
         g = self.first_occurrence_perm(gen)
@@ -297,7 +298,7 @@ def sign_delta(x):
 def tau_f(x):
     """Parity of the permutation of final occurrences read left to right."""
     final = [v for j, v in enumerate(x, start=1) if j not in set(caesuras(x))]
-    return Perm(final).parity()
+    return perm_of_word(final)
 
 
 def prism_perm(x):
@@ -309,7 +310,7 @@ def prism_perm(x):
         word.extend(pos[v][:-1])
     for v in range(1, n + 1):
         word.append(pos[v][-1])
-    return Perm(word)
+    return Perm._trusted(tuple(word))
 
 
 def sign_p(x):

@@ -380,6 +380,13 @@ def test_cochain_operands_are_validated():
             cochain_evaluate(bad_x, cochains, tab, "t")
 
 
+def test_cochains_hold_integers():
+    for degree, values in ((1, {"e01": 1.5}), (1.0, {"e01": 1}), ("1", {})):
+        with pytest.raises(InvalidInput):
+            Cochain(degree, values)
+    assert Cochain(1, [("e01", 2)]).values == {"e01": 2}
+
+
 def test_face_table_validation():
     with pytest.raises(Exception):
         FaceTable(

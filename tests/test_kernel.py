@@ -1,5 +1,6 @@
 """Permutations, signs, rings, and the sparse element type."""
 
+import functools
 import itertools
 import random
 
@@ -205,3 +206,157 @@ def test_element_repr_sorted_deterministic():
     S = simplex_complex(3)
     x = Element(S, ZZ, 0, [(1, (2,)), (-2, (0,)), (1, (1,))])
     assert repr(x) == "- 2*(0) + (1) + (2)"
+
+
+def test_zero_elements_are_equal_whatever_their_degree():
+    from chainops.surjections import surjection_complex
+
+    S = surjection_complex("bf", 2)
+    z0, z3 = S.zero(ZZ, 0), S.zero(ZZ, 3)
+    assert z0 == z3
+    assert hash(z0) == hash(z3)
+    assert z0 != S.zero(GF(3), 0)
+    assert z0 != S.el(ZZ, (1, 2))
+
+
+# -- validation at the edge: the exact InvalidInput texts ---------------------------
+
+
+def _edge_cases():
+    from chainops.simplex import product_complex
+    from chainops.surjections import surjection_complex
+
+    return [
+        # (complex, raw generator, CLI argv, message)
+        (
+            surjection_complex("bf", 3), (1, 4, 2),
+            ["boundary", "--flavor", "bf", "--n", "3", "(1,4,2)"],
+            "entry 4 outside 1..3",
+        ),
+        (
+            simplex_complex(2), (0, 5),
+            ["boundary", "--simplex", "2", "(0,5)"],
+            "vertex 5 outside Delta^2",
+        ),
+        (
+            simplex_complex(3), (2, 1),
+            ["boundary", "--simplex", "3", "(2,1)"],
+            "vertices (2, 1) out of order",
+        ),
+        (
+            product_complex(1, 1), ((0, 1), (0,)),
+            # the CLI takes product rows only through aw, which checks them first
+            ["aw", "--simplex", "1", "(0,1)", "(0)"],
+            "product generator rows must share a length >= 1",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("cplx, gen, argv, message", _edge_cases())
+def test_bad_generators_are_refused_with_their_message(cplx, gen, argv, message, capsys):
+    from chainops.cli import main
+
+    for build in (
+        lambda: cplx.canonical(gen),
+        lambda: Element(cplx, ZZ, 0, [(1, gen)]),
+        lambda: cplx.el(ZZ, gen),
+    ):
+        with pytest.raises(InvalidInput) as err:
+            build()
+        assert str(err.value) == message
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    cli_message = "aw needs rows of equal length" if argv[0] == "aw" else message
+    assert capsys.readouterr().err == f"error: {cli_message}\n"
+
+
+def test_non_permutations_are_refused_with_their_message(capsys):
+    from chainops.cli import main
+
+    message = "(1, 1) is not a permutation of 1..2"
+    for build in (lambda: Perm((1, 1)), lambda: SymmetricGroup(2).decode([1, 1])):
+        with pytest.raises(InvalidInput) as err:
+            build()
+        assert str(err.value) == message
+    with pytest.raises(SystemExit) as exit_:
+        main(["boundary", "--eg", "2", "(1 1)"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# -- the invariant that lets inner loops skip validation ----------------------------
+
+
+def _contracted_families():
+    from chainops.suites import contraction_tasks
+
+    return sorted({(tag, n) for tag, n, _ in contraction_tasks(4, 4)})
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_of(tag, n, k):
+    from chainops.suites import complex_by_tag
+
+    return list(complex_by_tag(tag, n).basis(k))
+
+
+@functools.lru_cache(maxsize=None)
+def _group_elements(tag, n):
+    from chainops.suites import complex_by_tag
+
+    return list(complex_by_tag(tag, n).group.elements())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_structure_maps_emit_valid_generators(data):
+    """Every raw generator d, h, rho and the action build from a basis
+    generator passes validation: canonical and normalize agree on it."""
+    from chainops.suites import complex_by_tag
+
+    tag, n = data.draw(st.sampled_from(_contracted_families()))
+    cplx = complex_by_tag(tag, n)
+    # N(ESigma_4) has 292,008 generators in degree 3; degree 2 is enough there
+    k = data.draw(st.integers(0, 2 if tag == "eg-sym" else 3))
+    basis = _basis_of(tag, n, k)
+    if not basis:
+        return
+    gen = data.draw(st.sampled_from(basis))
+    raw = cplx.boundary_terms(gen) + cplx.contraction_terms(gen) + cplx.rho_terms(gen)
+    if cplx.group is not None:
+        g = data.draw(st.sampled_from(_group_elements(tag, n)))
+        raw += cplx.act_terms(g, gen)
+    for _, r in raw:
+        assert cplx.canonical(r) == cplx.normalize(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_raises_or_equals_normalize(data):
+    from chainops.simplex import product_complex
+    from chainops.surjections import surjection_complex
+
+    def ints(top, min_size=0):
+        return st.lists(st.integers(-1, top + 1), min_size=min_size, max_size=top + 4).map(tuple)
+
+    kind = data.draw(st.sampled_from(("surjection", "simplex", "product", "tensor")))
+    if kind == "surjection":
+        n = data.draw(st.integers(1, 4))
+        cplx = surjection_complex(data.draw(st.sampled_from(("aj", "bf", "ms"))), n)
+        gen = data.draw(ints(n))
+    elif kind == "simplex":
+        m = data.draw(st.integers(0, 4))
+        cplx = simplex_complex(m)
+        gen = data.draw(ints(m))
+    elif kind == "product":
+        cplx = product_complex(1, 2)
+        gen = (data.draw(ints(1, 1)), data.draw(ints(2, 1)))
+    else:
+        cplx = tensor_power(2, 2)
+        gen = (data.draw(ints(2)), data.draw(ints(2)))
+    try:
+        canon = cplx.canonical(gen)
+    except InvalidInput:
+        return
+    assert canon == cplx.normalize(gen)

@@ -25,7 +25,7 @@ from chainops.operads import (
     surj_engine,
 )
 from chainops.perms import Perm, all_perms, block_perm, koszul_sign
-from chainops.rings import ZZ
+from chainops.rings import GF, ZZ
 from chainops.suites import family_associativity, sigma_suite
 from chainops.surjections import is_clean_gen, surjection_complex
 
@@ -117,6 +117,28 @@ def test_partial_compose_unit_and_range():
     assert partial_compose("bf", 1, x, unit) == x
     with pytest.raises(InvalidInput):
         partial_compose("bf", 4, x, unit)
+
+
+def test_compositions_are_over_the_inputs_ring():
+    F3 = GF(3)
+    u = sym_eg(2).basepoint(ZZ)
+    one = sym_eg(1).basepoint(ZZ)
+    with pytest.raises(InvalidInput):
+        be_compose(u, [one, one], F3)
+    x = S(3).el(ZZ, (1, 2, 1, 3, 2))
+    with pytest.raises(InvalidInput):
+        surj_compose("bf", x, [S(1).basepoint(ZZ)] * 3, F3)
+    assert be_compose(u, [one, one]).ring == ZZ
+    # without a ring, partial_compose builds its unit over the inputs' ring
+    x3, y3 = S(3).el(F3, (1, 2, 1, 3, 2)), S(2).el(F3, (1, 2, 1))
+    val = partial_compose("bf", 2, x3, y3)
+    assert val.ring == F3
+    assert val == partial_compose("bf", 2, x3, y3, F3)
+    assert dict(val.terms) == {
+        (1, 2, 1, 4, 2, 3, 2): 1,
+        (1, 2, 3, 1, 4, 3, 2): 2,
+        (1, 2, 3, 2, 1, 4, 2): 2,
+    }
 
 
 def test_degree_zero_reduces_to_sigma():
