@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from .complexes import boundary
-from .elements import Element, collect, reduce_terms
+from .elements import Element, built, collect, reduce_terms
 from .errors import InvalidInput
 from .maclane import MacLaneComplex, cyc_eg, cyclic_into_symmetric, induced_map, sym_eg
 from .minimal import MinimalComplex, phi_to_EC
@@ -113,7 +113,7 @@ class BFActionStandard(RecursiveMap):
         from Phi(b (x) Delta^(m-1))."""
         b, m = key
         k = self.S.degree_of(b)
-        below = self.apply(boundary(self.S.el(self.ring, b)), m)
+        below = self.apply(boundary(built(self.S, self.ring, b)), m)
         pairs = [(c, g) for g, c in below.terms.items()]
         inner = self.on_basis((b, m - 1)).terms.items()
         for j in range(m + 1):

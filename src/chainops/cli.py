@@ -11,6 +11,7 @@ import sys
 
 from . import errors
 from .complexes import act, boundary, contract, tensor_elements, TensorComplex
+from .elements import built
 from .errors import GuardExceeded, InvalidInput
 from .groups import CyclicGroup, ProductGroup, SymmetricGroup
 from .maclane import aw_maclane, cyc_eg, ez_maclane, eg_diagonal, maclane_complex, sym_eg
@@ -99,7 +100,7 @@ class ElementParser:
                     file=sys.stderr,
                 )
                 continue
-            term = self.complex.el(self.ring, canon, coeff)
+            term = built(self.complex, self.ring, canon, coeff)
             element = term if element is None else element + term
         if element is None:
             element = self.complex.zero(self.ring, 0)

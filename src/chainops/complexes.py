@@ -15,11 +15,15 @@ only decides degeneracy or the normal form, and never raises.
 
 Every contraction in the library satisfies h^2 = 0 and h(iota) = 0;
 `verify_contracted` in procedure.py checks this degree by degree.
+
+A complex with a group states, next to `act_terms`, the law that makes
+its action a group action (`action_law`): the finite data the action
+depends on, checked through `act_terms` by `law_cases`.
 """
 
 from itertools import product as _product
 
-from .elements import Element, collect, single
+from .elements import Element, add_terms, built, collect, single
 from .errors import InvalidInput
 
 
@@ -88,6 +92,13 @@ class ChainComplex:
     def act_terms(self, g, gen):
         raise NotImplementedError
 
+    def action_law(self):
+        """(case, ok) pairs that prove act_terms is a group action:
+        act(e) = Id and act(s.h) = act(s) act(h) for every generator s and
+        every h.  A family evaluates them with `law_cases` on witnesses
+        that carry all the data its action formula depends on."""
+        raise NotImplementedError(f"{self.name} states no action law")
+
     def decompose(self, gen):
         """Write gen = coeff * (g * b) with b an F[G]-basis generator."""
         raise NotImplementedError
@@ -104,7 +115,34 @@ class ChainComplex:
         return single(self, ring, gen, coeff)
 
     def basepoint(self, ring):
-        return self.el(ring, self.basepoint_gen())
+        return built(self, ring, self.basepoint_gen())
+
+
+def law_cases(cplx, witnesses):
+    """(case, ok) pairs of the action law on each witness generator x,
+    evaluated through cplx.act_terms over the integers: act(e) x = x, and
+    act(s.h) x = act(s) act(h) x for every generator s and every h.  By
+    induction on a word for g, the law gives act(g.h) = act(g) act(h) for
+    all g and h on the generators whose action the witnesses determine."""
+    group = cplx.group
+    act_terms, normalize = cplx.act_terms, cplx.normalize
+    gens = group.generators()
+    elements = tuple(group.elements())
+
+    def where(x, s=None, h=None):
+        at = "e" if s is None else f"s = {group.format(s)}, h = {group.format(h)}"
+        return f"action law at {at}, x = {cplx.format_gen(x)}"
+
+    def agree(lhs, rhs):
+        return not add_terms(add_terms({}, lhs, normalize), rhs, normalize, -1)
+
+    for x in witnesses:
+        yield where(x), agree(act_terms(group.identity, x), [(1, x)])
+        for h in elements:
+            hx = add_terms({}, act_terms(h, x), normalize).items()
+            for s in gens:
+                then_s = [(c * c2, y) for g, c in hx for c2, y in act_terms(s, g)]
+                yield where(x, s, h), agree(act_terms(group.mul(s, h), x), then_s)
 
 
 def boundary(x):
@@ -132,7 +170,7 @@ def rho(x):
     """iota(epsilon(x)): the basepoint projection, zero in positive degrees."""
     if x.degree != 0:
         return x.complex.zero(x.ring, 0)
-    return x.complex.el(x.ring, x.complex.basepoint_gen(), augment(x))
+    return built(x.complex, x.ring, x.complex.basepoint_gen(), augment(x))
 
 
 class TensorComplex(ChainComplex):
@@ -236,6 +274,14 @@ class TensorComplex(ChainComplex):
         return list(
             _tensor_terms(f.act_terms(g, x) for f, g, x in zip(self.factors, ghat, gen))
         )
+
+    def action_law(self):
+        """The factors' laws: the action is factorwise and the product's
+        generators are the factors', so act(s.h) = act(s) act(h) in the
+        slot of s and act(e) = Id in the others."""
+        for i, f in enumerate(self.factors, start=1):
+            for case, ok in f.action_law():
+                yield f"factor {i}: {case}", ok
 
     def decompose(self, gen):
         gs, coeff, bs = [], 1, []

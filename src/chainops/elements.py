@@ -9,8 +9,8 @@ Sums of (coeff, raw generator) pairs are collected by one loop,
 complex, which may declare it degenerate (dropped) but never rescales
 it.  `Element(...)` with raw pairs and `single` take input from outside
 and use the complex's `canonical` (validate, then normalise); `collect`,
-`map_terms` and the library's own constructions use its `normalize`, which
-never raises.
+`built`, `map_terms` and the library's own constructions use its
+`normalize`, which never raises.
 """
 
 from .errors import InvalidInput, check_guard
@@ -185,6 +185,12 @@ def collect(complex, ring, degree, pairs):
     each generator goes through complex.normalize, unvalidated."""
     acc = add_terms({}, pairs, complex.normalize)
     return Element(complex, ring, degree, reduce_terms(acc, ring), _clean=True)
+
+
+def built(complex, ring, gen, coeff=1):
+    """The Element coeff * gen for a generator the library built:
+    normalised, unvalidated (`single` is the validating form)."""
+    return collect(complex, ring, complex.degree_of(gen), [(coeff, gen)])
 
 
 def single(complex, ring, gen, coeff=1):

@@ -2,6 +2,13 @@
 
 Group elements are lightweight values: permutations for Sigma_n,
 exponents 0..n-1 for C_n (the class of T^i), and tuples for products.
+
+`generators()` is a tuple of non-identity elements whose products (words,
+with no inverses needed in a finite group) give every element: the
+Coxeter transpositions s_i = (i i+1) for Sigma_n, the class 1 of T for
+C_n, and for a product each factor's generators with the identity in the
+other slots.  The trivial group has none.  `procedure.verify_contracted`
+proves equivariance of d from these and the action law.
 """
 
 from itertools import product as _product
@@ -25,6 +32,15 @@ class SymmetricGroup:
 
     def elements(self):
         return all_perms(self.n)
+
+    def generators(self):
+        """The Coxeter transpositions s_i = (i i+1), 1 <= i < n."""
+        out = []
+        for i in range(1, self.n):
+            images = list(range(1, self.n + 1))
+            images[i - 1], images[i] = i + 1, i
+            out.append(Perm._trusted(tuple(images)))
+        return tuple(out)
 
     def order(self):
         out = 1
@@ -76,6 +92,10 @@ class CyclicGroup:
     def elements(self):
         return range(self.n)
 
+    def generators(self):
+        """The class 1 of T (none for the trivial group C_1)."""
+        return (1,) if self.n > 1 else ()
+
     def order(self):
         return self.n
 
@@ -120,6 +140,14 @@ class ProductGroup:
     def elements(self):
         for combo in _product(*(tuple(g.elements()) for g in self.factors)):
             yield combo
+
+    def generators(self):
+        """Each factor's generators, with the identity in the other slots."""
+        out = []
+        for i, g in enumerate(self.factors):
+            for s in g.generators():
+                out.append(self.identity[:i] + (s,) + self.identity[i + 1 :])
+        return tuple(out)
 
     def order(self):
         out = 1

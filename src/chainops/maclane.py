@@ -9,8 +9,8 @@ symmetric groups.
 from functools import lru_cache
 from operator import eq
 
-from .complexes import ChainComplex, TensorComplex, augment
-from .elements import Element, collect
+from .complexes import ChainComplex, TensorComplex, augment, law_cases
+from .elements import Element, built, collect
 from .errors import InvalidInput
 from .groups import CyclicGroup, ProductGroup, SymmetricGroup
 
@@ -53,6 +53,11 @@ class MacLaneComplex(ChainComplex):
     def act_terms(self, g, gen):
         mul = self.group.mul
         return [(1, tuple(mul(g, x) for x in gen))]
+
+    def action_law(self):
+        """Left multiplication entry by entry: the law is the group table,
+        seen on the vertices (y,)."""
+        return law_cases(self, self.basis(0))
 
     def decompose(self, gen):
         g0 = gen[0]
@@ -334,7 +339,7 @@ class JoinHomotopy:
         if v in self._checked:
             return
         for phi in (self.phi0, self.phi1):
-            val = phi(self.domain.el(self.ring, (v,)))
+            val = phi(built(self.domain, self.ring, (v,)))
             if augment(val) != self.ring.normalize(1):
                 raise InvalidInput(
                     "join homotopy needs augmentation 1 on vertex images"
@@ -346,8 +351,8 @@ class JoinHomotopy:
             self._check_vertex(v)
         pairs = []
         for j in range(len(gen)):
-            front = self.phi0(self.domain.el(self.ring, gen[: j + 1]))
-            back = self.phi1(self.domain.el(self.ring, gen[j:]))
+            front = self.phi0(built(self.domain, self.ring, gen[: j + 1]))
+            back = self.phi1(built(self.domain, self.ring, gen[j:]))
             sign = (-1) ** j
             pairs.extend((sign * c, g) for g, c in join(front, back).terms.items())
         return collect(self.codomain, self.ring, len(gen), pairs)

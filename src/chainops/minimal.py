@@ -9,7 +9,7 @@ formulas, each with the recursive construction available as an oracle.
 
 from functools import lru_cache
 
-from .complexes import ChainComplex, TensorComplex
+from .complexes import ChainComplex, TensorComplex, law_cases
 from .errors import InvalidInput
 from .groups import CyclicGroup
 from .maclane import cyc_eg
@@ -61,6 +61,11 @@ class MinimalComplex(ChainComplex):
     def act_terms(self, a, gen):
         i, k = gen
         return [(1, ((i + a) % self.n, k))]
+
+    def action_law(self):
+        """The rotation of the exponent i: the law is the group table of
+        C_n, seen on the degree-0 generators T^i y_0."""
+        return law_cases(self, self.basis(0))
 
     def decompose(self, gen):
         i, k = gen

@@ -13,6 +13,7 @@ flavor isomorphisms.
 from itertools import combinations_with_replacement, product as _product
 
 from .complexes import TensorComplex, boundary
+from .elements import built
 from .errors import InvalidInput
 from .maclane import sym_eg
 from .perms import Perm, block_perm, koszul_permute, koszul_sign, permute_by
@@ -91,12 +92,11 @@ class TwistedOperadMap(RecursiveMap):
         arities, gen = key
         if self.domain(arities).degree_of(gen) != 0:
             return None
-        target = self.target(arities)
-        return target.el(self.ring, target.basepoint_gen())
+        return self.target(arities).basepoint(self.ring)
 
     def defect(self, key):
         arities, gen = key
-        return self.apply(arities, boundary(self.domain(arities).el(self.ring, gen)))
+        return self.apply(arities, boundary(built(self.domain(arities), self.ring, gen)))
 
     def split(self, gen, arities):
         """O_B(g^ x) = O_Sigma(g^) O_B(tau_g x): the inner inputs of the

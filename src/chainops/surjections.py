@@ -10,7 +10,7 @@ via the diagonal sign maps c(x), p(x), and their product.
 
 from functools import lru_cache
 
-from .complexes import ChainComplex
+from .complexes import ChainComplex, law_cases
 from .errors import InvalidInput
 from .perms import Perm, perm_of_word
 
@@ -166,6 +166,23 @@ class SurjectionComplex(ChainComplex):
         if self.flavor == "aj":
             return [(g.parity(), image)]
         return [(mu_sign(g, gen), image)]
+
+    def action_law(self):
+        """Relabelling g o x times a sign: 1 for bf, the parity character
+        for aj, and for ms the cocycle mu_sign, which depends on x only
+        through its set of odd-factor values.  So the law is the group
+        table, that parity is a character and the cocycle law on each of
+        the 2^n sets, seen on one witness per set that a generator has."""
+        witnesses = []
+        for mask in range(2 ** self.n):
+            odd = tuple(v for v in range(1, self.n + 1) if mask >> (v - 1) & 1)
+            # 1..n, then each odd-factor value once more (n alone goes first)
+            x = self.basepoint_gen() + odd
+            if odd == (self.n,):
+                x = odd + self.basepoint_gen()
+            if self.normalize(x) is not None:
+                witnesses.append(x)
+        return law_cases(self, witnesses)
 
     def contraction_terms(self, gen):
         """h = sum_q (+-1)^q i^q s r^q, the telescoping contraction."""

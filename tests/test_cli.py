@@ -29,6 +29,18 @@ def test_parse_surjection_expression():
     assert dict(x.terms) == {(1, 2, 1, 3): 1, (2, 1, 2, 3): -2}
 
 
+def test_parse_validates_each_term_once(monkeypatch):
+    from chainops.surjections import SurjectionComplex
+
+    calls = []
+    validate = SurjectionComplex.validate
+    monkeypatch.setattr(
+        SurjectionComplex, "validate", lambda self, gen: calls.append(gen) or validate(self, gen)
+    )
+    ElementParser(surjection_complex("bf", 3), ZZ).parse("(1,2,1,3) - 2*(2,1,2,3)")
+    assert calls == [(1, 2, 1, 3), (2, 1, 2, 3)]
+
+
 def test_parse_degenerate_warns_and_drops(capsys):
     S = surjection_complex("bf", 2)
     x = ElementParser(S, ZZ).parse("(1,1,2)")

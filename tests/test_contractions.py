@@ -21,8 +21,10 @@ from chainops.procedure import (
     compare_on_basis,
     verify_contracted,
 )
+from chainops.perms import Perm
 from chainops.rings import ZZ
 from chainops.simplex import simplex_complex, tensor_power
+from chainops.surjections import SurjectionComplex, surjection_complex
 
 
 def test_tensor_contraction_kills_basepoint_tensor():
@@ -189,6 +191,11 @@ def test_maclane_pattern_reps_match_full_verification():
     finally:
         procedure.PATTERN_THRESHOLD = old
     assert full.ok and patterned.ok
+    # every check, the generator sweep of d equivariant included, counts
+    # the class weights and so reports the full sweep's count
+    assert [(c.name, c.checked) for c in patterned.checks] == [
+        (c.name, c.checked) for c in full.checks
+    ]
     # class sizes must add up to the full basis size
     for k in range(0, 4):
         total = sum(w for _, w in E.pattern_reps(k))
@@ -251,3 +258,164 @@ def test_zero_results_carry_the_output_degree():
     y = S2.el(ZZ, (1, 2, 1, 2))  # Phi = 0 when |y| > m(n-1)
     assert std.apply(y, 1).is_zero() and std.apply(y, 1).degree == 3
     assert std.apply(S2.zero(ZZ, 2), 1).degree == 3
+
+
+# -- equivariance from generators: the brute-force oracle and negative controls
+
+
+def brute_force_equivariant(cplx, max_degree, elements=None):
+    """Whether d(g.x) = g.dx over the integers for every non-identity g
+    (or every g in `elements`) and every basis generator x of degree
+    <= max_degree.  An independent oracle for the generator sweep: it
+    shares no code with verify_contracted."""
+    group = cplx.group
+    if elements is None:
+        elements = [g for g in group.elements() if not group.is_identity(g)]
+
+    def image(fn, x):
+        # fn applied to the formal sum x, a dict of normalised generators
+        out = {}
+        for g, c in x.items():
+            for c2, y in fn(g):
+                y = cplx.normalize(y)
+                if y is not None:
+                    out[y] = out.get(y, 0) + c * c2
+        return {y: c for y, c in out.items() if c}
+
+    for k in range(max_degree + 1):
+        for x in cplx.basis(k):
+            dx = image(cplx.boundary_terms, {x: 1})
+            for g in elements:
+                act_g = lambda y, g=g: cplx.act_terms(g, y)
+                if image(cplx.boundary_terms, image(act_g, {x: 1})) != image(act_g, dx):
+                    return False
+    return True
+
+
+def equivariance_check(cplx, max_degree):
+    (check,) = [c for c in verify_contracted(cplx, max_degree).checks if c.name == "d equivariant"]
+    return check
+
+
+class SignFlippedAction(SurjectionComplex):
+    """S^bf(3) whose action by the non-generator (3 2 1) changes sign in
+    positive degrees: not a group action, and d no longer commutes with it
+    (on a degree-1 x, d(g.x) = -g.dx).  The boundary is unchanged."""
+
+    flipped = Perm((3, 2, 1))
+
+    def act_terms(self, g, gen):
+        terms = super().act_terms(g, gen)
+        if g == self.flipped and self.degree_of(gen) > 0:
+            terms = [(-c, y) for c, y in terms]
+        return terms
+
+
+class BoundaryOffS2(SurjectionComplex):
+    """S^bf(3) whose boundary changes sign on the degree-1 generators that
+    start with 3.  s_1 = (1 2) fixes 3, so d still commutes with s_1; s_2
+    moves it, so d fails to commute with s_2 alone."""
+
+    def boundary_terms(self, gen):
+        terms = super().boundary_terms(gen)
+        if self.degree_of(gen) == 1 and gen[0] == 3:
+            terms = [(-c, y) for c, y in terms]
+        return terms
+
+
+def test_generators_generate_every_group():
+    from chainops.groups import CyclicGroup
+
+    groups = [SymmetricGroup(n) for n in range(1, 6)]
+    groups += [CyclicGroup(n) for n in range(1, 9)]
+    groups += [
+        ProductGroup((SymmetricGroup(3), CyclicGroup(4))),
+        ProductGroup((SymmetricGroup(2),) * 3),
+    ]
+    for group in groups:
+        gens = group.generators()
+        assert not any(group.is_identity(s) for s in gens), group
+        closure = {group.key(group.identity)}
+        frontier = [group.identity]
+        while frontier:
+            h = frontier.pop()
+            for s in gens:
+                sh = group.mul(s, h)
+                if group.key(sh) not in closure:
+                    closure.add(group.key(sh))
+                    frontier.append(sh)
+        assert closure == {group.key(g) for g in group.elements()}, group
+
+
+def test_generator_sweep_agrees_with_brute_force():
+    from chainops.suites import complex_by_tag, contraction_tasks
+
+    complexes = [complex_by_tag(tag, n) for tag, n, _ in contraction_tasks(3, 3)]
+    complexes += [
+        TensorComplex((surjection_complex("bf", 2),) * 3),
+        TensorComplex((sym_eg(2),) * 3),
+    ]
+    for cplx in complexes:
+        if cplx.group is None:
+            continue
+        check = equivariance_check(cplx, 3)
+        assert check.ok, cplx
+        assert brute_force_equivariant(cplx, 3), cplx
+
+
+def test_action_law_failure_fails_equivariance():
+    bad = SignFlippedAction("bf", 3)
+    check = equivariance_check(bad, 2)
+    assert not check.ok and not brute_force_equivariant(bad, 2)
+    assert check.counterexample.startswith("action law at s = ")
+    # d commutes with the Coxeter generators: only the law sees the fault
+    assert brute_force_equivariant(bad, 2, bad.group.generators())
+
+
+def test_boundary_off_one_generator_fails_equivariance():
+    bad = BoundaryOffS2("bf", 3)
+    check = equivariance_check(bad, 2)
+    assert not check.ok and not brute_force_equivariant(bad, 2)
+    assert check.counterexample is not None and check.checked > 0
+    s1, s2 = bad.group.generators()
+    assert brute_force_equivariant(bad, 2, [s1])
+    assert not brute_force_equivariant(bad, 2, [s2])
+
+
+def test_engines_do_not_revalidate_generators_they_built(monkeypatch):
+    # inputs are built unvalidated first; the engines' own sweeps to
+    # degree 2 then make no validate call at all
+    from chainops.action import BFActionStandard
+    from chainops.complexes import ChainComplex
+    from chainops.elements import built
+    from chainops.maclane import join_homotopy
+    from chainops.operads import surj_engine
+
+    S = surjection_complex("bf", 3)
+    engine = surj_engine("bf")
+    arities = (2, 2, 1)
+    dom = engine.domain(arities)
+    tensors = [built(dom, ZZ, gen) for k in range(3) for gen in dom.basis(k)]
+    surjections = [built(S, ZZ, gen) for k in range(3) for gen in S.basis(k)]
+    E = sym_eg(3)
+    tuples = [built(E, ZZ, gen) for k in range(3) for gen in E.basis(k)]
+    phi = StandardMap(S, S)
+    H = StandardHomotopy(phi, phi, S, S)
+    std = BFActionStandard(3)
+    J = join_homotopy(rho, lambda x: x, E, E, ZZ)
+
+    calls = []
+    for family in (SurjectionComplex, ChainComplex):
+        validate = family.validate
+        monkeypatch.setattr(
+            family,
+            "validate",
+            lambda self, gen, validate=validate: calls.append(gen) or validate(self, gen),
+        )
+    for x in tensors:
+        engine.apply(arities, x)
+    for x in surjections:
+        phi(x), H(x), std.apply(x, 2)
+    for x in tuples:
+        J(x)
+    assert calls == []
