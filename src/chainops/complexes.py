@@ -136,13 +136,16 @@ def law_cases(cplx, witnesses):
     def agree(lhs, rhs):
         return not add_terms(add_terms({}, lhs, normalize), rhs, normalize, -1)
 
+    # a case is named only when it fails: first_fail reads no other
     for x in witnesses:
-        yield where(x), agree(act_terms(group.identity, x), [(1, x)])
+        ok = agree(act_terms(group.identity, x), [(1, x)])
+        yield (None if ok else where(x)), ok
         for h in elements:
             hx = add_terms({}, act_terms(h, x), normalize).items()
             for s in gens:
                 then_s = [(c * c2, y) for g, c in hx for c2, y in act_terms(s, g)]
-                yield where(x, s, h), agree(act_terms(group.mul(s, h), x), then_s)
+                ok = agree(act_terms(group.mul(s, h), x), then_s)
+                yield (None if ok else where(x, s, h)), ok
 
 
 def boundary(x):

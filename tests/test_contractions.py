@@ -13,7 +13,7 @@ from chainops.complexes import (
 )
 from chainops.errors import InvalidInput
 from chainops.groups import ProductGroup, SymmetricGroup
-from chainops.maclane import aw_maclane, ez_maclane, maclane_complex, sym_eg
+from chainops.maclane import MacLaneComplex, aw_maclane, ez_maclane, maclane_complex, sym_eg
 from chainops.procedure import (
     StandardHomotopy,
     StandardMap,
@@ -323,6 +323,20 @@ class BoundaryOffS2(SurjectionComplex):
         return terms
 
 
+class SignFlippedMacLane(MacLaneComplex):
+    """N(ESigma_3) whose action by the non-generator (3 2 1) changes sign
+    in positive degrees: the fault of SignFlippedAction, on a family whose
+    action law is witnessed on the vertices only."""
+
+    flipped = Perm((3, 2, 1))
+
+    def act_terms(self, g, gen):
+        terms = super().act_terms(g, gen)
+        if g == self.flipped and self.degree_of(gen) > 0:
+            terms = [(-c, y) for c, y in terms]
+        return terms
+
+
 def test_generators_generate_every_group():
     from chainops.groups import CyclicGroup
 
@@ -369,6 +383,17 @@ def test_action_law_failure_fails_equivariance():
     assert not check.ok and not brute_force_equivariant(bad, 2)
     assert check.counterexample.startswith("action law at s = ")
     # d commutes with the Coxeter generators: only the law sees the fault
+    assert brute_force_equivariant(bad, 2, bad.group.generators())
+
+
+def test_action_law_sees_only_its_witnesses():
+    # the stated limit of the generator proof: MacLaneComplex witnesses its
+    # law on the vertices, where this action is still the group's, so the
+    # sweep passes a complex that the brute-force oracle fails
+    bad = SignFlippedMacLane(SymmetricGroup(3))
+    check = equivariance_check(bad, 2)
+    assert check.ok
+    assert not brute_force_equivariant(bad, 2)
     assert brute_force_equivariant(bad, 2, bad.group.generators())
 
 

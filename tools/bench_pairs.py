@@ -1,12 +1,12 @@
 """Alternating parent/change pairs of the benchmark, written as BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --pr 7 --base HEAD~1 --pairs 10
+    python3 tools/bench_pairs.py --pr 7 --base HEAD~1
 
 The change side is the working tree this script lives in; the parent side
 is the committed tree of --base, extracted with `git archive` into a
 temporary directory that is removed at the end (an archive, not a git
 worktree, so an interrupted run leaves nothing in .git).  For pair i
-(seed i, i = 1..pairs) and every workload of BENCHMARK.json, each side
+(seed i, i = 1..PAIRS) and every workload of BENCHMARK.json, each side
 runs its benchmark command from its own tree, S being its run_seconds,
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
@@ -33,6 +33,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# fewer than ten alternating pairs cannot support a claimed gain
+PAIRS = 10
 
 
 def git(*args):
@@ -91,10 +93,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", required=True, type=int, help="the N of BENCH_N.json")
     ap.add_argument("--base", required=True, help="git revision of the parent side")
-    ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -107,7 +106,7 @@ def main(argv=None):
     runs = {w: {"parent": [], "change": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": extract(base_rev, tmp), "change": ROOT}
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for w in workloads:
                 for side in order:
@@ -120,7 +119,7 @@ def main(argv=None):
         "parent": base_rev,
         "change": f"working tree at {head_rev}" + (" with uncommitted changes" if dirty else ""),
         "command": spec["command"] + ["--workload", "W", "--seed", "i", "--seconds", str(seconds), "--trace", "0"],
-        "seeds": list(range(1, args.pairs + 1)),
+        "seeds": list(range(1, PAIRS + 1)),
         "seconds": seconds,
         "order": "odd seeds run the parent first, even seeds the change first",
         "machine": machine(),
