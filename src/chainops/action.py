@@ -19,7 +19,7 @@ from .minimal import MinimalComplex, phi_to_EC
 from .morphisms import table_reduction
 from .perms import koszul_permute
 from .procedure import RecursiveMap
-from .rings import ZZ
+from .rings import ZZ, _is_prime
 from .simplex import face_vmap, multidiagonal_standard, push_face, tensor_power
 from .surjections import SurjectionComplex, caesuras, iso, surjection_complex
 
@@ -163,7 +163,7 @@ def action_for(x, m):
 
 def steenrod_constant(m, p):
     """c_{m,p} = (-1)^((m(m-1)/2)(p(p-1)/2)) (q!)^m mod p, q = (p-1)/2."""
-    if p == 2 or p % 2 == 0:
+    if p == 2 or not _is_prime(p):
         raise InvalidInput("steenrod_constant expects an odd prime")
     q = (p - 1) // 2
     qfac = 1

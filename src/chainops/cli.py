@@ -217,7 +217,10 @@ def ring_of(args):
     if spec in ("Z", "ZZ"):
         return ZZ
     if spec.startswith("F"):
-        return GF(int(spec[1:]))
+        try:
+            return GF(int(spec[1:]))
+        except ValueError:
+            pass
     raise InvalidInput(f"unknown ring {spec!r}")
 
 
@@ -287,10 +290,16 @@ def cmd_act(args):
     group = cplx.group
     if group is None:
         raise InvalidInput(f"{cplx.name} carries no group action")
+    try:
+        values = [int(v) for v in args.g.replace(",", " ").split()]
+    except ValueError:
+        raise InvalidInput(f"--g {args.g!r} is not a list of integers") from None
     if isinstance(group, SymmetricGroup):
-        g = Perm([int(v) for v in args.g.replace(",", " ").split()])
+        g = Perm(values)
     elif isinstance(group, CyclicGroup):
-        g = int(args.g) % group.n
+        if len(values) != 1:
+            raise InvalidInput(f"--g {args.g!r} is not a single exponent")
+        g = values[0] % group.n
     else:
         raise InvalidInput("unsupported group")
     emit(args, act(g, x))
@@ -457,20 +466,28 @@ def cmd_bf_action(args):
     emit(args, bf_action(x, args.m))
 
 
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InvalidInput(f"{path} is not JSON: {exc}") from None
+
+
 def cmd_eval_cochain(args):
     ring = ring_of(args)
     from .action import Cochain, FaceTable, cochain_evaluate, dual_operation, is_integral
 
-    with open(args.faces) as fh:
-        table = FaceTable(json.load(fh))
+    table = FaceTable(_read_json(args.faces))
     # cochain files key their values by JSON strings, so other ids never match
     for sid in table.dims:
         if not isinstance(sid, str):
             raise InvalidInput(f"simplex id {sid!r} is not a string")
     cochains = []
     for path in args.cochains:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = _read_json(path)
         if not (
             isinstance(data, dict)
             and isinstance(data.get("values"), dict)

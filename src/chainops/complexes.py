@@ -50,9 +50,6 @@ class ChainComplex:
     def degree_of(self, gen):
         raise NotImplementedError
 
-    def key(self, gen):
-        return gen
-
     def format_gen(self, gen):
         return repr(gen)
 
@@ -205,9 +202,6 @@ class TensorComplex(ChainComplex):
 
     def degree_of(self, gen):
         return sum(f.degree_of(g) for f, g in zip(self.factors, gen))
-
-    def key(self, gen):
-        return tuple(f.key(g) for f, g in zip(self.factors, gen))
 
     def format_gen(self, gen):
         return " (x) ".join(f.format_gen(g) for f, g in zip(self.factors, gen))

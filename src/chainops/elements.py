@@ -42,8 +42,9 @@ class Element:
         return not self.terms
 
     def items_sorted(self):
-        key = self.complex.key
-        return sorted(self.terms.items(), key=lambda item: key(item[0]))
+        """(gen, coeff) pairs in the order of the generators, which compare
+        as tuples of ints and group elements."""
+        return sorted(self.terms.items())
 
     def coeff(self, gen):
         return self.terms.get(gen, 0)

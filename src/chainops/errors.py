@@ -24,10 +24,6 @@ class GuardExceeded(ChainopsError):
     """A formal sum grew past the configured term guard."""
 
 
-class VerificationFailure(ChainopsError):
-    """A verification suite found a counterexample."""
-
-
 def _initial_guard():
     raw = os.environ.get("CHAINOPS_TERM_GUARD")
     if raw:

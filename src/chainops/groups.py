@@ -54,9 +54,6 @@ class SymmetricGroup:
     def parity(self, a):
         return a.parity()
 
-    def key(self, a):
-        return a.images
-
     def encode(self, a):
         return list(a.images)
 
@@ -101,9 +98,6 @@ class CyclicGroup:
 
     def is_identity(self, a):
         return a % self.n == 0
-
-    def key(self, a):
-        return a
 
     def encode(self, a):
         return a
@@ -157,9 +151,6 @@ class ProductGroup:
 
     def is_identity(self, a):
         return all(g.is_identity(x) for g, x in zip(self.factors, a))
-
-    def key(self, a):
-        return tuple(g.key(x) for g, x in zip(self.factors, a))
 
     def encode(self, a):
         return [g.encode(x) for g, x in zip(self.factors, a)]

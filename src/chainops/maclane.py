@@ -30,9 +30,6 @@ class MacLaneComplex(ChainComplex):
     def degree_of(self, gen):
         return len(gen) - 1
 
-    def key(self, gen):
-        return tuple(self.group.key(g) for g in gen)
-
     def format_gen(self, gen):
         return "(" + "; ".join(self.group.format(g) for g in gen) + ")"
 
@@ -69,21 +66,19 @@ class MacLaneComplex(ChainComplex):
 
     def basis(self, degree):
         elements = list(self.group.elements())
-        key = self.group.key
 
-        def rec(prefix, remaining):
+        def rec(prefix, last, remaining):
             if remaining == 0:
                 yield tuple(prefix)
                 return
-            last = key(prefix[-1]) if prefix else None
-            for g in elements:
-                if last is not None and key(g) == last:
+            for i, g in enumerate(elements):
+                if i == last:
                     continue
                 prefix.append(g)
-                yield from rec(prefix, remaining - 1)
+                yield from rec(prefix, i, remaining - 1)
                 prefix.pop()
 
-        yield from rec([], degree + 1)
+        yield from rec([], None, degree + 1)
 
     def gbasis(self, degree):
         for gen in self.basis(degree):
@@ -182,9 +177,6 @@ class CoinvariantComplex(ChainComplex):
     def degree_of(self, gen):
         return len(gen) - 1
 
-    def key(self, gen):
-        return tuple(self.base_group.key(g) for g in gen)
-
     def format_gen(self, gen):
         return "[" + "; ".join(self.base_group.format(g) for g in gen) + "]"
 
@@ -248,13 +240,10 @@ def coinvariants(x, twist=False):
 # -- AW / EZ for MacLane models ------------------------------------------------
 
 
-def product_model(Hc, Gc):
-    """N(E(H x G)) with generators tuples of pairs."""
-    return maclane_complex(ProductGroup((Hc.group, Gc.group)))
-
-
 def aw_maclane(x):
     """AW: N(E(HxG)) -> N(EH) (x) N(EG), front faces tensor back faces."""
+    from .simplex import aw_terms
+
     src = x.complex
     if not isinstance(src, MacLaneComplex) or not isinstance(
         src.group, ProductGroup
@@ -264,13 +253,7 @@ def aw_maclane(x):
     if len(factors) != 2:
         raise InvalidInput("aw_maclane expects a two-factor product group")
     target = TensorComplex(factors)
-
-    def terms(gen):
-        xs = tuple(p[0] for p in gen)
-        ys = tuple(p[1] for p in gen)
-        return [(1, (xs[: j + 1], ys[j:])) for j in range(len(gen))]
-
-    return x.map_terms(terms, codomain=target)
+    return x.map_terms(lambda gen: aw_terms(tuple(zip(*gen))), codomain=target)
 
 
 def ez_maclane(x):

@@ -10,6 +10,7 @@ and aj surjection structure maps are obtained by conjugating with the
 flavor isomorphisms.
 """
 
+from functools import partial
 from itertools import combinations_with_replacement, product as _product
 
 from .complexes import TensorComplex, boundary
@@ -47,46 +48,25 @@ def oplus(vs):
 # -- the recursive twisted-equivariant engine -------------------------------------
 
 
-class BarrattEcclesComponents:
-    """The family n -> N(ESigma_n) the engine builds Barratt-Eccles maps on."""
-
-    name = "barratt-eccles"
-
-    def component(self, n):
-        return sym_eg(n)
-
-
-class SurjectionComponents:
-    """The family n -> S^flavor(n) the engine builds surjection maps on."""
-
-    def __init__(self, flavor="bf"):
-        self.flavor = flavor
-        self.name = f"surjection-{flavor}"
-
-    def component(self, n):
-        return surjection_complex(self.flavor, n)
-
-
 class TwistedOperadMap(RecursiveMap):
     """The standard twisted-equivariant procedure structure map O_B,
-    memoized on (arities, basis tensor)."""
+    memoized on (arities, basis tensor), on the family of complexes
+    component(n) (N(ESigma_n) for Barratt-Eccles, S(n) for surjections)."""
 
-    def __init__(self, components, ring=ZZ):
+    def __init__(self, component, ring=ZZ):
         super().__init__(ring)
-        self.components = components
+        self.component = component
         self._domains = {}
 
     def domain(self, arities):
         dom = self._domains.get(arities)
         if dom is None:
-            factors = (self.components.component(arities[0]),) + tuple(
-                self.components.component(s) for s in arities[1:]
-            )
+            factors = tuple(self.component(n) for n in arities)
             dom = self._domains[arities] = TensorComplex(factors)
         return dom
 
     def target(self, arities):
-        return self.components.component(sum(arities[1:]))
+        return self.component(sum(arities[1:]))
 
     def seed(self, key):
         arities, gen = key
@@ -313,24 +293,8 @@ def partial_compose(flavor, i, x, y, ring=None):
 
 
 def be_engine(ring=ZZ):
-    return TwistedOperadMap(BarrattEcclesComponents(), ring)
+    return TwistedOperadMap(sym_eg, ring)
 
 
 def surj_engine(flavor="bf", ring=ZZ):
-    return TwistedOperadMap(SurjectionComponents(flavor), ring)
-
-
-def verify_operad(max_degree=2):
-    """Axiom report for the symmetric-group, Barratt-Eccles, and surjection
-    operads: equivariance, units, associativity squares, goldens."""
-    from .suites import operads_suite
-
-    return operads_suite(max_degree)
-
-
-def verify_morphisms():
-    """Report for the quotient square (table reduction) and the square into
-    the functorial coendomorphism operad."""
-    from .suites import morphism_squares_suite
-
-    return morphism_squares_suite()
+    return TwistedOperadMap(partial(surjection_complex, flavor), ring)

@@ -65,13 +65,14 @@ class RecursiveMap:
     split(gen, ctx)   (key, coeff, twist) with gen = coeff * twist . key,
                       twist None for the identity.
 
-    The default split, for maps with a fixed `domain`, `codomain`,
-    `group_hom` and `equivariant` flag, writes a generator as coeff * g.b
-    over the domain's group, g translated by group_hom.  A twist acts on
+    The default split, for maps with a fixed `domain`, `codomain` and
+    `equivariant` flag, writes a generator as coeff * g.b over the domain's
+    group, g translated by `group_hom` unless that is None.  A twist acts on
     values through `_act`; `shift` is the degree of the map `__call__` is.
     """
 
     shift = 0
+    group_hom = None
     _act = staticmethod(act)
 
     def __init__(self, ring):
@@ -129,15 +130,12 @@ class StandardMap(RecursiveMap):
     default), covering iota_ell-style twisted equivariance.
     """
 
-    def __init__(
-        self, domain, codomain, ring=ZZ, degree0=None, group_hom=None,
-        equivariant=True,
-    ):
+    def __init__(self, domain, codomain, ring=ZZ, degree0=None, group_hom=None):
         super().__init__(ring)
         self.domain = domain
         self.codomain = codomain
         self.group_hom = group_hom
-        self.equivariant = equivariant and domain.group is not None
+        self.equivariant = domain.group is not None
         if degree0 is None:
             degree0 = lambda b: built(
                 codomain, ring, codomain.basepoint_gen(), domain.augmentation(b)
@@ -164,14 +162,10 @@ class StandardHomotopy(RecursiveMap):
 
     shift = 1
 
-    def __init__(
-        self, phi0, phi1, domain, codomain, ring=ZZ, group_hom=None,
-        equivariant=True,
-    ):
+    def __init__(self, phi0, phi1, domain, codomain, ring=ZZ, equivariant=True):
         super().__init__(ring)
         self.domain = domain
         self.codomain = codomain
-        self.group_hom = group_hom
         self.equivariant = equivariant and domain.group is not None
         self.phi0 = phi0
         self.phi1 = phi1
@@ -182,40 +176,6 @@ class StandardHomotopy(RecursiveMap):
         # augmentations of phi0 and phi1 match
         eb = built(self.domain, self.ring, b)
         return self.phi1(eb) - self.phi0(eb) - self(boundary(eb))
-
-
-# -- comparators used by the uniqueness tests ---------------------------------
-
-
-def compare_on_basis(fn1, fn2, domain, degrees, ring=ZZ, basis="basis"):
-    """First basis generator where two generator-wise maps disagree."""
-    enum = getattr(domain, basis)
-    for k in degrees:
-        for b in enum(k):
-            if fn1(b) != fn2(b):
-                return b
-    return None
-
-
-def is_chain_map(fn, domain, degrees, ring=ZZ, codomain_boundary=boundary):
-    """First basis generator where fn(d x) != d(fn x)."""
-    for k in degrees:
-        if k == 0:
-            continue
-        for b in domain.basis(k):
-            x = domain.el(ring, b)
-            if fn(boundary(x)) != codomain_boundary(fn(x)):
-                return b
-    return None
-
-
-def commutes_with_contractions(fn, domain, degrees, ring=ZZ):
-    for k in degrees:
-        for b in domain.basis(k):
-            x = domain.el(ring, b)
-            if fn(contract(x)) != contract(fn(x)):
-                return b
-    return None
 
 
 # -- contraction verification ---------------------------------------------------
@@ -283,7 +243,7 @@ def _gen_stream(cplx, degree):
         yield g, 1
 
 
-def verify_contracted(cplx, max_degree, ring=ZZ, check_equivariance=True):
+def verify_contracted(cplx, max_degree, ring=ZZ):
     """Check the contraction identities on every basis generator up to
     max_degree: d^2 = 0, dh + hd = Id - rho, h^2 = 0, h iota = 0, and
     equivariance of the boundary when a group acts, proved from the
@@ -338,7 +298,7 @@ def verify_contracted(cplx, max_degree, ring=ZZ, check_equivariance=True):
     iota = cplx.basepoint(ring)
     checks.append(Check("h.iota = 0", contract(iota).is_zero(), None, 1))
 
-    if check_equivariance and cplx.group is not None:
+    if cplx.group is not None:
         # the action law and the group's generators prove it for every g:
         # see the module docstring
         law = first_fail("action law", cplx.action_law())

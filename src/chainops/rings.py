@@ -19,19 +19,7 @@ def _is_prime(p):
     return True
 
 
-class Ring:
-    """Base coefficient ring interface."""
-
-    def normalize(self, c):
-        raise NotImplementedError
-
-    def is_zero(self, c):
-        return self.normalize(c) == 0
-
-
-class IntegerRing(Ring):
-    kind = "Z"
-
+class IntegerRing:
     def normalize(self, c):
         return c
 
@@ -48,9 +36,7 @@ class IntegerRing(Ring):
         return {"kind": "Z"}
 
 
-class PrimeField(Ring):
-    kind = "Fp"
-
+class PrimeField:
     def __init__(self, p):
         if not _is_prime(p):
             raise InvalidInput(f"modulus {p} is not prime")
@@ -77,11 +63,3 @@ ZZ = IntegerRing()
 
 def GF(p):
     return PrimeField(p)
-
-
-def ring_from_json(data):
-    if data.get("kind") == "Z":
-        return ZZ
-    if data.get("kind") == "Fp":
-        return GF(data["p"])
-    raise InvalidInput(f"unknown ring descriptor {data!r}")

@@ -199,8 +199,9 @@ def fundamental(m):
 
 
 def aw_terms(rows):
-    """Front face (x) back face terms for a generator of a product of two
-    of two simplices."""
+    """Front face (x) back face terms for a pair of equal-length rows: a
+    generator of a product of two simplices, or of N(E(H x G)) split into
+    its H and G rows."""
     sigma, tau = rows
     width = len(sigma)
     return [(1, (sigma[: j + 1], tau[j:])) for j in range(width)]

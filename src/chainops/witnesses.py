@@ -38,7 +38,7 @@ from .minimal import (
     pi_from_EC,
 )
 from .perms import Perm
-from .procedure import Check, Report
+from .procedure import Check, Report, first_fail
 from .rings import GF, ZZ
 
 
@@ -88,12 +88,13 @@ class PowerWitness:
         return boundary(self.J(x)) + self.J(boundary(x))
 
     def check_J_identity(self, max_degree):
-        for k in range(max_degree + 1):
-            for b in self.EC.basis(k):
-                x = self.EC.el(self.ring, b)
-                if self.homotopy_defect_J(x) != self.phi_lambda_pi(x) - self.iota_ell(x):
-                    return Check("dJ+Jd = phi.lambda.pi - iota_ell", False, b)
-        return Check("dJ+Jd = phi.lambda.pi - iota_ell", True)
+        def cases():
+            for k in range(max_degree + 1):
+                for b in self.EC.basis(k):
+                    x = self.EC.el(self.ring, b)
+                    yield b, self.homotopy_defect_J(x) == self.phi_lambda_pi(x) - self.iota_ell(x)
+
+        return first_fail("dJ+Jd = phi.lambda.pi - iota_ell", cases())
 
     def check_power_identities(self, max_k):
         """ell^k x_2k - iota_ell(x_2k) = (dJ+Jd)x_2k and the odd variant, over Z."""
@@ -173,16 +174,15 @@ def diagonal_homotopy_report(p, max_degree, ring=ZZ):
         return ez_maclane(lifted)
 
     J = join_homotopy(phi0, phi1, EC, prod, ring)
-    checks = []
-    for k in range(max_degree + 1):
-        for b in EC.basis(k):
-            x = EC.el(ring, b)
-            lhs = boundary(J(x)) + J(boundary(x))
-            if lhs != phi1(x) - phi0(x):
-                checks.append(Check("diagonal join homotopy", False, b))
-                return Report("diagonal homotopy", checks)
-    checks.append(Check(f"dJ+Jd = EZ.(phi x phi).Delta.pi - EZ.Delta_AW (deg<={max_degree})", True))
-    return Report("diagonal homotopy", checks)
+
+    def cases():
+        for k in range(max_degree + 1):
+            for b in EC.basis(k):
+                x = EC.el(ring, b)
+                yield b, boundary(J(x)) + J(boundary(x)) == phi1(x) - phi0(x)
+
+    name = f"dJ+Jd = EZ.(phi x phi).Delta.pi - EZ.Delta_AW (deg<={max_degree})"
+    return Report("diagonal homotopy", [first_fail(name, cases())])
 
 
 def power_witness_report(p, ell, max_k, max_degree=None):

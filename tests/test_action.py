@@ -202,8 +202,9 @@ def test_steenrod_constants():
     assert steenrod_constant(2, 5) == 4
     assert steenrod_constant(1, 3) == 1
     assert steenrod_constant(0, 7) == 1
-    with pytest.raises(Exception):
-        steenrod_constant(1, 2)
+    for p in (2, 9, 1, 0, -3):
+        with pytest.raises(InvalidInput, match="odd prime"):
+            steenrod_constant(1, p)
 
 
 # -- cochain evaluation ------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -300,6 +301,46 @@ def test_cli_eval_cochain_invalid_input(tmp_path):
     faces["simplices"][-1]["faces"][1] = None
     out = eval_cochain(tmp_path, faces, "--simplex-id", "t")
     assert out.returncode == 0 and out.stdout.strip() == "-1"
+
+
+EVAL = ("eval-cochain", "--n", "2", "--x", "(1,2)")
+MALFORMED = {
+    "act-eg-letter": ("act", "--eg", "3", "--g", "2 x 1", "(1 2 3)"),
+    "act-cyclic-pair": ("act", "--cyclic", "3", "--g", "1 2", "(0)"),
+    "ring-Fx": ("boundary", "--flavor", "bf", "--n", "3", "--ring", "Fx", "(1,2,1,3)"),
+    "ring-F": ("boundary", "--flavor", "bf", "--n", "3", "--ring", "F", "(1,2,1,3)"),
+    "constant-p9": ("constant", "--m", "1", "--p", "9"),
+    "faces-missing": EVAL + ("--faces", "{missing}", "--cochains", "{a}", "{a}"),
+    "faces-garbled": EVAL + ("--faces", "{garbled}", "--cochains", "{a}", "{a}"),
+    "cochain-missing": EVAL + ("--faces", "{faces}", "--cochains", "{a}", "{missing}"),
+    "cochain-garbled": EVAL + ("--faces", "{faces}", "--cochains", "{garbled}", "{a}"),
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_cli_malformed_input_one_error_line(tmp_path, argv):
+    paths = {name: tmp_path / f"{name}.json" for name in ("faces", "a", "garbled", "missing")}
+    paths["faces"].write_text(json.dumps(TRIANGLE))
+    paths["a"].write_text(json.dumps(ALPHA))
+    paths["garbled"].write_text('{"degree": 1,')
+    out = run_cli(*(arg.format(**paths) for arg in argv))
+    assert out.returncode == 2
+    [line] = out.stderr.splitlines()
+    assert line.startswith("error: ") and "Traceback" not in out.stderr
+    for bad in ("missing", "garbled"):
+        if "{" + bad + "}" in argv:
+            assert str(paths[bad]) in line
+
+
+# Multi-term outputs whose term order the generators' own comparison
+# decides, recorded as text and JSON: a change of that order shows here.
+GOLDEN_ORDER = json.loads(Path(__file__).with_name("golden_order.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_ORDER, ids=lambda c: " ".join(c["argv"][:3]))
+def test_cli_multi_term_output_golden(case, capsys):
+    main(case["argv"])
+    assert capsys.readouterr().out == case["stdout"]
 
 
 def test_cli_phi_pi_lambda_diagonal():

@@ -17,8 +17,7 @@ from chainops.maclane import MacLaneComplex, aw_maclane, ez_maclane, maclane_com
 from chainops.procedure import (
     StandardHomotopy,
     StandardMap,
-    commutes_with_contractions,
-    compare_on_basis,
+    first_fail,
     verify_contracted,
 )
 from chainops.perms import Perm
@@ -84,13 +83,15 @@ def test_standard_map_reproduces_aw_closed_formula():
     EP = maclane_complex(ProductGroup((H, G)))
     T = TensorComplex((maclane_complex(H), maclane_complex(G)))
     std = StandardMap(EP, T)
-    mismatch = compare_on_basis(
-        lambda b: std(EP.el(ZZ, b)),
-        lambda b: aw_maclane(EP.el(ZZ, b)),
-        EP,
-        range(0, 4),
+    check = first_fail(
+        "standard map = AW",
+        (
+            (b, std(EP.el(ZZ, b)) == aw_maclane(EP.el(ZZ, b)))
+            for k in range(0, 4)
+            for b in EP.basis(k)
+        ),
     )
-    assert mismatch is None
+    assert check.ok, check
 
 
 def test_standard_map_is_chain_map():
@@ -110,19 +111,26 @@ def test_standard_map_commutes_with_contractions_maclane_domain():
     EP = maclane_complex(ProductGroup((H, G)))
     T = TensorComplex((maclane_complex(H), maclane_complex(G)))
     std = StandardMap(EP, T)
-    assert (
-        commutes_with_contractions(lambda x: std(x), EP, range(0, 3)) is None
-    )
+
+    def cases():
+        for k in range(0, 3):
+            for b in EP.basis(k):
+                x = EP.el(ZZ, b)
+                yield b, std(contract(x)) == contract(std(x))
+
+    check = first_fail("standard map commutes with h", cases())
+    assert check.ok, check
 
 
 def test_uniqueness_comparator_detects_difference():
     E = sym_eg(2)
     phi = StandardMap(E, E)
-    tweaked = lambda b: -1 * phi(E.el(ZZ, b))
-    assert (
-        compare_on_basis(lambda b: phi(E.el(ZZ, b)), tweaked, E, range(1, 2))
-        is not None
+    check = first_fail(
+        "phi = -phi",
+        ((b, phi(E.el(ZZ, b)) == -1 * phi(E.el(ZZ, b))) for b in E.basis(1)),
     )
+    assert not check.ok
+    assert check.counterexample == next(iter(E.basis(1)))
 
 
 def test_standard_homotopy_zero_when_maps_agree():
@@ -349,16 +357,16 @@ def test_generators_generate_every_group():
     for group in groups:
         gens = group.generators()
         assert not any(group.is_identity(s) for s in gens), group
-        closure = {group.key(group.identity)}
+        closure = {group.identity}
         frontier = [group.identity]
         while frontier:
             h = frontier.pop()
             for s in gens:
                 sh = group.mul(s, h)
-                if group.key(sh) not in closure:
-                    closure.add(group.key(sh))
+                if sh not in closure:
+                    closure.add(sh)
                     frontier.append(sh)
-        assert closure == {group.key(g) for g in group.elements()}, group
+        assert closure == set(group.elements()), group
 
 
 def test_generator_sweep_agrees_with_brute_force():

@@ -19,7 +19,6 @@ from chainops.operads import (
     oplus,
     partial_compose,
     sigma_compose,
-    SurjectionComponents,
     TwistedOperadMap,
     surj_compose,
     surj_engine,
@@ -376,7 +375,7 @@ def test_ms_aj_degree_zero_against_sigma():
 
 
 def test_dropped_engine_is_freed():
-    engine = TwistedOperadMap(SurjectionComponents("bf"))
+    engine = TwistedOperadMap(S)
     assert engine.domain((2, 1, 2)) is engine.domain((2, 1, 2))
     ref = weakref.ref(engine)
     del engine

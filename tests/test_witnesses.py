@@ -48,8 +48,21 @@ def test_k0_trivial():
     assert wit.homotopy_defect_J(x0) == wit.phi_lambda_pi(x0) - wit.iota_ell(x0)
 
 
-def test_diagonal_homotopy():
-    assert diagonal_homotopy_report(3, 3).ok
+def test_diagonal_homotopy(monkeypatch):
+    import chainops.witnesses
+
+    [passing] = diagonal_homotopy_report(3, 3).checks
+    assert passing.ok
+    # a zero homotopy fails at the first generator where the maps differ,
+    # under the passing check's name
+    monkeypatch.setattr(
+        chainops.witnesses,
+        "join_homotopy",
+        lambda phi0, phi1, domain, codomain, ring: lambda x: codomain.zero(ring, x.degree + 1),
+    )
+    [failing] = diagonal_homotopy_report(3, 3).checks
+    assert not failing.ok and failing.name == passing.name
+    assert failing.counterexample == (0, 2)
 
 
 def test_simple_coinvariant_diagonals():
