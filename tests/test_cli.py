@@ -337,7 +337,7 @@ def test_cli_malformed_input_one_error_line(tmp_path, argv):
 GOLDEN_ORDER = json.loads(Path(__file__).with_name("golden_order.json").read_text())
 
 
-@pytest.mark.parametrize("case", GOLDEN_ORDER, ids=lambda c: " ".join(c["argv"][:3]))
+@pytest.mark.parametrize("case", GOLDEN_ORDER, ids=lambda c: " ".join(c["argv"][:4]))
 def test_cli_multi_term_output_golden(case, capsys):
     main(case["argv"])
     assert capsys.readouterr().out == case["stdout"]
