@@ -165,6 +165,8 @@ def steenrod_constant(m, p):
     """c_{m,p} = (-1)^((m(m-1)/2)(p(p-1)/2)) (q!)^m mod p, q = (p-1)/2."""
     if p == 2 or not _is_prime(p):
         raise InvalidInput("steenrod_constant expects an odd prime")
+    if m < 0:
+        raise InvalidInput(f"steenrod_constant expects m >= 0, got {m}")
     q = (p - 1) // 2
     qfac = 1
     for i in range(2, q + 1):

@@ -7,7 +7,8 @@ elements keep a degree tag; adding a zero across degrees is allowed.
 Sums of (coeff, raw generator) pairs are collected by one loop,
 `add_terms`: each generator goes through a normal-form function of the
 complex, which may declare it degenerate (dropped) but never rescales
-it.  `Element(...)` with raw pairs and `single` take input from outside
+it; pairs already in normal form skip that step (normalize None).
+`Element(...)` with raw pairs and `single` take input from outside
 and use the complex's `canonical` (validate, then normalise); `collect`,
 `built`, `map_terms` and the library's own constructions use its
 `normalize`, which never raises.
@@ -163,11 +164,13 @@ class Element:
 def add_terms(acc, pairs, normalize, scale=1):
     """Add scale * coeff to acc[normalize(gen)] for every (coeff, raw
     generator) pair, skipping generators normalize sends to None and
-    removing entries that cancel; returns acc."""
+    removing entries that cancel; returns acc.  With normalize None the
+    generators are already normal and are summed as they are."""
     for c, g in pairs:
-        g = normalize(g)
-        if g is None:
-            continue
+        if normalize is not None:
+            g = normalize(g)
+            if g is None:
+                continue
         v = acc.get(g, 0) + scale * c
         if v:
             acc[g] = v

@@ -89,6 +89,10 @@ def _tensors(comps, max_degree, ring=ZZ, basis="basis"):
 
 def contracted_suite(max_n=4, max_degree=4, jobs=1):
     """Acceptance criterion 1: the full contraction sweep."""
+    if max_degree < 0:
+        raise InvalidInput(f"max_degree must be >= 0, got {max_degree}")
+    if jobs < 1:
+        raise InvalidInput(f"jobs must be >= 1, got {jobs}")
     tasks = contraction_tasks(max_n, max_degree)
     checks = []
     if jobs > 1:

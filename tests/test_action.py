@@ -205,6 +205,10 @@ def test_steenrod_constants():
     for p in (2, 9, 1, 0, -3):
         with pytest.raises(InvalidInput, match="odd prime"):
             steenrod_constant(1, p)
+    # c_{m,p} is defined for m >= 0 only; a negative m used to give a float
+    for m in (-1, -2):
+        with pytest.raises(InvalidInput, match="m >= 0"):
+            steenrod_constant(m, 3)
 
 
 # -- cochain evaluation ------------------------------------------------------------

@@ -310,6 +310,9 @@ MALFORMED = {
     "ring-Fx": ("boundary", "--flavor", "bf", "--n", "3", "--ring", "Fx", "(1,2,1,3)"),
     "ring-F": ("boundary", "--flavor", "bf", "--n", "3", "--ring", "F", "(1,2,1,3)"),
     "constant-p9": ("constant", "--m", "1", "--p", "9"),
+    "constant-m-negative": ("constant", "--m", "-1", "--p", "3"),
+    "verify-max-degree-negative": ("verify", "--suite", "contracted", "--max-degree", "-1"),
+    "verify-jobs-0": ("verify", "--suite", "contracted", "--jobs", "0"),
     "faces-missing": EVAL + ("--faces", "{missing}", "--cochains", "{a}", "{a}"),
     "faces-garbled": EVAL + ("--faces", "{garbled}", "--cochains", "{a}", "{a}"),
     "cochain-missing": EVAL + ("--faces", "{faces}", "--cochains", "{a}", "{missing}"),

@@ -22,7 +22,7 @@ from chainops.procedure import (
 )
 from chainops.perms import Perm
 from chainops.rings import ZZ
-from chainops.simplex import simplex_complex, tensor_power
+from chainops.simplex import SimplexComplex, simplex_complex, tensor_power
 from chainops.surjections import SurjectionComplex, surjection_complex
 
 
@@ -169,17 +169,19 @@ def test_verify_contracted_passes_for_simplex():
     assert verify_contracted(simplex_complex(4), 4).ok
 
 
-def test_verify_contracted_catches_corrupted_boundary():
-    class Corrupted(type(simplex_complex(3))):
-        def boundary_terms(self, gen):
-            out = super().boundary_terms(gen)
-            # flip one sign on 2-faces
-            if len(gen) == 3 and out:
-                c, g = out[0]
-                out[0] = (-c, g)
-            return out
+class CorruptedBoundary(SimplexComplex):
+    """Delta^m whose boundary flips one sign on the 2-faces."""
 
-    bad = Corrupted(3)
+    def boundary_terms(self, gen):
+        out = super().boundary_terms(gen)
+        if len(gen) == 3 and out:
+            c, g = out[0]
+            out[0] = (-c, g)
+        return out
+
+
+def test_verify_contracted_catches_corrupted_boundary():
+    bad = CorruptedBoundary(3)
     report = verify_contracted(bad, 3)
     assert not report.ok
     failing = [c for c in report.checks if not c.ok]
@@ -452,3 +454,241 @@ def test_engines_do_not_revalidate_generators_they_built(monkeypatch):
     for x in tuples:
         J(x)
     assert calls == []
+
+
+# -- the one-pass sweep against the four-pass oracle ------------------------------
+
+
+def four_pass_checks(cplx, max_degree, ring=ZZ):
+    """(name, ok, counterexample, checked) of every contraction check, in
+    report order, from four separate sweeps over the basis that recompute
+    the structure maps on every visit.  An independent oracle for
+    verify_contracted: it shares no code with it beyond the complex's own
+    methods, and reads procedure.PATTERN_THRESHOLD only to visit the same
+    generators."""
+    from chainops import procedure
+
+    def stream(k):
+        reps = getattr(cplx, "pattern_reps", None)
+        if reps is not None and cplx.basis_size(k) > procedure.PATTERN_THRESHOLD:
+            return reps(k)
+        return ((g, 1) for g in cplx.basis(k))
+
+    def image(fn, x):
+        # fn on the formal sum x (normal generator -> coefficient); every
+        # nondegenerate term stays a key, even when its coefficients cancel
+        out = {}
+        for g, c in x.items():
+            for c2, y in fn(g):
+                y = cplx.normalize(y)
+                if y is not None:
+                    out[y] = out.get(y, 0) + c * c2
+        return out
+
+    def is_zero(*xs):
+        total = {}
+        for x in xs:
+            for g, c in x.items():
+                total[g] = total.get(g, 0) + c
+        return all(ring.normalize(c) == 0 for c in total.values())
+
+    def negative(x):
+        return {g: -c for g, c in x.items()}
+
+    def d(x):
+        return image(cplx.boundary_terms, x)
+
+    def h(x):
+        return image(cplx.contraction_terms, x)
+
+    def sweep(name, holds):
+        count = 0
+        for k in range(max_degree + 1):
+            for gen, weight in stream(k):
+                count += weight
+                if not holds({gen: 1}):
+                    return name, False, cplx.format_gen(gen), count
+        return name, True, None, count
+
+    def homotopy(x):
+        (gen,) = x
+        return is_zero(d(h(x)), h(d(x)), negative(x), image(lambda g: cplx.rho_terms(g), x))
+
+    rows = [
+        sweep("d.d = 0", lambda x: is_zero(d(d(x)))),
+        sweep("dh + hd = Id - rho", homotopy),
+        sweep("h.h = 0", lambda x: is_zero(h(h(x)))),
+    ]
+    base = cplx.normalize(cplx.basepoint_gen())
+    rows.append(("h.iota = 0", base is None or is_zero(h({base: 1})), None, 1))
+    if cplx.group is None:
+        return rows
+
+    law_failure = next((case for case, ok in cplx.action_law() if not ok), None)
+    if law_failure is not None:
+        return rows + [("d equivariant", False, law_failure, 0)]
+
+    def equivariant(x):
+        (gen,) = x
+        dx = d(x)
+        for s in cplx.group.generators():
+            act_s = lambda y, s=s: image(lambda g: cplx.act_terms(s, g), y)
+            sx = act_s(x)
+            if any(cplx.degree_of(y) != cplx.degree_of(gen) for y in sx):
+                return False
+            if not is_zero(d(sx), negative(act_s(dx))):
+                return False
+        return True
+
+    return rows + [sweep("d equivariant", equivariant)]
+
+
+def one_pass_checks(cplx, max_degree, ring=ZZ):
+    report = verify_contracted(cplx, max_degree, ring)
+    return [(c.name, c.ok, c.counterexample, c.checked) for c in report.checks]
+
+
+class FlippedContraction(SurjectionComplex):
+    """S^bf(3) with the sign of one contraction term flipped."""
+
+    def contraction_terms(self, gen):
+        terms = super().contraction_terms(gen)
+        if gen == (2, 1, 3, 1) and terms:
+            c, g = terms[0]
+            terms = [(-c, g)] + terms[1:]
+        return terms
+
+
+class HSquaredOff(SimplexComplex):
+    """Delta^5 with the contraction h + dK - Kd, where K sends x0 = (1,2,3)
+    to w = (1,2,3,4,5) and every other generator to 0.  dK - Kd
+    anticommutes with d and vanishes on the basepoint, so d.d,
+    dh + hd = Id - rho and h.iota still hold; h.h fails first at x0, in
+    degree 2, where it is -d h w."""
+
+    x0, w = (1, 2, 3), (1, 2, 3, 4, 5)
+
+    def contraction_terms(self, gen):
+        terms = list(super().contraction_terms(gen))
+        if gen == self.x0:
+            terms += super().boundary_terms(self.w)
+        terms += [(-c, self.w) for c, face in super().boundary_terms(gen) if face == self.x0]
+        return terms
+
+
+def test_one_pass_matches_four_pass_oracle():
+    from chainops.suites import complex_by_tag, contraction_tasks
+
+    complexes = [(complex_by_tag(tag, n), 3) for tag, n, _ in contraction_tasks(3, 3)]
+    complexes += [
+        (TensorComplex((surjection_complex("bf", 2),) * 3), 2),
+        (TensorComplex((sym_eg(2),) * 3), 2),
+    ]
+    for cplx, max_degree in complexes:
+        oracle = four_pass_checks(cplx, max_degree)
+        assert all(ok for _, ok, _, _ in oracle), cplx
+        assert one_pass_checks(cplx, max_degree) == oracle, cplx
+    # a prime field: the sums are reduced in the ring
+    from chainops.rings import GF
+
+    for cplx in (surjection_complex("ms", 3), sym_eg(3)):
+        assert one_pass_checks(cplx, 3, GF(3)) == four_pass_checks(cplx, 3, GF(3))
+
+
+def test_one_pass_matches_oracle_on_relabeling_classes(monkeypatch):
+    from chainops import procedure
+
+    monkeypatch.setattr(procedure, "PATTERN_THRESHOLD", 1)
+    E = sym_eg(3)
+    oracle = four_pass_checks(E, 3)
+    assert all(ok for _, ok, _, _ in oracle)
+    assert one_pass_checks(E, 3) == oracle
+
+
+def test_one_pass_matches_oracle_on_negative_controls():
+    controls = [
+        (CorruptedBoundary(3), 3),
+        (FlippedContraction("bf", 3), 3),
+        (BoundaryOffS2("bf", 3), 2),
+        (HSquaredOff(5), 4),
+    ]
+    failures = set()
+    for cplx, max_degree in controls:
+        oracle = four_pass_checks(cplx, max_degree)
+        assert one_pass_checks(cplx, max_degree) == oracle, cplx
+        failed = [(name, ce, checked) for name, ok, ce, checked in oracle if not ok]
+        assert failed, cplx
+        failures.update(failed)
+    # the controls fail different checks at different generators
+    assert len({ce for _, ce, _ in failures}) >= 4
+    assert {name for name, _, _ in failures} >= {
+        "d.d = 0",
+        "dh + hd = Id - rho",
+        "h.h = 0",
+        "d equivariant",
+    }
+    # the h.h control fails h.h alone, at x0 in degree 2
+    bad = HSquaredOff(5)
+    assert [(name, ce) for name, ok, ce, _ in four_pass_checks(bad, 4) if not ok] == [
+        ("h.h = 0", "(1,2,3)")
+    ]
+
+
+def counting(family):
+    """A subclass of `family` that counts its boundary_terms,
+    contraction_terms and act_terms calls per generator.  The action law
+    runs once per complex on its own witnesses, outside the sweep, so its
+    calls are not counted."""
+
+    class Counting(family):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.calls = {}
+            self.counting = True
+
+        def count(self, key):
+            if self.counting:
+                self.calls[key] = self.calls.get(key, 0) + 1
+
+        def boundary_terms(self, gen):
+            self.count(("d", gen))
+            return super().boundary_terms(gen)
+
+        def contraction_terms(self, gen):
+            self.count(("h", gen))
+            return super().contraction_terms(gen)
+
+        def act_terms(self, g, gen):
+            self.count(("act", g, gen))
+            return super().act_terms(g, gen)
+
+        def action_law(self):
+            self.counting = False
+            try:
+                yield from super().action_law()
+            finally:
+                self.counting = True
+
+    return Counting
+
+
+def test_each_structure_map_runs_once_per_generator():
+    for cplx in (
+        counting(SurjectionComplex)("ms", 3),
+        counting(MacLaneComplex)(SymmetricGroup(3)),
+    ):
+        assert verify_contracted(cplx, 3).ok
+        assert {key[0] for key in cplx.calls} == {"d", "h", "act"}
+        repeated = [key for key, n in cplx.calls.items() if n > 1]
+        assert repeated == [], (cplx, repeated[:3])
+
+
+def test_sweeps_reject_a_negative_degree_and_no_workers():
+    from chainops.suites import contracted_suite
+
+    with pytest.raises(InvalidInput, match="max_degree"):
+        verify_contracted(simplex_complex(2), -1)
+    with pytest.raises(InvalidInput, match="max_degree"):
+        contracted_suite(2, -1)
+    with pytest.raises(InvalidInput, match="jobs"):
+        contracted_suite(2, 1, jobs=0)
