@@ -511,8 +511,7 @@ def four_pass_checks(cplx, max_degree, ring=ZZ):
         return name, True, None, count
 
     def homotopy(x):
-        (gen,) = x
-        return is_zero(d(h(x)), h(d(x)), negative(x), image(lambda g: cplx.rho_terms(g), x))
+        return is_zero(d(h(x)), h(d(x)), negative(x), image(cplx.rho_terms, x))
 
     rows = [
         sweep("d.d = 0", lambda x: is_zero(d(d(x)))),
@@ -576,6 +575,19 @@ class HSquaredOff(SimplexComplex):
         return terms
 
 
+class ActionOffDegree(MacLaneComplex):
+    """N(ESigma_3) whose Coxeter generators add the vertex (e) to the image
+    of every degree-1 generator: the vertex is a cycle, so d(s.x) = s.dx
+    still holds and the law, witnessed on the vertices, still holds, but
+    s.x leaves the degree of x."""
+
+    def act_terms(self, g, gen):
+        terms = super().act_terms(g, gen)
+        if len(gen) == 2 and g in self.group.generators():
+            terms = terms + [(1, (self.group.identity,))]
+        return terms
+
+
 def test_one_pass_matches_four_pass_oracle():
     from chainops.suites import complex_by_tag, contraction_tasks
 
@@ -611,6 +623,7 @@ def test_one_pass_matches_oracle_on_negative_controls():
         (FlippedContraction("bf", 3), 3),
         (BoundaryOffS2("bf", 3), 2),
         (HSquaredOff(5), 4),
+        (ActionOffDegree(SymmetricGroup(3)), 2),
     ]
     failures = set()
     for cplx, max_degree in controls:
