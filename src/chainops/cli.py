@@ -1,8 +1,9 @@
 """Command-line front end: element expressions, JSON output, dispatch.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 term guard tripped.  The CHAINOPS_TERM_GUARD environment variable (or
---term-guard) bounds formal-sum sizes.
+3 term guard tripped.  --term-guard (else the CHAINOPS_TERM_GUARD
+environment variable) bounds formal-sum sizes; it must be a positive
+integer, and any other value is invalid input.
 """
 
 import argparse
@@ -671,9 +672,11 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "term_guard", None):
-        errors.set_term_guard(args.term_guard)
     try:
+        if getattr(args, "term_guard", None) is None:
+            errors.term_guard()
+        else:
+            errors.set_term_guard(args.term_guard)
         args.fn(args)
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,8 +3,9 @@
 All computations are exact; the only runtime limits are combinatorial.
 Formal sums can blow up exponentially (multidiagonals, table reduction,
 operad compositions), so element construction is metered by a global
-term guard, overridable via the CHAINOPS_TERM_GUARD environment
-variable or `set_term_guard`.
+term guard, a positive integer set by `set_term_guard`, else by the
+CHAINOPS_TERM_GUARD environment variable, else DEFAULT_TERM_GUARD.  The
+variable is read and checked on the guard's first use, not on import.
 """
 
 import os
@@ -24,20 +25,18 @@ class GuardExceeded(ChainopsError):
     """A formal sum grew past the configured term guard."""
 
 
-def _initial_guard():
-    raw = os.environ.get("CHAINOPS_TERM_GUARD")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise InvalidInput(f"CHAINOPS_TERM_GUARD={raw!r} is not an integer")
-    return DEFAULT_TERM_GUARD
-
-
-_term_guard = _initial_guard()
+_term_guard = None
 
 
 def term_guard():
+    if _term_guard is None:
+        raw = os.environ.get("CHAINOPS_TERM_GUARD")
+        try:
+            set_term_guard(int(raw) if raw else DEFAULT_TERM_GUARD)
+        except (ValueError, InvalidInput):
+            raise InvalidInput(
+                f"CHAINOPS_TERM_GUARD={raw!r} is not a positive integer"
+            ) from None
     return _term_guard
 
 
@@ -49,7 +48,7 @@ def set_term_guard(limit):
 
 
 def check_guard(n_terms):
-    if n_terms > _term_guard:
+    if n_terms > term_guard():
         raise GuardExceeded(
             f"formal sum holds {n_terms} terms, above the guard {_term_guard}"
         )

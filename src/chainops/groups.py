@@ -39,7 +39,7 @@ class SymmetricGroup:
         for i in range(1, self.n):
             images = list(range(1, self.n + 1))
             images[i - 1], images[i] = i + 1, i
-            out.append(Perm._trusted(tuple(images)))
+            out.append(Perm._trusted(images))
         return tuple(out)
 
     def order(self):
@@ -55,13 +55,13 @@ class SymmetricGroup:
         return a.parity()
 
     def encode(self, a):
-        return list(a.images)
+        return list(a)
 
     def decode(self, data):
         return Perm(data)
 
     def format(self, a):
-        return " ".join(str(v) for v in a.images)
+        return " ".join(str(v) for v in a)
 
     def __eq__(self, other):
         return isinstance(other, SymmetricGroup) and other.n == self.n

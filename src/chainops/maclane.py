@@ -13,6 +13,7 @@ from .complexes import ChainComplex, TensorComplex, augment, law_cases
 from .elements import Element, built, collect
 from .errors import InvalidInput
 from .groups import CyclicGroup, ProductGroup, SymmetricGroup
+from .perms import Perm
 
 
 class MacLaneComplex(ChainComplex):
@@ -383,9 +384,7 @@ def induced_map(fn, domain, codomain, ring):
 
 def cyclic_into_symmetric(p):
     """T -> (2, 3, ..., p, 1): the inclusion C_p -> Sigma_p on MacLane models."""
-    from .perms import Perm
-
-    t = Perm._trusted(tuple(range(2, p + 1)) + (1,))
+    t = Perm._trusted((*range(2, p + 1), 1))
 
     def fn(i):
         out = Perm.identity(p)

@@ -40,7 +40,7 @@ def _partitions(total, parts, row_capacity):
 
 def table_rows(X, partition):
     """Row extraction: the surjection x_a carved out of X by a partition a."""
-    rows = [list(g.images) for g in X]
+    rows = [list(g) for g in X]
     seq = []
     for j, a in enumerate(partition):
         take = rows[j][:a]
@@ -55,7 +55,7 @@ def table_reduction_terms(flavor, X):
     """All partition summands of TR(X), each with the sign of the iso
     S^bf -> S^flavor (for aj the recursion confirms p(x_a)c(x_a), not the
     bare p(x_a))."""
-    n = X[0].n
+    n = len(X[0])
     k = len(X) - 1
     sign = iso_sign("bf", flavor)
     rows = (table_rows(X, a) for a in _partitions(n + k, k + 1, n))
@@ -82,7 +82,7 @@ def _vertex_perm(x, pos, idx):
     """The permutation gamma_v of a prism vertex: values ordered by position."""
     n = len(idx)
     pairs = sorted((pos[v][idx[v - 1]], v) for v in range(1, n + 1))
-    return Perm._trusted(tuple(v for _, v in pairs))
+    return Perm._trusted(v for _, v in pairs)
 
 def path_simplex(x, word):
     """The maximal prism simplex named by a path word (values of caesura

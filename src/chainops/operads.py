@@ -26,18 +26,17 @@ from .surjections import caesuras, iso, surjection_complex
 
 def sigma_compose(u, vs):
     """O_Sigma(u; v_1, ..., v_r): permute within blocks, then blocks by u."""
-    if u.n != len(vs):
+    if len(u) != len(vs):
         raise InvalidInput("outer arity does not match the number of inner inputs")
-    sizes = [v.n for v in vs]
+    sizes = [len(v) for v in vs]
     starts = [0]
     for s in sizes:
         starts.append(starts[-1] + s)
     out = []
-    for i in range(1, u.n + 1):
-        b = u(i)
+    for b in u:
         base = starts[b - 1]
-        out.extend(base + vs[b - 1](j) for j in range(1, sizes[b - 1] + 1))
-    return Perm._trusted(tuple(out))
+        out.extend(base + v for v in vs[b - 1])
+    return Perm._trusted(out)
 
 
 def oplus(vs):
@@ -245,14 +244,13 @@ def surj_compose_terms(gen, arities):
     if g.is_identity():
         return surj_compose_bf_terms(x, ys)
     degrees = [len(y) - s for y, s in zip(ys, sizes)]
-    kappa = koszul_sign(g.inverse(), degrees)
-    reordered = [ys[g(i) - 1] for i in range(1, r + 1)]
-    b = tuple(g.inverse()(v) for v in x)
+    g_inv = g.inverse()
+    kappa = koszul_sign(g_inv, degrees)
+    reordered = [ys[v - 1] for v in g]
+    b = tuple([g_inv[v - 1] for v in x])
     base = surj_compose_bf_terms(b, reordered)
     blocks = block_perm(g, sizes)
-    return [
-        (kappa * c, tuple(blocks(v) for v in t)) for c, t in base
-    ]
+    return [(kappa * c, tuple([blocks[v - 1] for v in t])) for c, t in base]
 
 
 def surj_compose(flavor, outer, inners, ring=None):

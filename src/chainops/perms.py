@@ -1,7 +1,11 @@
 """Permutations in one-line notation, parity, Koszul and block utilities.
 
-A permutation of {1..n} is stored as its sequence of values
-(g(1), ..., g(n)).  Composition follows the functional convention:
+A permutation of {1..n} is the tuple of its values (g(1), ..., g(n)):
+`Perm` subclasses `tuple`, so it compares, orders and hashes as that
+tuple, and a `Perm` equals (and hashes like) the plain tuple of its
+images.  Elements still never mix the two: `Element` equality compares
+the complex first, so an N(ESigma_n) generator and an S(n) generator on
+equal tuples stay apart.  Composition follows the functional convention:
 (f * g)(i) = f(g(i)), i.e. g acts first.
 """
 
@@ -10,69 +14,47 @@ from itertools import permutations as _permutations
 from .errors import InvalidInput
 
 
-class Perm:
-    __slots__ = ("images", "_parity")
+class Perm(tuple):
+    __slots__ = ()
 
     def __init__(self, images):
-        images = tuple(images)
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise InvalidInput(f"{images} is not a permutation of 1..{n}")
-        self.images = images
-        self._parity = None
+        n = len(self)
+        if sorted(self) != list(range(1, n + 1)):
+            raise InvalidInput(f"{tuple(self)} is not a permutation of 1..{n}")
 
     @classmethod
     def _trusted(cls, images):
         """The permutation with this tuple of images, unchecked: for
         permutations the library composes, never for input."""
-        g = object.__new__(cls)
-        g.images = images
-        g._parity = None
-        return g
+        return tuple.__new__(cls, images)
 
     @classmethod
     def identity(cls, n):
-        return cls._trusted(tuple(range(1, n + 1)))
-
-    @property
-    def n(self):
-        return len(self.images)
+        return cls._trusted(range(1, n + 1))
 
     def __call__(self, i):
-        return self.images[i - 1]
+        return self[i - 1]
 
     def __mul__(self, other):
-        images = self.images
-        if len(images) != len(other.images):
+        if len(self) != len(other):
             raise InvalidInput("composing permutations of different sizes")
-        return Perm._trusted(tuple([images[j - 1] for j in other.images]))
+        return Perm._trusted([self[j - 1] for j in other])
 
     def inverse(self):
-        inv = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
+        inv = [0] * len(self)
+        for i, v in enumerate(self, start=1):
             inv[v - 1] = i
-        return Perm._trusted(tuple(inv))
+        return Perm._trusted(inv)
 
     def parity(self):
         """The parity character tau: (-1)^inversions."""
-        if self._parity is None:
-            self._parity = perm_of_word(self.images)
-        return self._parity
+        return perm_of_word(self)
 
     def is_identity(self):
-        return all(v == i for i, v in enumerate(self.images, start=1))
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __lt__(self, other):
-        return self.images < other.images
+        return all(v == i for i, v in enumerate(self, start=1))
 
     def __repr__(self):
-        return "(" + " ".join(str(v) for v in self.images) + ")"
+        return "(" + " ".join(str(v) for v in self) + ")"
 
 
 def all_perms(n):
@@ -91,9 +73,9 @@ def perm_of_word(word):
     matching the stable shuffles used for caesura and path signs.
     """
     inv = 0
-    for i in range(len(word)):
-        for j in range(i + 1, len(word)):
-            if word[i] > word[j]:
+    for i, a in enumerate(word):
+        for b in word[i + 1 :]:
+            if a > b:
                 inv += 1
     return -1 if inv % 2 else 1
 
@@ -104,9 +86,9 @@ def koszul_sign(g, degrees):
     Factor i sits in degree degrees[i-1] and is sent to slot g(i); the
     sign counts swapped odd-degree pairs.
     """
-    if g.n != len(degrees):
+    if len(g) != len(degrees):
         raise InvalidInput("degree list does not match permutation size")
-    return perm_of_word([g(i) for i in range(1, g.n + 1) if degrees[i - 1] % 2])
+    return perm_of_word([v for v, d in zip(g, degrees) if d % 2])
 
 
 def permute_by(g, values):
@@ -129,7 +111,7 @@ def block_perm(u, sizes):
     Consecutive blocks B_i of length sizes[i-1] are rearranged in the
     order B_u(1), ..., B_u(r).
     """
-    if u.n != len(sizes):
+    if len(u) != len(sizes):
         raise InvalidInput("sizes do not match the permutation arity")
     if any(s <= 0 for s in sizes):
         raise InvalidInput("block sizes must be positive")
@@ -137,7 +119,6 @@ def block_perm(u, sizes):
     for s in sizes:
         starts.append(starts[-1] + s)
     out = []
-    for i in range(1, u.n + 1):
-        b = u(i)
+    for b in u:
         out.extend(range(starts[b - 1] + 1, starts[b] + 1))
-    return Perm._trusted(tuple(out))
+    return Perm._trusted(out)

@@ -84,14 +84,7 @@ def _odd_factor_values(x, n):
 
 def mu_sign(g, x):
     """(-1)^mu(g, x): the Koszul sign of permuting the odd prism factors."""
-    odd = _odd_factor_values(x, g.n)
-    mu = 0
-    for i in range(len(odd)):
-        gi = g(odd[i])
-        for j in range(i + 1, len(odd)):
-            if gi > g(odd[j]):
-                mu += 1
-    return -1 if mu % 2 else 1
+    return perm_of_word([g[v - 1] for v in _odd_factor_values(x, len(g))])
 
 
 class SurjectionComplex(ChainComplex):
@@ -157,10 +150,9 @@ class SurjectionComplex(ChainComplex):
         return tuple(range(1, self.n + 1))
 
     def act_terms(self, g, gen):
-        images = g.images
-        if len(images) != self.n:
+        if len(g) != self.n:
             raise InvalidInput("arity mismatch in surjection action")
-        image = tuple([images[v - 1] for v in gen])
+        image = tuple([g[v - 1] for v in gen])
         if self.flavor == "bf":
             return [(1, image)]
         if self.flavor == "aj":
@@ -243,14 +235,14 @@ class SurjectionComplex(ChainComplex):
         for v in gen:
             if v not in seen:
                 seen.append(v)
-        return Perm._trusted(tuple(seen))
+        return Perm._trusted(seen)
 
     def decompose(self, gen):
         g = self.first_occurrence_perm(gen)
         if g.is_identity():
             return g, 1, gen
         ginv = g.inverse()
-        b = tuple(ginv(v) for v in gen)
+        b = tuple([ginv[v - 1] for v in gen])
         (sign, _), = self.act_terms(g, b)
         return g, sign, b
 
@@ -327,7 +319,7 @@ def prism_perm(x):
         word.extend(pos[v][:-1])
     for v in range(1, n + 1):
         word.append(pos[v][-1])
-    return Perm._trusted(tuple(word))
+    return Perm._trusted(word)
 
 
 def sign_p(x):

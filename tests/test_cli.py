@@ -53,7 +53,7 @@ def test_parse_eg_tuple():
     E = sym_eg(3)
     x = ElementParser(E, ZZ).parse("(1 2 3; 2 1 3)")
     gen = next(iter(x.terms))
-    assert [p.images for p in gen] == [(1, 2, 3), (2, 1, 3)]
+    assert gen == ((1, 2, 3), (2, 1, 3))
 
 
 def test_parse_cyclic_and_minimal():
@@ -313,6 +313,8 @@ MALFORMED = {
     "constant-m-negative": ("constant", "--m", "-1", "--p", "3"),
     "verify-max-degree-negative": ("verify", "--suite", "contracted", "--max-degree", "-1"),
     "verify-jobs-0": ("verify", "--suite", "contracted", "--jobs", "0"),
+    "term-guard-0": ("boundary", "--flavor", "bf", "--n", "3", "--term-guard", "0", "(1,2,1,3)"),
+    "term-guard-negative": ("boundary", "--flavor", "bf", "--n", "3", "--term-guard", "-1", "(1,2,1,3)"),
     "faces-missing": EVAL + ("--faces", "{missing}", "--cochains", "{a}", "{a}"),
     "faces-garbled": EVAL + ("--faces", "{garbled}", "--cochains", "{a}", "{a}"),
     "cochain-missing": EVAL + ("--faces", "{faces}", "--cochains", "{a}", "{missing}"),
@@ -419,3 +421,18 @@ def test_term_guard_env_var():
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_term_guard_env_var_must_be_a_positive_integer(raw):
+    import os, subprocess
+
+    env = dict(os.environ, CHAINOPS_TERM_GUARD=raw)
+    for argv in (("boundary", "--flavor", "bf", "--n", "3", "(1,2,1,3)"),
+                 ("constant", "--m", "1", "--p", "3")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainops.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: CHAINOPS_TERM_GUARD={raw!r} is not a positive integer\n"

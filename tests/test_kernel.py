@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from chainops.maclane import sym_eg
 from chainops.perms import Perm, all_perms, block_perm, koszul_sign, permute_by
 from chainops.rings import GF, ZZ
 from chainops.simplex import simplex_complex, tensor_power
+from chainops.surjections import surjection_complex
 from chainops.complexes import tensor_elements
 
 
@@ -31,7 +33,7 @@ def test_parity_brute_force():
         inv = sum(
             1
             for i, j in itertools.combinations(range(4), 2)
-            if g.images[i] > g.images[j]
+            if g[i] > g[j]
         )
         assert g.parity() == (-1) ** inv
 
@@ -91,7 +93,7 @@ def test_koszul_composition():
 
 def test_block_perm_golden():
     u = Perm((2, 3, 1))
-    assert block_perm(u, (2, 4, 3)).images == (3, 4, 5, 6, 7, 8, 9, 1, 2)
+    assert block_perm(u, (2, 4, 3)) == (3, 4, 5, 6, 7, 8, 9, 1, 2)
     assert block_perm(Perm.identity(3), (2, 2, 2)) == Perm.identity(6)
     with pytest.raises(InvalidInput):
         block_perm(u, (2, 4))
@@ -106,6 +108,38 @@ def test_block_perm_composition_law_instance():
                 g, tuple(sizes[h(i) - 1] for i in range(1, 4))
             )
             assert lhs == rhs
+
+
+@settings(max_examples=200)
+@given(st.permutations(range(1, 6)), st.permutations(range(1, 6)))
+def test_perm_is_the_tuple_of_its_images(a, b):
+    a, b = tuple(a), tuple(b)
+    g, h = Perm(a), Perm(b)
+    assert g == a and (g == h) == (a == b) and (g != h) == (a != b)
+    assert hash(g) == hash(a)
+    assert (g < h) == (a < b) and (g <= h) == (a <= b)
+    assert sorted([g, h]) == sorted([a, b])
+    trusted = Perm._trusted(a)
+    assert type(trusted) is Perm and trusted == g
+    bad = a[:-1] + (a[0],)
+    with pytest.raises(InvalidInput) as err:
+        Perm(bad)
+    assert str(err.value) == f"{bad} is not a permutation of 1..5"
+    for p in (g, g * h):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            q = pickle.loads(pickle.dumps(p, protocol))
+            assert type(q) is Perm and q == p and repr(q) == repr(p)
+
+
+def test_equal_generator_tuples_of_different_complexes_stay_apart():
+    from chainops.complexes import TensorComplex
+
+    e, t = Perm((1, 2)), Perm((2, 1))
+    x = sym_eg(2).el(ZZ, (e, t))
+    S = surjection_complex("bf", 2)
+    y = TensorComplex((S, S)).el(ZZ, ((1, 2), (2, 1)))
+    assert x.terms == y.terms
+    assert x != y and y != x
 
 
 def test_prime_field_validation():

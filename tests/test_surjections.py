@@ -164,7 +164,7 @@ def test_sign_functions_golden():
     assert sign_delta(GOLDEN12) == -1
     assert tau_f(GOLDEN12) == -1
     assert sign_p(GOLDEN12) == 1
-    assert prism_perm(GOLDEN12).images == (2, 8, 1, 3, 6, 4, 5, 11, 12, 7, 10, 9)
+    assert prism_perm(GOLDEN12) == (2, 8, 1, 3, 6, 4, 5, 11, 12, 7, 10, 9)
 
 
 def test_sign_p_factorization_sweep():
@@ -177,9 +177,8 @@ def test_sign_p_factorization_sweep():
 
 def test_degree_zero_signs():
     for g in all_perms(3):
-        gen = g.images
-        assert sign_c(gen) == 1
-        assert sign_p(gen) == g.parity()
+        assert sign_c(g) == 1
+        assert sign_p(g) == g.parity()
 
 
 def test_iso_suite_small():
