@@ -130,18 +130,21 @@ def law_cases(cplx, witnesses):
         at = "e" if s is None else f"s = {group.format(s)}, h = {group.format(h)}"
         return f"action law at {at}, x = {cplx.format_gen(x)}"
 
-    def agree(lhs, rhs):
-        return not add_terms(add_terms({}, lhs, normalize), rhs, normalize, -1)
+    def image(g, x):
+        return add_terms({}, act_terms(g, x), normalize)
 
     # a case is named only when it fails: first_fail reads no other
     for x in witnesses:
-        ok = agree(act_terms(group.identity, x), [(1, x)])
+        ok = not add_terms(image(group.identity, x), [(1, x)], normalize, -1)
         yield (None if ok else where(x)), ok
+        # act(g) x for every g, each computed once: act(s.h) x is one of them
+        images = {g: image(g, x) for g in elements}
         for h in elements:
-            hx = add_terms({}, act_terms(h, x), normalize).items()
+            hx = images[h].items()
             for s in gens:
                 then_s = [(c * c2, y) for g, c in hx for c2, y in act_terms(s, g)]
-                ok = agree(act_terms(group.mul(s, h), x), then_s)
+                lhs = dict(images[group.mul(s, h)])
+                ok = not add_terms(lhs, then_s, normalize, -1)
                 yield (None if ok else where(x, s, h)), ok
 
 

@@ -11,6 +11,7 @@ other slots.  The trivial group has none.  `procedure.verify_contracted`
 proves equivariance of d from these and the action law.
 """
 
+import operator
 from itertools import product as _product
 
 from .errors import InvalidInput
@@ -24,8 +25,9 @@ class SymmetricGroup:
         self.n = n
         self.identity = Perm.identity(n)
 
-    def mul(self, a, b):
-        return a * b
+    # a * b, with no Python frame of its own: the action law and the
+    # MacLane action compose permutations in their inner loops
+    mul = staticmethod(operator.mul)
 
     def inv(self, a):
         return a.inverse()

@@ -50,7 +50,7 @@ class MacLaneComplex(ChainComplex):
 
     def act_terms(self, g, gen):
         mul = self.group.mul
-        return [(1, tuple(mul(g, x) for x in gen))]
+        return [(1, tuple([mul(g, x) for x in gen]))]
 
     def action_law(self):
         """Left multiplication entry by entry: the law is the group table,

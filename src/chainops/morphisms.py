@@ -21,45 +21,32 @@ from .surjections import (
     value_positions,
 )
 
-def _partitions(total, parts, row_capacity):
-    """Positive partitions a_0 + ... + a_{k} = total with a_k >= 2 for k >= 1,
-    a_j bounded by what remains of row j after earlier removals."""
+def table_rows(X):
+    """Row extraction: the surjections x_a carved out of the table X, one
+    per partition a_0 + ... + a_k = n + k with a_j >= 1 and a_k >= 2 for
+    k >= 1, in lexicographic order of a.  Row j, stripped of the values
+    that earlier rows gave up (each row's taken entries but its last),
+    contributes its first a_j entries, so a_j is at most its length."""
+    last = len(X) - 1
 
-    def rec(j, left, removed):
-        cap = row_capacity - removed
-        if j == parts - 1:
-            need_last = 2 if parts > 1 else 1
-            if need_last <= left <= cap:
-                yield (left,)
+    def rec(j, left, dead, prefix):
+        row = [v for v in X[j] if v not in dead]
+        if j == last:
+            if (2 if last else 1) <= left <= len(row):
+                yield tuple(prefix + row[:left])
             return
-        for a in range(1, min(cap, left - (parts - 1 - j)) + 1):
-            for rest in rec(j + 1, left - a, removed + a - 1):
-                yield (a,) + rest
+        for a in range(1, min(len(row), left - (last - j)) + 1):
+            take = row[:a]
+            yield from rec(j + 1, left - a, dead.union(take[:-1]), prefix + take)
 
-    yield from rec(0, total, 0)
-
-def table_rows(X, partition):
-    """Row extraction: the surjection x_a carved out of X by a partition a."""
-    rows = [list(g) for g in X]
-    seq = []
-    for j, a in enumerate(partition):
-        take = rows[j][:a]
-        seq.extend(take)
-        if j + 1 < len(rows):
-            dead = set(take[:-1])
-            for r in rows[j + 1 :]:
-                r[:] = [v for v in r if v not in dead]
-    return tuple(seq)
+    return rec(0, len(X[0]) + last, frozenset(), [])
 
 def table_reduction_terms(flavor, X):
     """All partition summands of TR(X), each with the sign of the iso
     S^bf -> S^flavor (for aj the recursion confirms p(x_a)c(x_a), not the
     bare p(x_a))."""
-    n = len(X[0])
-    k = len(X) - 1
     sign = iso_sign("bf", flavor)
-    rows = (table_rows(X, a) for a in _partitions(n + k, k + 1, n))
-    return [(sign(x), x) for x in rows]
+    return [(sign(x), x) for x in table_rows(X)]
 
 def table_reduction(flavor, x):
     """TR (tr for the aj flavor): N(ESigma_n) -> S^flavor(n), linear."""

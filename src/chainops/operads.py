@@ -28,15 +28,14 @@ def sigma_compose(u, vs):
     """O_Sigma(u; v_1, ..., v_r): permute within blocks, then blocks by u."""
     if len(u) != len(vs):
         raise InvalidInput("outer arity does not match the number of inner inputs")
-    sizes = [len(v) for v in vs]
     starts = [0]
-    for s in sizes:
-        starts.append(starts[-1] + s)
+    for v in vs:
+        starts.append(starts[-1] + len(v))
     out = []
     for b in u:
         base = starts[b - 1]
-        out.extend(base + v for v in vs[b - 1])
-    return Perm._trusted(out)
+        out += vs[b - 1] if base == 0 else [base + i for i in vs[b - 1]]
+    return tuple.__new__(Perm, out)
 
 
 def oplus(vs):

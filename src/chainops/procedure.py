@@ -58,7 +58,7 @@ holds at x exactly when it holds at every tuple of x's class:
 from functools import partial
 
 from .complexes import act, augment, boundary, contract
-from .elements import Element, add_terms, built, reduce_terms
+from .elements import Element, built
 from .errors import InvalidInput
 from .rings import ZZ
 
@@ -251,7 +251,7 @@ def _gen_stream(cplx, degree):
 
 def _normal(pairs, normalize):
     """The (coeff, gen) pairs with nondegenerate generators, normalised."""
-    return tuple((c, n) for c, g in pairs if (n := normalize(g)) is not None)
+    return tuple([(c, n) for c, g in pairs if (n := normalize(g)) is not None])
 
 
 class _Terms(dict):
@@ -288,8 +288,9 @@ def verify_contracted(cplx, max_degree, ring=ZZ):
     for this call only.  That is exact because the structure maps are
     functions of the normal generator.  Degree k looks up generators of
     degrees k - 1, k and k + 1 only, so after it the entries of degree
-    < k are dropped.  The tables hold normal terms, which
-    elements.add_terms sums without normalising them again."""
+    < k are dropped.  The tables hold normal terms, so an identity reads
+    them straight into one dict of coefficients, never normalising a
+    generator again, and reduces only those coefficients in the ring."""
     if max_degree < 0:
         raise InvalidInput(f"max_degree must be >= 0, got {max_degree}")
     normalize, degree_of = cplx.normalize, cplx.degree_of
@@ -297,35 +298,43 @@ def verify_contracted(cplx, max_degree, ring=ZZ):
     h = _Terms(cplx.contraction_terms, normalize)
     tables = [d, h]
 
-    def then(pairs, second):
-        """The terms of the table `second` on normal (coeff, gen) pairs."""
-        return [(c * c2, g2) for c, g in pairs for c2, g2 in second[g]]
-
     def vanishes(*parts):
-        """Whether the sum of scale * pairs over the (scale, pairs) parts is
-        0; the pairs are normal."""
+        """Whether the sum over the (scale, pairs, table) parts is 0 in the
+        ring, a part being scale * c * table[g] for every normal pair
+        (c, g), or scale * c * g when table is None.  The sum is collected
+        in one dict; it is 0 when ring.normalize sends every coefficient
+        to 0, and the test stops at the first one it does not.  An integer
+        0 stays 0 in every ring, so only the nonzero ones are reduced."""
         acc = {}
-        for scale, pairs in parts:
-            add_terms(acc, pairs, None, scale)
-        return not reduce_terms(acc, ring)
+        get = acc.get
+        for scale, pairs, table in parts:
+            if table is None:
+                for c, g in pairs:
+                    acc[g] = get(g, 0) + scale * c
+                continue
+            for c, g in pairs:
+                c *= scale
+                for c2, g2 in table[g]:
+                    acc[g2] = get(g2, 0) + c * c2
+        return not any(map(ring.normalize, filter(None, acc.values())))
 
     def homotopy(gen):
         return vanishes(
-            (1, then(h[gen], d)),
-            (1, then(d[gen], h)),
-            (-1, ((1, gen),)),
-            (1, _normal(cplx.rho_terms(gen), normalize)),
+            (1, h[gen], d),
+            (1, d[gen], h),
+            (-1, ((1, gen),), None),
+            (1, _normal(cplx.rho_terms(gen), normalize), None),
         )
 
     identities = [
-        ("d.d = 0", lambda gen: vanishes((1, then(d[gen], d)))),
+        ("d.d = 0", lambda gen: vanishes((1, d[gen], d))),
         ("dh + hd = Id - rho", homotopy),
-        ("h.h = 0", lambda gen: vanishes((1, then(h[gen], h)))),
+        ("h.h = 0", lambda gen: vanishes((1, h[gen], h))),
     ]
     checks = {}
 
     base = normalize(cplx.basepoint_gen())
-    iota_ok = base is None or vanishes((1, h[base]))
+    iota_ok = base is None or vanishes((1, h[base], None))
     checks["h.iota = 0"] = Check("h.iota = 0", iota_ok, None, 1)
 
     if cplx.group is not None:
@@ -346,7 +355,7 @@ def verify_contracted(cplx, max_degree, ring=ZZ):
                     sx = act_s[gen]
                     if any(degree_of(y) != k for _, y in sx):
                         return False
-                    if not vanishes((1, then(sx, d)), (-1, then(dx, act_s))):
+                    if not vanishes((1, sx, d), (-1, dx, act_s)):
                         return False
                 return True
 

@@ -445,14 +445,18 @@ def sigma_suite(max_r=3, max_size=3, assoc_bound=3):
         for r in range(1, max_r + 1):
             for sizes in _product(range(1, max_size + 1), repeat=r):
                 for u_ in all_perms(r):
+                    # sigma_compose(u_, vs_) does not depend on hs
+                    composites = [
+                        (vs_, sigma_compose(u_, list(vs_)))
+                        for vs_ in _perm_tuples(sizes)
+                    ]
                     for hs in _perm_tuples(sizes):
                         h_sum = oplus(list(hs))
-                        for vs_ in _perm_tuples(sizes):
+                        for vs_, composite in composites:
                             lhs = sigma_compose(
                                 u_, [h * v for h, v in zip(hs, vs_)]
                             )
-                            rhs = h_sum * sigma_compose(u_, list(vs_))
-                            yield (u_, hs, vs_), lhs == rhs
+                            yield (u_, hs, vs_), lhs == h_sum * composite
 
     checks.append(
         first_fail(lambda n: f"equivariance axiom 2 exhaustive [{n} cases]", equivariance_2())

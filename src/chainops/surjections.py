@@ -9,6 +9,7 @@ via the diagonal sign maps c(x), p(x), and their product.
 """
 
 from functools import lru_cache
+from operator import eq
 
 from .complexes import ChainComplex, law_cases
 from .errors import InvalidInput
@@ -109,12 +110,7 @@ class SurjectionComplex(ChainComplex):
 
     def normalize(self, gen):
         """None unless gen is surjective with no equal neighbours."""
-        prev = None
-        for v in gen:
-            if v == prev:
-                return None
-            prev = v
-        if len(set(gen)) < self.n:
+        if any(map(eq, gen, gen[1:])) or len(set(gen)) < self.n:
             return None
         return gen
 

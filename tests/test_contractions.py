@@ -641,6 +641,36 @@ def test_one_pass_matches_oracle_on_negative_controls():
     ]
 
 
+class TripledFace(SimplexComplex):
+    """Delta^m whose edge (1,2) has the boundary (2) - (1) + 3 (0).  d.d
+    then leaves exactly 3 (0) on each triangle with the face (1,2), first
+    on (0,1,2).  The other identities still hold over the integers, since
+    h sends (0) to the degenerate (0,0), and mod 3 the complex is Delta^m."""
+
+    def boundary_terms(self, gen):
+        out = super().boundary_terms(gen)
+        if gen == (1, 2):
+            out.append((3, (0,)))
+        return out
+
+
+def test_one_pass_reduces_each_sum_in_the_ring():
+    from chainops.rings import GF
+
+    bad = TripledFace(3)
+    over_z = one_pass_checks(bad, 3)
+    assert over_z == four_pass_checks(bad, 3)
+    assert [(name, ce, checked) for name, ok, ce, checked in over_z if not ok] == [
+        ("d.d = 0", "(0,1,2)", 4 + 6 + 1)
+    ]
+    over_f3 = one_pass_checks(bad, 3, GF(3))
+    assert over_f3 == four_pass_checks(bad, 3, GF(3))
+    assert all(ok for _, ok, _, _ in over_f3)
+    # 3 is a unit mod 2
+    assert one_pass_checks(bad, 3, GF(2)) == four_pass_checks(bad, 3, GF(2))
+    assert not verify_contracted(bad, 3, GF(2)).checks[0].ok
+
+
 def counting(family):
     """A subclass of `family` that counts its boundary_terms,
     contraction_terms and act_terms calls per generator.  The action law

@@ -14,7 +14,14 @@ from chainops.elements import Element
 from chainops.errors import GuardExceeded, InvalidInput, set_term_guard, term_guard
 from chainops.groups import CyclicGroup, SymmetricGroup
 from chainops.maclane import sym_eg
-from chainops.perms import Perm, all_perms, block_perm, koszul_sign, permute_by
+from chainops.perms import (
+    Perm,
+    all_perms,
+    block_perm,
+    koszul_sign,
+    perm_of_word,
+    permute_by,
+)
 from chainops.rings import GF, ZZ
 from chainops.simplex import simplex_complex, tensor_power
 from chainops.surjections import surjection_complex
@@ -28,14 +35,24 @@ def test_parity_golden():
 
 
 def test_parity_brute_force():
-    # against transposition count via explicit inversions
-    for g in all_perms(4):
-        inv = sum(
-            1
-            for i, j in itertools.combinations(range(4), 2)
-            if g[i] > g[j]
-        )
-        assert g.parity() == (-1) ** inv
+    # against transposition count via explicit inversions, every Sigma_n
+    # with n <= 6
+    for n in range(1, 7):
+        for g in all_perms(n):
+            inv = sum(
+                1
+                for i, j in itertools.combinations(range(n), 2)
+                if g[i] > g[j]
+            )
+            assert g.parity() == (-1) ** inv
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_parity_is_the_sorting_sign(images):
+    # the cycle count and the stable-sort sign of the images agree
+    g = Perm(images)
+    assert g.parity() == perm_of_word(g)
 
 
 def test_parity_homomorphism_exhaustive_S3():

@@ -6,6 +6,8 @@ import weakref
 from itertools import product as _product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainops.complexes import TensorComplex, boundary, tensor_elements
 from chainops.errors import InvalidInput
@@ -36,6 +38,32 @@ def test_sigma_compose_block_golden():
     u = Perm((2, 3, 1))
     vs = [Perm((2, 1)), Perm((3, 1, 2, 4)), Perm((3, 2, 1))]
     assert sigma_compose(u, vs) == (5, 3, 4, 6, 9, 8, 7, 2, 1)
+
+
+@st.composite
+def block_compositions(draw):
+    """(u, vs): u in Sigma_r, r <= 4, and one permutation per block, of at
+    most 3 letters each."""
+    r = draw(st.integers(1, 4))
+    u = Perm(draw(st.permutations(range(1, r + 1))))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+    vs = [Perm(draw(st.permutations(range(1, s + 1)))) for s in sizes]
+    return u, vs
+
+
+@settings(max_examples=200)
+@given(block_compositions())
+def test_sigma_compose_is_the_direct_sum_after_the_block_permutation(case):
+    # an independent construction: the block permutation u_*(sizes), then
+    # v_1 + ... + v_r acting blockwise, the direct sum built here by hand
+    # (oplus itself calls sigma_compose)
+    u, vs = case
+    direct_sum, start = [], 0
+    for v in vs:
+        direct_sum += [start + i for i in v]
+        start += len(v)
+    expected = Perm(direct_sum) * block_perm(u, [len(v) for v in vs])
+    assert sigma_compose(u, vs) == expected
 
 
 def test_sigma_compose_identities():

@@ -16,7 +16,17 @@ The output file, at the root of the working tree, holds per workload and
 end-to-end metric both sides' medians, quartiles and every run's value,
 the number of pairs the change won (ties count for neither), each run's
 correct/attempted/failed counts, the seeds, the run length and the
-machine.  Only the standard library is used.
+machine.
+
+    python3 tools/bench_pairs.py --pr 11 --base HEAD~1 --tests NODEID ...
+
+times the given pytest node ids instead, each alone in its own pytest
+process on each side (TEST_PAIRS alternating pairs, odd pairs the parent
+first), as the junit-xml time of the test (set-up, call and tear-down;
+collection and start-up excluded), and writes both sides' medians,
+quartiles and runs under "tests" in BENCH_<pr>.json, keeping the
+benchmark results already there.  A benchmark run keeps the "tests"
+entry of the file it replaces.  Only the standard library is used.
 """
 
 import argparse
@@ -30,11 +40,14 @@ import sys
 import tarfile
 import tempfile
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # fewer than ten alternating pairs cannot support a claimed gain
 PAIRS = 10
+# tests timed alone support no claim of their own; five pairs show a trend
+TEST_PAIRS = 5
 
 
 def git(*args):
@@ -66,6 +79,18 @@ def run_once(tree, command, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
+def time_test(tree, nodeid, tmp):
+    """Seconds one pytest node id takes alone in `tree`, from its junit xml."""
+    report = Path(tmp) / "junit.xml"
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", nodeid]
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{nodeid} in {tree} exited {proc.returncode}: {proc.stdout[-2000:]}")
+    cases = ET.parse(report).getroot().iter("testcase")
+    return sum(float(case.get("time")) for case in cases)
+
+
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -89,20 +114,64 @@ def machine():
     }
 
 
+def change_label():
+    head_rev = git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    return f"working tree at {head_rev}" + (" with uncommitted changes" if dirty else "")
+
+
+def time_tests(nodeids, base_rev):
+    """The "tests" entry: each node id timed alone, TEST_PAIRS alternating pairs."""
+    runs = {t: {"parent": [], "change": []} for t in nodeids}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {"parent": extract(base_rev, tmp), "change": ROOT}
+        for pair in range(1, TEST_PAIRS + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for t in nodeids:
+                for side in order:
+                    seconds = time_test(trees[side], t, tmp)
+                    runs[t][side].append(seconds)
+                    print(f"# pair {pair} {t} {side}: {seconds:.3f} s", file=sys.stderr)
+    return {
+        "parent": base_rev,
+        "change": change_label(),
+        "pairs": TEST_PAIRS,
+        "order": "odd pairs run the parent first, even pairs the change first",
+        "unit": "s",
+        "what": "junit-xml time of the node id run alone: set-up, call and tear-down",
+        "date": time.strftime("%Y-%m-%d", time.gmtime()),
+        "machine": machine(),
+        "timings": {
+            t: {
+                "parent": summary(sides["parent"]),
+                "change": summary(sides["change"]),
+                "change_wins": sum(c < p for p, c in zip(sides["parent"], sides["change"])),
+            }
+            for t, sides in runs.items()
+        },
+    }
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", required=True, type=int, help="the N of BENCH_N.json")
     ap.add_argument("--base", required=True, help="git revision of the parent side")
+    ap.add_argument("--tests", nargs="+", metavar="NODEID", help="time these pytest node ids instead of the benchmark")
     args = ap.parse_args(argv)
+
+    path = ROOT / f"BENCH_{args.pr}.json"
+    previous = json.loads(path.read_text()) if path.exists() else {}
+    base_rev = git("rev-parse", args.base)
+    if args.tests:
+        out = dict(previous, tests=time_tests(args.tests, base_rev))
+        path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+        print(path)
+        return 0
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    base_rev = git("rev-parse", args.base)
-    head_rev = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-
     runs = {w: {"parent": [], "change": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": extract(base_rev, tmp), "change": ROOT}
@@ -117,7 +186,7 @@ def main(argv=None):
     out = {
         "pr": args.pr,
         "parent": base_rev,
-        "change": f"working tree at {head_rev}" + (" with uncommitted changes" if dirty else ""),
+        "change": change_label(),
         "command": spec["command"] + ["--workload", "W", "--seed", "i", "--seconds", str(seconds), "--trace", "0"],
         "seeds": list(range(1, PAIRS + 1)),
         "seconds": seconds,
@@ -146,7 +215,8 @@ def main(argv=None):
             }
         entry["metrics"] = metrics
         out["workloads"][w] = entry
-    path = ROOT / f"BENCH_{args.pr}.json"
+    if "tests" in previous:
+        out["tests"] = previous["tests"]
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(path)
     return 0
