@@ -25,7 +25,8 @@ from .surjections import caesuras, iso, surjection_complex
 
 
 def sigma_compose(u, vs):
-    """O_Sigma(u; v_1, ..., v_r): permute within blocks, then blocks by u."""
+    """O_Sigma(u; v_1, ..., v_r) = (v_1 + ... + v_r) * u_*(|v_1|, ..., |v_r|):
+    the block permutation of u first, then each v_i within its block."""
     if len(u) != len(vs):
         raise InvalidInput("outer arity does not match the number of inner inputs")
     starts = [0]
