@@ -195,14 +195,28 @@ class FaceTable:
                 sid, dim = s["id"], s["dim"]
             except (KeyError, TypeError):
                 raise InvalidInput(f"simplex {s!r} needs an 'id' and a 'dim'") from None
-            self.dims[sid] = dim
-            self.faces[sid] = list(s.get("faces", []))
-            if dim > 0 and len(self.faces[sid]) != dim + 1:
+            faces = s.get("faces", [])
+            if type(dim) is not int or dim < 0:
+                raise InvalidInput(f"simplex {sid!r} needs a non-negative integer 'dim'")
+            if not isinstance(faces, list):
+                raise InvalidInput(f"the faces of simplex {sid!r} must be a list")
+            if dim > 0 and len(faces) != dim + 1:
                 raise InvalidInput(f"simplex {sid} needs {dim + 1} faces")
+            try:
+                self.dims[sid] = dim
+            except TypeError:
+                raise InvalidInput(f"simplex id {sid!r} is a list or an object") from None
+            self.faces[sid] = list(faces)
         for sid, faces in self.faces.items():
             want = self.dims[sid] - 1
             for f in faces:
-                if self.dims.get(f) != want and f is not None:
+                try:
+                    ok = f is None or self.dims.get(f) == want
+                except TypeError:
+                    raise InvalidInput(
+                        f"face {f!r} of simplex {sid!r} is a list or an object"
+                    ) from None
+                if not ok:
                     raise InvalidInput(
                         f"face {f!r} of simplex {sid!r} is not a simplex of dimension {want}"
                     )

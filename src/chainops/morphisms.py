@@ -10,7 +10,7 @@ converted to permutations, with flavor signs c(x) and p(x).
 from .errors import InvalidInput
 from .maclane import MacLaneComplex, sym_eg
 from .perms import Perm
-from .procedure import Report, StandardMap, first_fail
+from .procedure import StandardMap
 from .rings import ZZ
 from .simplex import shuffle_words
 from .surjections import (
@@ -116,34 +116,3 @@ def prism_map(flavor, x):
         return [(s * c, t) for c, t in prism_terms(gen)]
 
     return x.map_terms(terms, codomain=target)
-
-def roundtrip_check(flavor, n, max_degree, ring=ZZ):
-    """TR . PR = Id and the fundamental-simplex dichotomy, exhaustively."""
-    S = surjection_complex(flavor, n)
-    gens = [gen for k in range(max_degree + 1) for gen in S.basis(k)]
-
-    def roundtrip():
-        for gen in gens:
-            x = S.el(ring, gen)
-            yield gen, table_reduction(flavor, prism_map(flavor, x)) == x
-
-    def dichotomy():
-        E = sym_eg(n)
-        for gen in gens:
-            fund = fundamental_simplex(gen)
-            for _, simplex in prism_terms(gen):
-                if E.normalize(simplex) is None:
-                    continue
-                tr = table_reduction(flavor, E.el(ring, simplex))
-                ok = tr == S.el(ring, gen) if simplex == fund else tr.is_zero()
-                yield (gen, simplex), ok
-
-    checks = [first_fail(f"TR.PR = Id on S^{flavor}({n}), k<={max_degree}", roundtrip())]
-    if flavor == "bf":
-        checks.append(
-            first_fail(
-                f"fundamental-simplex dichotomy on S^bf({n}), k<={max_degree}",
-                dichotomy(),
-            )
-        )
-    return Report(f"TR/PR roundtrip S^{flavor}({n})", checks)

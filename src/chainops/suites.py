@@ -1,6 +1,8 @@
 """Named verification suites, shared by the CLI `verify` command and the
 acceptance tests.  Each suite returns a Report; suites compose under
-`run_suite("all", ...)`.
+`run_suite("all", ...)`.  `run_suite(name)` with no options is exactly
+`chainops verify --suite name` at its defaults, and each acceptance
+criterion that names a suite runs it that way.
 
 Every exhaustive check is stated the same way: a generator yields
 (case, ok) pairs and procedure.first_fail turns them into a Check that
@@ -30,7 +32,8 @@ from .minimal import (
 )
 from .morphisms import (
     fundamental_simplex,
-    roundtrip_check,
+    prism_map,
+    prism_terms,
     table_reduction,
     table_reduction_standard,
 )
@@ -89,8 +92,6 @@ def _tensors(comps, max_degree, ring=ZZ, basis="basis"):
 
 def contracted_suite(max_n=4, max_degree=4, jobs=1):
     """Acceptance criterion 1: the full contraction sweep."""
-    if max_degree < 0:
-        raise InvalidInput(f"max_degree must be >= 0, got {max_degree}")
     if jobs < 1:
         raise InvalidInput(f"jobs must be >= 1, got {jobs}")
     tasks = contraction_tasks(max_n, max_degree)
@@ -99,12 +100,12 @@ def contracted_suite(max_n=4, max_degree=4, jobs=1):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for report in pool.map(run_contraction_task, tasks):
-                checks.extend(report)
+            for task_checks in pool.map(run_contraction_task, tasks):
+                checks.extend(task_checks)
     else:
         for task in tasks:
             checks.extend(run_contraction_task(task))
-    return Report("contraction suite", [Check(*c) for c in checks])
+    return Report("contraction suite", checks)
 
 
 def contraction_tasks(max_n, max_degree):
@@ -142,7 +143,7 @@ def run_contraction_task(task):
     cplx = complex_by_tag(tag, n)
     report = verify_contracted(cplx, max_degree)
     return [
-        (f"{cplx.name}: {c.name}", c.ok, c.counterexample, c.checked)
+        Check(f"{cplx.name}: {c.name}", c.ok, c.counterexample, c.checked)
         for c in report.checks
     ]
 
@@ -281,6 +282,38 @@ def iso_suite(max_n=4, max_k=3):
 # -- TR / PR suite ----------------------------------------------------------------------
 
 
+def roundtrip_check(flavor, n, max_degree, ring=ZZ):
+    """TR . PR = Id and the fundamental-simplex dichotomy, exhaustively."""
+    S = surjection_complex(flavor, n)
+    gens = [gen for k in range(max_degree + 1) for gen in S.basis(k)]
+
+    def roundtrip():
+        for gen in gens:
+            x = S.el(ring, gen)
+            yield gen, table_reduction(flavor, prism_map(flavor, x)) == x
+
+    def dichotomy():
+        E = sym_eg(n)
+        for gen in gens:
+            fund = fundamental_simplex(gen)
+            for _, simplex in prism_terms(gen):
+                if E.normalize(simplex) is None:
+                    continue
+                tr = table_reduction(flavor, E.el(ring, simplex))
+                ok = tr == S.el(ring, gen) if simplex == fund else tr.is_zero()
+                yield (gen, simplex), ok
+
+    checks = [first_fail(f"TR.PR = Id on S^{flavor}({n}), k<={max_degree}", roundtrip())]
+    if flavor == "bf":
+        checks.append(
+            first_fail(
+                f"fundamental-simplex dichotomy on S^bf({n}), k<={max_degree}",
+                dichotomy(),
+            )
+        )
+    return Report(f"TR/PR roundtrip S^{flavor}({n})", checks)
+
+
 def trpr_suite(max_n=4, max_k=3):
     checks = []
     for flavor in ("bf", "ms", "aj"):
@@ -293,7 +326,7 @@ def trpr_suite(max_n=4, max_k=3):
             for n in (2, 3):
                 E = sym_eg(n)
                 std = table_reduction_standard(flavor, n)
-                for k in range(0, 3):
+                for k in range(max_k + 1):
                     for gen in E.basis(k):
                         x = E.el(ZZ, gen)
                         tr = table_reduction(flavor, x)
@@ -740,6 +773,9 @@ SUITES = {
 
 
 def run_suite(name, **kw):
+    for key in ("n", "max_degree", "m"):
+        if kw.get(key, 0) < 0:
+            raise InvalidInput(f"{key} must be >= 0, got {kw[key]}")
     if name == "all":
         checks = []
         for key in SUITES:

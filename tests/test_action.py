@@ -429,6 +429,15 @@ def test_face_table_validation():
         {"dim": 0, "simplices": [{"id": "v"}]},
         {"dim": 0, "simplices": ["v"]},
         [],
+        # dims are non-negative ints, faces a list, ids and faces hashable
+        {"dim": 0, "simplices": [{"id": "v", "dim": "0"}]},
+        {"dim": 0, "simplices": [{"id": "v", "dim": -1}]},
+        {"dim": 0, "simplices": [{"id": "v", "dim": 0.0}]},
+        {"dim": 0, "simplices": [{"id": "v", "dim": False}]},
+        {"dim": 0, "simplices": [{"id": "v", "dim": 0, "faces": 5}]},
+        {"dim": 0, "simplices": [{"id": ["v"], "dim": 0}]},
+        {"dim": 0, "simplices": [{"id": {}, "dim": 0}]},
+        {"dim": 1, "simplices": [{"id": "e", "dim": 1, "faces": [["a"], None]}]},
     ):
         with pytest.raises(InvalidInput):
             FaceTable(data)

@@ -278,9 +278,21 @@ def test_cli_eval_cochain_invalid_input(tmp_path):
             {"id": 2, "dim": 1, "faces": [1, 0]},
         ],
     }
-    for faces in ({"simplices": []}, integer_ids):
+    # a simplex dim that is not a non-negative int, faces that are not a
+    # list, and an id or a face entry that is a list
+    malformed = [
+        {"id": "x", "dim": "0"},
+        {"id": "x", "dim": -1},
+        {"id": "x", "dim": 1.0, "faces": ["v1", "v2"]},
+        {"id": "x", "dim": True, "faces": ["v1", "v2"]},
+        {"id": "x", "dim": 0, "faces": 5},
+        {"id": ["x"], "dim": 0},
+        {"id": "x", "dim": 1, "faces": [["v1"], "v0"]},
+    ]
+    records = [{"dim": 2, "simplices": TRIANGLE["simplices"] + [r]} for r in malformed]
+    for faces in [{"simplices": []}, integer_ids] + records:
         out = eval_cochain(tmp_path, faces)
-        assert out.returncode == 2 and out.stderr.startswith("error: ")
+        assert out.returncode == 2 and out.stderr.startswith("error: "), faces
         assert "Traceback" not in out.stderr
     # cochain files without an integer degree and an object of integer values
     for alpha in (
@@ -313,6 +325,10 @@ MALFORMED = {
     "constant-m-negative": ("constant", "--m", "-1", "--p", "3"),
     "verify-max-degree-negative": ("verify", "--suite", "contracted", "--max-degree", "-1"),
     "verify-jobs-0": ("verify", "--suite", "contracted", "--jobs", "0"),
+    "verify-trpr-max-degree-negative": ("verify", "--suite", "trpr", "--max-degree", "-1"),
+    "verify-signs-n-negative": ("verify", "--suite", "signs", "--n", "-3"),
+    "verify-isos-max-degree-negative": ("verify", "--suite", "isos", "--max-degree", "-2"),
+    "verify-action-m-negative": ("verify", "--suite", "action", "--m", "-1"),
     "term-guard-0": ("boundary", "--flavor", "bf", "--n", "3", "--term-guard", "0", "(1,2,1,3)"),
     "term-guard-negative": ("boundary", "--flavor", "bf", "--n", "3", "--term-guard", "-1", "(1,2,1,3)"),
     "faces-missing": EVAL + ("--faces", "{missing}", "--cochains", "{a}", "{a}"),

@@ -7,13 +7,13 @@ from chainops.morphisms import (
     fundamental_simplex,
     prism_map,
     prism_terms,
-    roundtrip_check,
     table_reduction,
     table_reduction_standard,
 )
 from chainops.perms import Perm, all_perms
 from chainops.procedure import StandardMap
 from chainops.rings import ZZ
+from chainops.suites import roundtrip_check
 from chainops.surjections import is_basis_gen, iso, sign_c, surjection_complex
 
 GOLDEN12 = (2, 1, 2, 3, 4, 2, 3, 1, 5, 4, 1, 2)
