@@ -221,15 +221,51 @@ class FaceTable:
                         f"face {f!r} of simplex {sid!r} is not a simplex of dimension {want}"
                     )
         self._by_dim = None
+        self._cofaces = {}
 
-    def simplices(self, dim=None):
-        """Simplex ids ordered by str(id), all of them or those of one
-        dimension; the order is computed once, on first use."""
+    def _ordered(self, dim):
+        """The list behind simplices(dim), computed once, on first use."""
         if self._by_dim is None:
             self._by_dim = {None: sorted(self.dims, key=str)}
             for sid in self._by_dim[None]:
                 self._by_dim.setdefault(self.dims[sid], []).append(sid)
-        return iter(self._by_dim.get(dim, ()))
+        return self._by_dim.get(dim, ())
+
+    def simplices(self, dim=None):
+        """Simplex ids ordered by str(id), all of them or those of one
+        dimension; the order is computed once, on first use."""
+        return iter(self._ordered(dim))
+
+    def count(self, dim):
+        """The number of simplices of one dimension."""
+        return len(self._ordered(dim))
+
+    def cofaces(self, d, walks, support):
+        """The d-simplices, in simplices(d) order, that one of the deletion
+        walks (model vertices to delete, highest first) takes into support.
+
+        Each walk is _evaluate's: a null face ends it, and the simplex is
+        then no coface.  The index of a walk, from each face it reaches to
+        the positions of the d-simplices that land there, holds one entry
+        per d-simplex; it is built on first use and kept with the table.
+        """
+        faces = self.faces
+        ordered = self._ordered(d)
+        positions = set()
+        for walk in walks:
+            index = self._cofaces.get((d, walk))
+            if index is None:
+                index = self._cofaces[d, walk] = {}
+                for pos, t in enumerate(ordered):
+                    for v in walk:
+                        t = faces[t][v]
+                        if t is None:
+                            break
+                    if t is not None:
+                        index.setdefault(t, []).append(pos)
+            for t in support:
+                positions.update(index.get(t, ()))
+        return [ordered[pos] for pos in sorted(positions)]
 
     def face(self, sid, j):
         return self.faces[sid][j]
@@ -237,7 +273,8 @@ class FaceTable:
     def subface(self, sid, vertices):
         """The iterated face of sid spanned by a vertex subset of its model."""
         d = self.dims[sid]
-        missing = [v for v in range(d + 1) if v not in set(vertices)]
+        keep = set(vertices)
+        missing = [v for v in range(d + 1) if v not in keep]
         for v in reversed(missing):
             if sid is None:
                 return None
@@ -291,7 +328,8 @@ def _pairing_plan(x, cochains, d):
 
 def _evaluate(plan, table, sid):
     """< Phi(x (x) alpha_1 (x) ... (x) alpha_n), sid > before normalisation,
-    for a simplex of the dimension the plan was made for."""
+    for a simplex of the dimension the plan was made for.  Its deletion walk
+    is FaceTable.cofaces's, inlined; the two change together."""
     outer, terms = plan
     faces = table.faces
     total = 0
@@ -328,18 +366,45 @@ def cochain_evaluate(x, cochains, table, sid, ring=ZZ):
     return ring.normalize(_evaluate(plan, table, sid))
 
 
+# A sparsest operand nonzero on more than this share of the simplices of
+# its degree is dense: dual_operation scans instead of building an index,
+# since past about this share the scan is the cheaper of the two.
+DENSE_SHARE = 0.4
+
+
+def _candidates(plan, cochains, table, d):
+    """The d-simplices, in table order, outside which the plan sums to 0.
+
+    Every term is a product with one factor per cochain, so a term is 0 on
+    a simplex unless the deletion walk of the sparsest cochain's factor
+    lands in that cochain's support.  When that cochain is dense, the
+    candidates are all d-simplices, and no index is built.
+    """
+    sizes = [len(a.values) - list(a.values.values()).count(0) for a in cochains]
+    i = min(range(len(cochains)), key=sizes.__getitem__)
+    sparsest = cochains[i]
+    if sizes[i] > DENSE_SHARE * table.count(sparsest.degree):
+        return table.simplices(d)
+    if not sizes[i]:
+        return ()
+    support = [sid for sid, v in sparsest.values.items() if v]
+    walks = {factors[i][1] for _, factors in plan[1]}
+    return table.cofaces(d, walks, support)
+
+
 def dual_operation(x, cochains, table, ring=ZZ):
     """The cochain Phi(x (x) alpha_1 ... alpha_n) as a Cochain on the table.
 
     The bulk path: bf_action(x, d) is computed once for the output
-    dimension d and evaluated on every simplex of that dimension.
+    dimension d and evaluated on the simplices of that dimension where it
+    can be nonzero (see _candidates), in table order.
     """
     _check_operands(x, cochains)
     out_dim = sum(a.degree for a in cochains) - x.degree
     values = {}
     if out_dim >= 0:
         plan = _pairing_plan(x, cochains, out_dim)
-        for sid in table.simplices(out_dim):
+        for sid in _candidates(plan, cochains, table, out_dim):
             v = ring.normalize(_evaluate(plan, table, sid))
             if v:
                 values[sid] = v

@@ -152,7 +152,7 @@ class SurjectionComplex(ChainComplex):
         if self.flavor == "bf":
             return [(1, image)]
         if self.flavor == "aj":
-            return [(g.parity(), image)]
+            return [(aj_action_sign(g), image)]
         return [(mu_sign(g, gen), image)]
 
     def action_law(self):
@@ -329,6 +329,13 @@ def prism_perm(x):
 def sign_p(x):
     """The prism orientation sign p(x) = tau(p_x)."""
     return prism_perm(x).parity()
+
+
+@lru_cache(maxsize=SIGN_MEMO)
+def aj_action_sign(g):
+    """The aj action's sign tau(g), memoized within the same bound: a sweep
+    acts by the same n - 1 Coxeter generators on every generator."""
+    return g.parity()
 
 
 _ISO_SIGN = {

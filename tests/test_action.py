@@ -296,23 +296,27 @@ def test_cup_one_coboundary_identity():
                     assert lhs == rhs.values, (p, q, alpha.values, beta.values)
 
 
-# the 3-simplex on vertices 0..3, plus a triangle c = (0, 1, 1) whose
-# 0-th face is the degenerate edge (1, 1)
-SIMPLEX3 = {
-    "dim": 3,
-    "simplices": [
-        {
-            "id": "".join(map(str, s)),
-            "dim": len(s) - 1,
-            "faces": ["".join(map(str, s[:j] + s[j + 1 :])) for j in range(len(s))]
-            if len(s) > 1
-            else [],
-        }
-        for k in range(1, 5)
-        for s in combinations(range(4), k)
-    ]
-    + [{"id": "c", "dim": 2, "faces": [None, "01", "01"]}],
-}
+def simplex_with_null(m):
+    """The m-simplex on vertices 0..m, plus a triangle c = (0, 1, 1) whose
+    0-th face is the degenerate edge (1, 1)."""
+    return {
+        "dim": m,
+        "simplices": [
+            {
+                "id": "".join(map(str, s)),
+                "dim": len(s) - 1,
+                "faces": ["".join(map(str, s[:j] + s[j + 1 :])) for j in range(len(s))]
+                if len(s) > 1
+                else [],
+            }
+            for k in range(1, m + 2)
+            for s in combinations(range(m + 1), k)
+        ]
+        + [{"id": "c", "dim": 2, "faces": [None, "01", "01"]}],
+    }
+
+
+SIMPLEX3 = simplex_with_null(3)
 
 
 def dual_operation_oracle(x, cochains, tab, ring):
@@ -365,6 +369,65 @@ def test_dual_operation_against_per_simplex_oracle():
                     for sid in by_dim[got.degree]:
                         value = cochain_evaluate(x, cochains, tab, sid, ring)
                         assert value == want.get(sid, 0)
+
+
+def sparse_cochain(rng, tab, d):
+    """1-3 nonzero values on simplices of dimension d, and explicit 0s."""
+    sids = [sid for sid in tab.simplices(d)]
+    chosen = rng.sample(sids, min(len(sids), rng.randint(2, 5)))
+    nonzero = rng.randint(1, min(3, len(chosen)))
+    values = {sid: 0 for sid in chosen[nonzero:]}
+    values.update((sid, rng.choice((-3, -2, -1, 1, 2, 3))) for sid in chosen[:nonzero])
+    return Cochain(d, dict(rng.sample(sorted(values.items()), len(values))))
+
+
+def test_dual_operation_on_sparse_supports_against_oracle():
+    """The cofaces of the sparsest support give the scan's values, in table
+    order, also through a null face (SIMPLEX3's c) and on a table large
+    enough that every degree from 1 to 3 takes the index."""
+    rng = random.Random(13)
+    for tab in (FaceTable(SIMPLEX3), FaceTable(simplex_with_null(5))):
+        for ring in (ZZ, GF(3)):
+            for n in (2, 3):
+                for k in (0, 1, 2):
+                    x = Element(
+                        S(n), ring, k, [(rng.randint(1, 4), g) for g in S(n).basis(k)]
+                    )
+                    for degrees in product(range(4), repeat=n):
+                        if not 0 <= sum(degrees) - k <= 3:
+                            continue
+                        cochains = [sparse_cochain(rng, tab, d) for d in degrees]
+                        want = dual_operation_oracle(x, cochains, tab, ring)
+                        got = dual_operation(x, cochains, tab, ring)
+                        assert got.degree == sum(degrees) - k
+                        assert list(got.values.items()) == list(want.items())
+        # the index served every positive output dimension, and each walk's
+        # index holds one entry per d-simplex at most
+        assert {d for d, _ in tab._cofaces} >= {1, 2, 3}
+        for (d, walk), index in tab._cofaces.items():
+            positions = [pos for block in index.values() for pos in block]
+            assert len(positions) == len(set(positions)) <= tab.count(d)
+
+
+def test_dense_operand_scans_and_builds_no_index():
+    """A sparsest operand nonzero on most simplices of its degree (as the
+    benchmark's xy op is, 315 of 405 edges) takes the scan: no index."""
+    tab = FaceTable(simplex_with_null(5))
+    x = S(2).el(ZZ, (1, 2, 1))
+    edges = list(tab.simplices(1))
+    dense = Cochain(1, {sid: i + 1 for i, sid in enumerate(edges)})
+    # 11 of 15 edges nonzero, the other 4 explicit zeros
+    mostly = Cochain(1, {sid: int(i % 4 != 0) for i, sid in enumerate(edges)})
+    for cochains in ([dense, dense], [dense, mostly], [mostly, mostly]):
+        got = dual_operation(x, cochains, tab)
+        assert got.values
+        assert list(got.values.items()) == list(
+            dual_operation_oracle(x, cochains, tab, ZZ).items()
+        )
+    assert tab._cofaces == {}
+    sparse = Cochain(1, {edges[0]: 1, edges[1]: 0})
+    dual_operation(x, [dense, sparse], tab)
+    assert tab._cofaces
 
 
 def test_cochain_operands_are_validated():

@@ -2,10 +2,13 @@
 
     python3 tools/bench_pairs.py --pr 7 --base HEAD~1
 
-The change side is the working tree this script lives in; the parent side
-is the committed tree of --base, extracted with `git archive` into a
-temporary directory that is removed at the end (an archive, not a git
-worktree, so an interrupted run leaves nothing in .git).  For pair i
+The parent side is the committed tree of --base, extracted with `git
+archive`; the change side is a snapshot of the working tree this script
+lives in: its tracked files with their uncommitted edits and its untracked
+files that are not ignored.  Both are unpacked into one temporary directory
+that is removed at the end (an archive, not a git worktree, so an
+interrupted run leaves nothing in .git), so neither side starts with the
+bytecode of an earlier run.  For pair i
 (seed i, i = 1..PAIRS) and every workload of BENCHMARK.json, each side
 runs its benchmark command from its own tree, S being its run_seconds,
 
@@ -34,6 +37,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -67,6 +71,24 @@ def extract(rev, dest):
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(tree, filter="data")
     return tree
+
+
+def snapshot(dest):
+    """The working tree as it stands, copied under dest: tracked files with
+    their uncommitted edits, and untracked files that are not ignored."""
+    tree = Path(dest) / "tree"
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in listed.split("\0"):
+        source = ROOT / name
+        # a tracked file deleted in the working tree is left out
+        if name and source.is_file():
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, tree / name)
+    return tree
+
+
+def side_trees(base_rev, tmp):
+    return {"parent": extract(base_rev, Path(tmp) / "parent"), "change": snapshot(Path(tmp) / "change")}
 
 
 def run_once(tree, command, workload, seed, seconds):
@@ -124,7 +146,7 @@ def time_tests(nodeids, base_rev):
     """The "tests" entry: each node id timed alone, TEST_PAIRS alternating pairs."""
     runs = {t: {"parent": [], "change": []} for t in nodeids}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {"parent": extract(base_rev, tmp), "change": ROOT}
+        trees = side_trees(base_rev, tmp)
         for pair in range(1, TEST_PAIRS + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for t in nodeids:
@@ -174,7 +196,7 @@ def main(argv=None):
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = {w: {"parent": [], "change": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {"parent": extract(base_rev, tmp), "change": ROOT}
+        trees = side_trees(base_rev, tmp)
         for seed in range(1, PAIRS + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for w in workloads:
