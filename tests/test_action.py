@@ -373,7 +373,7 @@ def test_dual_operation_against_per_simplex_oracle():
 
 def sparse_cochain(rng, tab, d):
     """1-3 nonzero values on simplices of dimension d, and explicit 0s."""
-    sids = [sid for sid in tab.simplices(d)]
+    sids = list(tab.simplices(d))
     chosen = rng.sample(sids, min(len(sids), rng.randint(2, 5)))
     nonzero = rng.randint(1, min(3, len(chosen)))
     values = {sid: 0 for sid in chosen[nonzero:]}
