@@ -10,6 +10,7 @@ from chainops.action import (
     BFActionStandard,
     Cochain,
     FaceTable,
+    _generator_plan,
     bf_action,
     bf_action_standard,
     bf_action_terms,
@@ -23,7 +24,7 @@ from chainops.action import (
 )
 from chainops.complexes import act, boundary
 from chainops.elements import Element
-from chainops.errors import InvalidInput
+from chainops.errors import GuardExceeded, InvalidInput, set_term_guard, term_guard
 from chainops.groups import SymmetricGroup
 from chainops.minimal import minimal_complex
 from chainops.perms import Perm
@@ -320,20 +321,24 @@ SIMPLEX3 = simplex_with_null(3)
 
 
 def dual_operation_oracle(x, cochains, tab, ring):
-    """dual_operation recomputed from bf_action(x, d) for each simplex and
-    the public FaceTable.subface, independently of the evaluation plan."""
+    """dual_operation recomputed from one bf_action(x, d) and the public
+    FaceTable.subface on each simplex, independently of the evaluation plan."""
     out_dim = sum(a.degree for a in cochains) - x.degree
+    if out_dim < 0:
+        return {}
+    terms = []
+    for gen, coeff in bf_action(x, out_dim).terms.items():
+        dims = [len(f) - 1 for f in gen]
+        if dims != [a.degree for a in cochains]:
+            continue
+        odd = sum(t % 2 for t in dims)
+        terms.append((coeff * (-1) ** (odd * (odd - 1) // 2), gen))
     values = {}
     for sid in sorted(tab.dims, key=str):
         if tab.dims[sid] != out_dim:
             continue
         total = 0
-        for gen, coeff in bf_action(x, out_dim).terms.items():
-            dims = [len(f) - 1 for f in gen]
-            if dims != [a.degree for a in cochains]:
-                continue
-            odd = sum(t % 2 for t in dims)
-            prod = coeff * (-1) ** (odd * (odd - 1) // 2)
+        for prod, gen in terms:
             for f, a in zip(gen, cochains):
                 face = tab.subface(sid, f)
                 prod *= 0 if face is None else a(face)
@@ -428,6 +433,88 @@ def test_dense_operand_scans_and_builds_no_index():
     sparse = Cochain(1, {edges[0]: 1, edges[1]: 0})
     dual_operation(x, [dense, sparse], tab)
     assert tab._cofaces
+
+
+def test_term_guard_trips_where_bf_action_does():
+    """dual_operation and cochain_evaluate check the term guard on the
+    counts bf_action(x, d) checks: one below its term count they raise its
+    message, at that count they pass, with the plan memo cold or warm."""
+    tab = FaceTable(simplex_with_null(5))
+    cases = (
+        (S(2).el(ZZ, (1, 2, 1)), (2, 2)),
+        (boundary(S(3).el(ZZ, (1, 2, 1, 3), 2)), (1, 1, 2)),
+    )
+    old = term_guard()
+    try:
+        for x, degrees in cases:
+            d = sum(degrees) - x.degree
+            cochains = [Cochain(k, {sid: 1 for sid in tab.simplices(k)}) for k in degrees]
+            sid = next(tab.simplices(d))
+            set_term_guard(old)
+            count = len(bf_action(x, d).terms)
+            set_term_guard(count - 1)
+            with pytest.raises(GuardExceeded) as want:
+                bf_action(x, d)
+            for call in (
+                lambda: dual_operation(x, cochains, tab),
+                lambda: cochain_evaluate(x, cochains, tab, sid),
+            ):
+                # the cold pass at the full count leaves x's plans in the memo
+                for warm in (False, True):
+                    if not warm:
+                        _generator_plan.cache_clear()
+                    set_term_guard(count - 1)
+                    with pytest.raises(GuardExceeded) as got:
+                        call()
+                    assert str(got.value) == str(want.value)
+                    if not warm:
+                        _generator_plan.cache_clear()
+                    set_term_guard(count)
+                    call()
+    finally:
+        set_term_guard(old)
+
+
+def test_plan_memo_serves_every_ring():
+    """Plans memoized over GF(2) give the oracle's values over ZZ and GF(3),
+    in value order, without a miss, and the values a cold memo gives; the
+    same generators meet several output dimensions.  The memo is bounded."""
+    assert _generator_plan.cache_info().maxsize is not None
+    rng = random.Random(29)
+    tab = FaceTable(simplex_with_null(5))
+    cases = []
+    for n, k, dims in ((2, 0, (1, 2, 3)), (2, 1, (1, 2, 3)), (2, 2, (1, 2, 3)), (3, 1, (2, 3))):
+        gens = list(S(n).basis(k))
+        coeffs = [rng.randint(1, 4) for _ in gens]
+        for d in dims:
+            degrees = rng.choice(
+                [ds for ds in product(range(4), repeat=n) if sum(ds) - k == d]
+            )
+            cochains = [
+                Cochain(e, {sid: rng.randint(-3, 3) for sid in tab.simplices(e)})
+                for e in degrees
+            ]
+            cases.append((n, k, list(zip(coeffs, gens)), cochains))
+    results = {}
+    for ring in (ZZ, GF(3)):
+        for i, (n, k, pairs, cochains) in enumerate(cases):
+            _generator_plan.cache_clear()
+            x = Element(S(n), ring, k, pairs)
+            results[ring, i] = list(dual_operation(x, cochains, tab, ring).values.items())
+    _generator_plan.cache_clear()
+    for n, k, pairs, cochains in cases:
+        x = Element(S(n), GF(2), k, [(1, g) for _, g in pairs])
+        dual_operation(x, cochains, tab, GF(2))
+    misses = _generator_plan.cache_info().misses
+    for ring in (ZZ, GF(3)):
+        for i, (n, k, pairs, cochains) in enumerate(cases):
+            x = Element(S(n), ring, k, pairs)
+            want = dual_operation_oracle(x, cochains, tab, ring)
+            got = dual_operation(x, cochains, tab, ring)
+            assert list(got.values.items()) == list(want.items()) == results[ring, i]
+            for sid in tab.simplices(got.degree):
+                assert cochain_evaluate(x, cochains, tab, sid, ring) == want.get(sid, 0)
+    assert _generator_plan.cache_info().misses == misses
 
 
 def test_cochain_operands_are_validated():

@@ -315,6 +315,18 @@ def test_cli_eval_cochain_invalid_input(tmp_path):
     assert out.returncode == 0 and out.stdout.strip() == "-1"
 
 
+def test_cli_eval_cochain_term_guard(tmp_path):
+    """eval-cochain trips the term guard one below bf_action's term count."""
+    from chainops.action import bf_action
+
+    count = len(bf_action(surjection_complex("bf", 2).el(ZZ, (1, 2)), 2).terms)
+    out = eval_cochain(tmp_path, TRIANGLE, "--term-guard", str(count - 1))
+    assert out.returncode == 3
+    assert out.stderr == f"error: formal sum holds {count} terms, above the guard {count - 1}\n"
+    out = eval_cochain(tmp_path, TRIANGLE, "--term-guard", str(count))
+    assert out.returncode == 0
+
+
 EVAL = ("eval-cochain", "--n", "2", "--x", "(1,2)")
 MALFORMED = {
     "act-eg-letter": ("act", "--eg", "3", "--g", "2 x 1", "(1 2 3)"),
