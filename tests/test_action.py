@@ -324,8 +324,6 @@ def dual_operation_oracle(x, cochains, tab, ring):
     """dual_operation recomputed from one bf_action(x, d) and the public
     FaceTable.subface on each simplex, independently of the evaluation plan."""
     out_dim = sum(a.degree for a in cochains) - x.degree
-    if out_dim < 0:
-        return {}
     terms = []
     for gen, coeff in bf_action(x, out_dim).terms.items():
         dims = [len(f) - 1 for f in gen]
