@@ -9,7 +9,8 @@ pushed forward from their models is kept alongside as the oracle.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
+from operator import add, mul, neg
 
 from .complexes import boundary
 from .elements import Element, add_terms, built, collect, reduce_terms
@@ -180,7 +181,17 @@ def steenrod_constant(m, p):
 
 class FaceTable:
     """A finite simplicial-set fragment: nondegenerate simplices with ids,
-    dimensions, and ordered face ids (null marks a degenerate face)."""
+    dimensions, and ordered face ids (null marks a degenerate face, so no
+    simplex may have a null id).
+
+    Cochain operations reach the faces of a simplex by deletion walks: a
+    walk is the model vertices to delete, highest first, and steps from a
+    simplex to its face at each of them in turn; a null face ends it.
+    walk() is the one walk routine.  From it the table builds, on first use
+    and never in __init__, a walk map per (dimension, walk), and from a
+    walk map the coface index of cofaces(); both are kept with the table.
+    subface() is a separate walk, the one the oracle of the tests takes.
+    """
 
     def __init__(self, data):
         try:
@@ -195,6 +206,8 @@ class FaceTable:
                 sid, dim = s["id"], s["dim"]
             except (KeyError, TypeError):
                 raise InvalidInput(f"simplex {s!r} needs an 'id' and a 'dim'") from None
+            if sid is None:
+                raise InvalidInput(f"simplex {s!r} has a null id; null marks a degenerate face")
             faces = s.get("faces", [])
             if type(dim) is not int or dim < 0:
                 raise InvalidInput(f"simplex {sid!r} needs a non-negative integer 'dim'")
@@ -221,6 +234,7 @@ class FaceTable:
                         f"face {f!r} of simplex {sid!r} is not a simplex of dimension {want}"
                     )
         self._by_dim = None
+        self._walks = {}
         self._cofaces = {}
 
     def _ordered(self, dim):
@@ -240,32 +254,45 @@ class FaceTable:
         """The number of simplices of one dimension."""
         return len(self._ordered(dim))
 
-    def cofaces(self, d, walks, support):
-        """The d-simplices, in simplices(d) order, that one of the deletion
-        walks (model vertices to delete, highest first) takes into support.
-
-        Each walk is _evaluate's: a null face ends it, and the simplex is
-        then no coface.  The index of a walk, from each face it reaches to
-        the positions of the d-simplices that land there, holds one entry
-        per d-simplex; it is built on first use and kept with the table.
-        """
+    def walk(self, sid, walk):
+        """The face a deletion walk (model vertices to delete, highest
+        first) reaches from sid, or None where a null face ends it."""
         faces = self.faces
-        ordered = self._ordered(d)
+        for v in walk:
+            sid = faces[sid][v]
+            if sid is None:
+                return None
+        return sid
+
+    def walk_map(self, d, walk):
+        """walk() from every d-simplex: the list of the faces it reaches, in
+        simplices(d) order, with None where it ends.  Built on first use and
+        kept with the table."""
+        faces = self._walks.get((d, walk))
+        if faces is None:
+            faces = self._walks[d, walk] = [self.walk(t, walk) for t in self._ordered(d)]
+        return faces
+
+    def cofaces(self, d, walks, support):
+        """The positions in simplices(d), ascending, of the d-simplices that
+        one of the deletion walks takes into support.
+
+        The index of a walk, from each face it reaches to the positions of
+        the d-simplices that land there, is its walk map inverted: one entry
+        per d-simplex whose walk does not end; it is built on first use and
+        kept with the table.
+        """
         positions = set()
         for walk in walks:
             index = self._cofaces.get((d, walk))
             if index is None:
                 index = self._cofaces[d, walk] = {}
-                for pos, t in enumerate(ordered):
-                    for v in walk:
-                        t = faces[t][v]
-                        if t is None:
-                            break
+                for pos, t in enumerate(self.walk_map(d, walk)):
                     if t is not None:
                         index.setdefault(t, []).append(pos)
             for t in support:
                 positions.update(index.get(t, ()))
-        return [ordered[pos] for pos in sorted(positions)]
+        return sorted(positions)
 
     def face(self, sid, j):
         return self.faces[sid][j]
@@ -373,44 +400,30 @@ def _pairing_plan(x, cochains, d):
     return outer, terms
 
 
-def _evaluate(plan, table, sid):
-    """< Phi(x (x) alpha_1 (x) ... (x) alpha_n), sid > before normalisation,
-    for a simplex of the dimension the plan was made for.  Its deletion walk
-    is FaceTable.cofaces's, inlined; the two change together."""
-    outer, terms = plan
-    faces = table.faces
-    total = 0
-    for prod, factors in terms:
-        for values, deletions in factors:
-            t = sid
-            for v in deletions:
-                t = faces[t][v]
-                if t is None:
-                    break
-            if t is None:
-                prod = 0
-                break
-            prod *= values.get(t, 0)
-            if prod == 0:
-                break
-        total += prod
-    return outer * total
-
-
 def cochain_evaluate(x, cochains, table, sid, ring=ZZ):
     """< Phi(x (x) alpha_1 (x) ... (x) alpha_n), c >  for the simplex c = sid.
 
     Signs follow the preferred hom-complex convention: the outer factor
     (-1)^(|x|(1+|c|)) and the duality pairing sign (-1)^(l(l-1)/2) with l
     the number of odd-degree tensor factors.  Each call sums the memoized
-    plans of x's generators for |c|; to evaluate on many simplices use
-    dual_operation, which sums them once.
+    plans of x's generators for |c| and takes each factor's deletion walk
+    from sid with FaceTable.walk; to evaluate on many simplices use
+    dual_operation, which sums the plans once and reads the walks from the
+    table's walk maps.
     """
     _check_operands(x, cochains)
     if sid not in table.dims:
         raise InvalidInput(f"no simplex with id {sid!r} in the face table")
-    plan = _pairing_plan(x, cochains, table.dims[sid])
-    return ring.normalize(_evaluate(plan, table, sid))
+    outer, terms = _pairing_plan(x, cochains, table.dims[sid])
+    total = 0
+    for prod, factors in terms:
+        for values, walk in factors:
+            t = table.walk(sid, walk)
+            prod = 0 if t is None else prod * values.get(t, 0)
+            if not prod:
+                break
+        total += prod
+    return ring.normalize(outer * total)
 
 
 # A sparsest operand nonzero on more than this share of the simplices of
@@ -420,7 +433,8 @@ DENSE_SHARE = 0.4
 
 
 def _candidates(plan, cochains, table, d):
-    """The d-simplices, in table order, outside which the plan sums to 0.
+    """The positions in simplices(d), ascending, outside which the plan
+    sums to 0.
 
     Every term is a product with one factor per cochain, so a term is 0 on
     a simplex unless the deletion walk of the sparsest cochain's factor
@@ -431,7 +445,7 @@ def _candidates(plan, cochains, table, d):
     i = min(range(len(cochains)), key=sizes.__getitem__)
     sparsest = cochains[i]
     if sizes[i] > DENSE_SHARE * table.count(sparsest.degree):
-        return table.simplices(d)
+        return range(table.count(d))
     if not sizes[i]:
         return ()
     support = [sid for sid, v in sparsest.values.items() if v]
@@ -439,23 +453,55 @@ def _candidates(plan, cochains, table, d):
     return table.cofaces(d, walks, support)
 
 
+def _pull_back(values, faces, positions):
+    """A cochain's values on the faces a walk map gives at the candidate
+    positions (all of them, or a sorted subset), 0 where the walk ends."""
+    if len(positions) < len(faces):
+        faces = [faces[pos] for pos in positions]
+    if None in values:
+        # no simplex has a null id: None in a walk map only ends the walk
+        values = {sid: v for sid, v in values.items() if sid is not None}
+    return list(map(values.get, faces, repeat(0)))
+
+
 def dual_operation(x, cochains, table, ring=ZZ):
     """The cochain Phi(x (x) alpha_1 ... alpha_n) as a Cochain on the table.
 
-    The bulk path: the pairing plan of x for the output dimension d is
-    summed once from the memoized plans of x's generators and evaluated on
-    the simplices of that dimension where it can be nonzero (see
-    _candidates), in table order.
+    The bulk path, one column at a time.  The pairing plan of x for the
+    output dimension d is summed once from the memoized plans of x's
+    generators.  For each factor position and deletion walk the plan uses,
+    that factor's cochain is pulled back once, through the table's walk
+    map, to a column over the candidate d-simplices (see _candidates: the
+    cofaces of the sparsest support, or all d-simplices); each term is the
+    product of its factors' columns times its coefficient, and the terms
+    are summed column-wise in exact integers.  The totals are normalised
+    in the ring, and the nonzero ones kept in table order.
     """
     _check_operands(x, cochains)
     out_dim = sum(a.degree for a in cochains) - x.degree
     values = {}
     if out_dim >= 0:
         plan = _pairing_plan(x, cochains, out_dim)
-        for sid in _candidates(plan, cochains, table, out_dim):
-            v = ring.normalize(_evaluate(plan, table, sid))
-            if v:
-                values[sid] = v
+        outer, terms = plan
+        positions = _candidates(plan, cochains, table, out_dim)
+        if positions:
+            columns = {}
+            total = [0] * len(positions)
+            for c, factors in terms:
+                prod = None
+                for i, (vals, walk) in enumerate(factors):
+                    column = columns.get((i, walk))
+                    if column is None:
+                        column = columns[i, walk] = _pull_back(
+                            vals, table.walk_map(out_dim, walk), positions
+                        )
+                    prod = column if prod is None else map(mul, prod, column)
+                if c != 1:
+                    prod = map(mul, prod, repeat(c))
+                total = list(map(add, total, prod))
+            sids = map(table._ordered(out_dim).__getitem__, positions)
+            totals = map(ring.normalize, total if outer == 1 else map(neg, total))
+            values = {sid: v for sid, v in zip(sids, totals) if v}
     return Cochain(out_dim, values, _clean=True)
 
 

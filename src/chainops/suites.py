@@ -772,10 +772,20 @@ SUITES = {
 }
 
 
+# The smallest n each suite that reads n as an arity bound checks: below
+# it the suite's loops over arities are empty, and its checks would pass
+# having checked nothing.  "contracted" also reads n as a simplex dimension,
+# from 0, so every n >= 0 checks something there.
+MIN_N = {"signs": 2, "isos": 2, "trpr": 2, "action": 2}
+
+
 def run_suite(name, **kw):
     for key in ("n", "max_degree", "m"):
         if kw.get(key, 0) < 0:
             raise InvalidInput(f"{key} must be >= 0, got {kw[key]}")
+    least = max(MIN_N.values()) if name == "all" else MIN_N.get(name, 0)
+    if kw.get("n", least) < least:
+        raise InvalidInput(f"n must be >= {least} for suite {name!r}, got {kw['n']}")
     if name == "all":
         checks = []
         for key in SUITES:

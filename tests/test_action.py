@@ -433,6 +433,88 @@ def test_dense_operand_scans_and_builds_no_index():
     assert tab._cofaces
 
 
+def b_z2(m):
+    """B(Z/2) as a one-vertex face table up to dimension m: one simplex sN
+    per dimension N, whose faces d_0 and d_N are s(N-1) and whose inner
+    faces are null."""
+    return {
+        "dim": m,
+        "simplices": [
+            {
+                "id": f"s{k}",
+                "dim": k,
+                "faces": [f"s{k - 1}" if j in (0, k) else None for j in range(k + 1)]
+                if k
+                else [],
+            }
+            for k in range(m + 1)
+        ],
+    }
+
+
+def test_walk_map_agrees_with_subface():
+    """The walk map and the oracle's subface reach the same face from every
+    d-simplex, on every walk a plan uses and on every other vertex subset,
+    also through null faces.  On B(Z/2) both stop at an inner null face
+    today; a subface that goes on through it must take the walk along."""
+    for data in (SIMPLEX3, simplex_with_null(5), b_z2(5)):
+        tab = FaceTable(data)
+        for d in range(tab.dim + 1):
+            walks = {
+                tuple(v for v in range(d, -1, -1) if v not in kept)
+                for k in range(1, d + 2)
+                for kept in combinations(range(d + 1), k)
+            }
+            # every walk of a plan for this dimension is among them
+            for n, k in ((2, 0), (2, 1), (2, 2), (3, 1)):
+                for gen in S(n).basis(k):
+                    for _, _, (_, _, deletions) in _generator_plan(gen, d):
+                        assert set(deletions) <= walks
+            for walk in walks:
+                kept = [v for v in range(d + 1) if v not in walk]
+                faces = tab.walk_map(d, walk)
+                assert len(faces) == tab.count(d)
+                for sid, face in zip(tab.simplices(d), faces):
+                    assert face == tab.subface(sid, kept) == tab.walk(sid, walk)
+
+
+def test_repeated_and_equal_operands():
+    """One Cochain object passed twice, and two distinct cochains with equal
+    values, give the oracle's values in value order, dense and sparse."""
+    rng = random.Random(31)
+    tab = FaceTable(simplex_with_null(5))
+    for ring in (ZZ, GF(3)):
+        for gen, d in (((1, 2), 1), ((1, 2, 1), 2), ((1, 2), 2), ((1, 2, 1), 1)):
+            x = S(2).el(ring, gen, rng.randint(1, 4))
+            dense = {sid: rng.choice((-2, -1, 1, 2)) for sid in tab.simplices(d)}
+            for values in (dense, sparse_cochain(rng, tab, d).values):
+                alpha = Cochain(d, values)
+                for cochains in ([alpha, alpha], [alpha, Cochain(d, dict(values))]):
+                    want = dual_operation_oracle(x, cochains, tab, ring)
+                    got = dual_operation(x, cochains, tab, ring)
+                    assert list(got.values.items()) == list(want.items())
+        x = S(3).el(ring, (1, 2, 1, 3), 2)
+        alpha = Cochain(1, {sid: rng.randint(-3, 3) for sid in tab.simplices(1)})
+        beta = Cochain(1, dict(alpha.values))
+        for cochains in ([alpha, alpha, alpha], [alpha, beta, alpha]):
+            want = dual_operation_oracle(x, cochains, tab, ring)
+            assert want
+            assert list(dual_operation(x, cochains, tab, ring).values.items()) == list(want.items())
+
+
+def test_null_key_in_a_cochain_names_no_simplex():
+    """A walk map marks a walk that a null face ends with None, so a cochain
+    value keyed by None must not be read there: no simplex has a null id."""
+    tab = FaceTable(SIMPLEX3)
+    x = S(2).el(ZZ, (1, 2))
+    alpha = Cochain(1, {sid: 1 for sid in tab.simplices(1)})
+    haunted = Cochain(1, {**alpha.values, None: 5})
+    for cochains in ([haunted, haunted], [alpha, haunted]):
+        want = dual_operation_oracle(x, cochains, tab, ZZ)
+        assert list(dual_operation(x, cochains, tab).values.items()) == list(want.items())
+        assert cochain_evaluate(x, cochains, tab, "c") == want.get("c", 0)
+
+
 def test_term_guard_trips_where_bf_action_does():
     """dual_operation and cochain_evaluate check the term guard on the
     counts bf_action(x, d) checks: one below its term count they raise its
@@ -586,6 +668,9 @@ def test_face_table_validation():
         {"dim": 0, "simplices": [{"id": ["v"], "dim": 0}]},
         {"dim": 0, "simplices": [{"id": {}, "dim": 0}]},
         {"dim": 1, "simplices": [{"id": "e", "dim": 1, "faces": [["a"], None]}]},
+        # null marks a degenerate face, so no simplex may be called null
+        {"dim": 0, "simplices": [{"id": None, "dim": 0}]},
+        {"dim": 1, "simplices": [{"id": None, "dim": 0}, {"id": "e", "dim": 1, "faces": [None, None]}]},
     ):
         with pytest.raises(InvalidInput):
             FaceTable(data)

@@ -347,13 +347,16 @@ MALFORMED = {
     "faces-garbled": EVAL + ("--faces", "{garbled}", "--cochains", "{a}", "{a}"),
     "cochain-missing": EVAL + ("--faces", "{faces}", "--cochains", "{a}", "{missing}"),
     "cochain-garbled": EVAL + ("--faces", "{faces}", "--cochains", "{garbled}", "{a}"),
+    "faces-null-id": EVAL + ("--faces", "{nullid}", "--cochains", "{a}", "{a}"),
+    "verify-isos-n-1": ("verify", "--suite", "isos", "--n", "1"),
 }
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_cli_malformed_input_one_error_line(tmp_path, argv):
-    paths = {name: tmp_path / f"{name}.json" for name in ("faces", "a", "garbled", "missing")}
+    paths = {name: tmp_path / f"{name}.json" for name in ("faces", "a", "garbled", "missing", "nullid")}
     paths["faces"].write_text(json.dumps(TRIANGLE))
+    paths["nullid"].write_text(json.dumps({"dim": 0, "simplices": [{"id": None, "dim": 0}]}))
     paths["a"].write_text(json.dumps(ALPHA))
     paths["garbled"].write_text('{"degree": 1,')
     out = run_cli(*(arg.format(**paths) for arg in argv))

@@ -19,7 +19,7 @@ The output file, at the root of the working tree, holds per workload and
 end-to-end metric both sides' medians, quartiles and every run's value,
 the number of pairs the change won (ties count for neither), each run's
 correct/attempted/failed counts, the seeds, the run length and the
-machine.
+machine, with the PYTHONDONTWRITEBYTECODE setting the runs inherit.
 
     python3 tools/bench_pairs.py --pr 11 --base HEAD~1 --tests NODEID ...
 
@@ -133,6 +133,10 @@ def machine():
         "processor": model or platform.processor(),
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
+        # the runs inherit it: unset, they write bytecode and reuse it; set,
+        # every cli invocation recompiles the package, so cli figures from
+        # the two settings cannot be compared
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
     }
 
 
