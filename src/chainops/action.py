@@ -15,9 +15,6 @@ from operator import add, mul, neg
 from .complexes import boundary
 from .elements import Element, add_terms, built, collect, reduce_terms
 from .errors import InvalidInput, check_guard
-from .maclane import MacLaneComplex, cyc_eg, cyclic_into_symmetric, induced_map, sym_eg
-from .minimal import MinimalComplex, phi_to_EC
-from .morphisms import table_reduction
 from .perms import koszul_permute
 from .procedure import RecursiveMap
 from .rings import ZZ, _is_prime
@@ -149,9 +146,12 @@ def action_for(x, m):
         if src.flavor == "bf":
             return bf_action(x, m)
         return bf_action(iso(src.flavor, "bf", x), m)
-    if isinstance(src, MacLaneComplex):
-        from .groups import SymmetricGroup
+    from .groups import SymmetricGroup
+    from .maclane import MacLaneComplex, cyc_eg, cyclic_into_symmetric, induced_map, sym_eg
+    from .minimal import MinimalComplex, phi_to_EC
+    from .morphisms import table_reduction
 
+    if isinstance(src, MacLaneComplex):
         if not isinstance(src.group, SymmetricGroup):
             raise InvalidInput("action_for needs a symmetric MacLane model")
         return bf_action(table_reduction("bf", x), m)

@@ -1,5 +1,10 @@
 """Command-line front end: element expressions, JSON output, dispatch.
 
+A cold invocation pays for what it imports and builds.  The module level
+imports only what the package itself loads on import; each command
+imports the complex families and operations it runs, and only the named
+subcommand's parser gets its arguments.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 term guard tripped.  --term-guard (else the CHAINOPS_TERM_GUARD
 environment variable) bounds formal-sum sizes; it must be a positive
@@ -15,20 +20,8 @@ from .complexes import act, boundary, contract, tensor_elements, TensorComplex
 from .elements import built
 from .errors import GuardExceeded, InvalidInput
 from .groups import CyclicGroup, ProductGroup, SymmetricGroup
-from .maclane import aw_maclane, cyc_eg, ez_maclane, eg_diagonal, maclane_complex, sym_eg
-from .minimal import lambda_power, minimal_complex, multidiagonal_M, phi_to_EC, pi_from_EC
-from .morphisms import prism_map, table_reduction
 from .perms import Perm
 from .rings import GF, ZZ
-from .simplex import (
-    aw,
-    ez_element,
-    multidiagonal,
-    product_complex,
-    simplex_complex,
-    tensor_pair,
-)
-from .surjections import iso, surjection_complex
 
 # -- the element expression grammar ------------------------------------------------
 
@@ -161,16 +154,11 @@ class ElementParser:
         return self.build_gen(groups, commas, at)
 
     def complex_uses_groups(self):
-        from .maclane import MacLaneComplex
-
-        return isinstance(self.complex, MacLaneComplex)
+        return _of_family(self.complex, "maclane", "MacLaneComplex")
 
     def build_gen(self, groups, commas, at):
-        from .maclane import MacLaneComplex
-        from .minimal import MinimalComplex
-
         cplx = self.complex
-        if isinstance(cplx, MacLaneComplex):
+        if self.complex_uses_groups():
             group = cplx.group
             entries = []
             for g in groups:
@@ -188,11 +176,18 @@ class ElementParser:
                     raise ExprError(self.text, at, "unsupported MacLane group in CLI")
             return tuple(entries)
         values = [v for g in groups for v in g]
-        if isinstance(cplx, MinimalComplex):
+        if _of_family(cplx, "minimal", "MinimalComplex"):
             if len(values) != 2:
                 raise ExprError(self.text, at, "minimal generators are (i, k) pairs")
             return (values[0], values[1])
         return tuple(values)
+
+
+def _of_family(cplx, module, cls):
+    """isinstance(cplx, chainops.<module>.<cls>), without importing the
+    module: no complex is of a family whose module was never imported."""
+    family = sys.modules.get(f"{__package__}.{module}")
+    return family is not None and isinstance(cplx, getattr(family, cls))
 
 
 # -- complex selection -------------------------------------------------------------
@@ -226,17 +221,27 @@ def ring_of(args):
 
 
 def complex_of(args):
-    if args.flavor:
-        if not args.n:
+    if args.flavor is not None:
+        if args.n is None:
             raise InvalidInput("--flavor needs --n")
+        from .surjections import surjection_complex
+
         return surjection_complex(args.flavor, args.n)
-    if args.eg:
+    if args.eg is not None:
+        from .maclane import sym_eg
+
         return sym_eg(args.eg)
-    if args.cyclic:
+    if args.cyclic is not None:
+        from .maclane import cyc_eg
+
         return cyc_eg(args.cyclic)
-    if args.minimal:
+    if args.minimal is not None:
+        from .minimal import minimal_complex
+
         return minimal_complex(args.minimal)
     if args.simplex is not None:
+        from .simplex import simplex_complex
+
         return simplex_complex(args.simplex)
     raise InvalidInput(
         "select a complex: --flavor/--n, --eg, --cyclic, --minimal, or --simplex"
@@ -307,18 +312,26 @@ def cmd_act(args):
 
 
 def cmd_iso(args):
+    from .surjections import iso, surjection_complex
+
     cplx = surjection_complex(args.src, args.n)
     x = parse_in(args, args.expr, cplx)
     emit(args, iso(args.src, args.dst, x))
 
 
 def cmd_tr(args):
+    from .maclane import sym_eg
+    from .morphisms import table_reduction
+
     cplx = sym_eg(args.n)
     x = parse_in(args, args.expr, cplx)
     emit(args, table_reduction(args.flavor or "bf", x))
 
 
 def cmd_pr(args):
+    from .morphisms import prism_map
+    from .surjections import surjection_complex
+
     flavor = args.flavor or "bf"
     cplx = surjection_complex(flavor, args.n)
     x = parse_in(args, args.expr, cplx)
@@ -328,18 +341,22 @@ def cmd_pr(args):
 def _two_rows(args):
     ring = ring_of(args)
     if args.simplex is not None:
+        from .simplex import simplex_complex
+
         m1 = args.simplex
         m2 = args.simplex2 if args.simplex2 is not None else m1
         p1 = ElementParser(simplex_complex(m1), ring)
         row1 = p1.generator_only(args.a)
         row2 = ElementParser(simplex_complex(m2), ring).generator_only(args.b)
         return ("simplex", (m1, m2), row1, row2, ring)
-    if args.eg:
+    from .maclane import cyc_eg, sym_eg
+
+    if args.eg is not None:
         g1 = sym_eg(args.eg)
-        g2 = sym_eg(args.eg2 or args.eg)
-    elif args.cyclic:
+        g2 = sym_eg(args.eg2 if args.eg2 is not None else args.eg)
+    elif args.cyclic is not None:
         g1 = cyc_eg(args.cyclic)
-        g2 = cyc_eg(args.cyclic2 or args.cyclic)
+        g2 = cyc_eg(args.cyclic2 if args.cyclic2 is not None else args.cyclic)
     else:
         raise InvalidInput("aw/ez need --simplex or --eg/--cyclic")
     row1 = ElementParser(g1, ring).generator_only(args.a)
@@ -352,10 +369,14 @@ def cmd_aw(args):
     if len(row1) != len(row2):
         raise InvalidInput("aw needs rows of equal length")
     if kind == "simplex":
+        from .simplex import aw, product_complex
+
         m1, m2 = info
         cplx = product_complex(m1, m2)
         emit(args, aw(cplx.el(ring, (row1, row2))))
     else:
+        from .maclane import aw_maclane, maclane_complex
+
         g1, g2 = info
         prod = maclane_complex(ProductGroup((g1.group, g2.group)))
         gen = tuple(zip(row1, row2))
@@ -365,6 +386,8 @@ def cmd_aw(args):
 def cmd_ez(args):
     kind, info, row1, row2, ring = _two_rows(args)
     if kind == "simplex":
+        from .simplex import ez_element, simplex_complex, tensor_pair
+
         m1, m2 = info
         T = tensor_pair(m1, m2)
         x = tensor_elements(
@@ -374,6 +397,8 @@ def cmd_ez(args):
         )
         emit(args, ez_element(x))
     else:
+        from .maclane import ez_maclane
+
         g1, g2 = info
         T = TensorComplex((g1, g2))
         x = tensor_elements(T, g1.el(ring, row1), g2.el(ring, row2))
@@ -383,31 +408,40 @@ def cmd_ez(args):
 def cmd_diagonal(args):
     cplx = complex_of(args)
     x = parse_in(args, args.expr, cplx)
-    from .maclane import MacLaneComplex
-    from .minimal import MinimalComplex
-    from .simplex import SimplexComplex
+    if _of_family(cplx, "simplex", "SimplexComplex"):
+        from .simplex import multidiagonal
 
-    if isinstance(cplx, SimplexComplex):
         emit(args, multidiagonal(args.arity, x))
-    elif isinstance(cplx, MacLaneComplex):
+    elif _of_family(cplx, "maclane", "MacLaneComplex"):
+        from .maclane import eg_diagonal
+
         emit(args, eg_diagonal(x, args.arity))
-    elif isinstance(cplx, MinimalComplex):
+    elif _of_family(cplx, "minimal", "MinimalComplex"):
+        from .minimal import multidiagonal_M
+
         emit(args, multidiagonal_M(args.arity, x))
     else:
         raise InvalidInput(f"no diagonal for {cplx.name}")
 
 
 def cmd_phi_m(args):
+    from .minimal import minimal_complex, phi_to_EC
+
     x = parse_in(args, args.expr, minimal_complex(args.n))
     emit(args, phi_to_EC(x))
 
 
 def cmd_pi_m(args):
+    from .maclane import cyc_eg
+    from .minimal import pi_from_EC
+
     x = parse_in(args, args.expr, cyc_eg(args.n))
     emit(args, pi_from_EC(x))
 
 
 def cmd_lambda(args):
+    from .minimal import lambda_power, minimal_complex
+
     x = parse_in(args, args.expr, minimal_complex(args.n))
     emit(args, lambda_power(args.l, x))
 
@@ -428,6 +462,8 @@ def cmd_compose(args):
     if len(args.exprs) != r + 1:
         raise InvalidInput(f"expected 1 outer and {r} inner elements")
     if args.be:
+        from .maclane import sym_eg
+
         outer = ElementParser(sym_eg(r), ring).parse(read_expr(args.exprs[0]))
         inners = [
             ElementParser(sym_eg(s), ring).parse(e)
@@ -437,6 +473,8 @@ def cmd_compose(args):
 
         emit(args, be_compose(outer, inners, ring))
     else:
+        from .surjections import surjection_complex
+
         flavor = args.flavor or "bf"
         outer = ElementParser(surjection_complex(flavor, r), ring).parse(read_expr(args.exprs[0]))
         inners = [
@@ -449,6 +487,8 @@ def cmd_compose(args):
 
 
 def cmd_partial_compose(args):
+    from .surjections import surjection_complex
+
     ring = ring_of(args)
     flavor = args.flavor or "bf"
     r, s = args.r, args.s
@@ -460,6 +500,8 @@ def cmd_partial_compose(args):
 
 
 def cmd_bf_action(args):
+    from .surjections import surjection_complex
+
     ring = ring_of(args)
     x = ElementParser(surjection_complex("bf", args.n), ring).parse(read_expr(args.expr))
     from .action import bf_action
@@ -480,6 +522,7 @@ def _read_json(path):
 def cmd_eval_cochain(args):
     ring = ring_of(args)
     from .action import Cochain, FaceTable, cochain_evaluate, dual_operation, is_integral
+    from .surjections import surjection_complex
 
     table = FaceTable(_read_json(args.faces))
     # cochain files key their values by JSON strings, so other ids never match
@@ -553,7 +596,19 @@ def cmd_verify(args):
         sys.exit(1)
 
 
-def build_parser():
+class _Unbuilt:
+    """Takes the arguments of a subcommand this invocation does not run."""
+
+    def add_argument(self, *args, **kw):
+        pass
+
+    set_defaults = add_argument
+
+
+def build_parser(command=None):
+    """The chainops argument parser.  Given the name of a subcommand, every
+    subcommand is registered with its help, but only the named one gets
+    its arguments; given anything else, every subcommand gets them."""
     ap = argparse.ArgumentParser(
         prog="chainops",
         description="Exact chain-level computations: surjection complexes, "
@@ -563,6 +618,8 @@ def build_parser():
 
     def new(name, fn, **kw):
         p = sub.add_parser(name, **kw)
+        if command not in (None, name):
+            return _Unbuilt()
         p.set_defaults(fn=fn)
         add_common_flags(p)
         return p
@@ -666,12 +723,14 @@ def build_parser():
     p.add_argument("--m", type=int)
     p.add_argument("--jobs", type=int)
 
+    if command is not None and command not in sub.choices:
+        return build_parser()
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if getattr(args, "term_guard", None) is None:
             errors.term_guard()

@@ -17,42 +17,9 @@ from .complexes import TensorComplex, boundary, contract
 from .elements import add_terms, reduce_terms
 from .errors import InvalidInput
 from .groups import SymmetricGroup
-from .maclane import (
-    cyc_eg,
-    sym_eg,
-)
-from .minimal import (
-    delta_M,
-    lambda_power,
-    minimal_complex,
-    minimal_tensor,
-    multidiagonal_M,
-    phi_to_EC,
-    pi_from_EC,
-)
-from .morphisms import (
-    fundamental_simplex,
-    prism_map,
-    prism_terms,
-    table_reduction,
-    table_reduction_standard,
-)
-from .operads import (
-    be_compose,
-    be_engine,
-    engine_compose,
-    oplus,
-    partial_compose,
-    sigma_compose,
-    surj_compose,
-    surj_engine,
-)
 from .perms import Perm, all_perms, block_perm
 from .procedure import Check, Report, StandardMap, first_fail, verify_contracted
 from .rings import GF, ZZ
-from .simplex import (
-    simplex_complex,
-)
 from .surjections import (
     bf_signs,
     caesuras,
@@ -126,12 +93,20 @@ def contraction_tasks(max_n, max_degree):
 
 def complex_by_tag(tag, n):
     if tag == "simplex":
+        from .simplex import simplex_complex
+
         return simplex_complex(n)
     if tag == "eg-sym":
+        from .maclane import sym_eg
+
         return sym_eg(n)
     if tag == "eg-cyc":
+        from .maclane import cyc_eg
+
         return cyc_eg(n)
     if tag == "minimal":
+        from .minimal import minimal_complex
+
         return minimal_complex(n)
     if tag.startswith("surj-"):
         return surjection_complex(tag.split("-", 1)[1], n)
@@ -207,13 +182,16 @@ def signs_suite(max_n=4, max_k=4):
         Check("degree 0: c=+1, p=tau", sign_c(g) == 1 and sign_p(g) == Perm(g).parity())
     )
     # delta via the caesuras-in-even-blocks count, the interpretation that
-    # holds exhaustively (the raw aj/bf sign discrepancy count does not)
+    # holds exhaustively (the raw aj/bf sign discrepancy count does not);
+    # it stops at k = 3, and its name states a lower --max-degree
+    top_k = min(max_k, 3)
     checks.append(
         first_fail(
-            "delta = parity of caesuras in even blocks",
+            "delta = parity of caesuras in even blocks"
+            + ("" if top_k == 3 else f" (k<={top_k})"),
             (
                 (x, sign_delta(x) == (-1) ** _even_block_caesuras(x))
-                for _, x in _basis("bf", max_n, 3)
+                for _, x in _basis("bf", max_n, top_k)
             ),
         )
     )
@@ -284,6 +262,9 @@ def iso_suite(max_n=4, max_k=3):
 
 def roundtrip_check(flavor, n, max_degree, ring=ZZ):
     """TR . PR = Id and the fundamental-simplex dichotomy, exhaustively."""
+    from .maclane import sym_eg
+    from .morphisms import fundamental_simplex, prism_map, prism_terms, table_reduction
+
     S = surjection_complex(flavor, n)
     gens = [gen for k in range(max_degree + 1) for gen in S.basis(k)]
 
@@ -315,15 +296,20 @@ def roundtrip_check(flavor, n, max_degree, ring=ZZ):
 
 
 def trpr_suite(max_n=4, max_k=3):
+    from .maclane import sym_eg
+    from .morphisms import fundamental_simplex, table_reduction, table_reduction_standard
+
     checks = []
     for flavor in ("bf", "ms", "aj"):
         for n in range(2, max_n + 1):
             rep = roundtrip_check(flavor, n, max_k)
             checks.extend(rep.checks)
 
+    top_n = min(max_n, 3)
+
     def closed_vs_recursive():
         for flavor in ("bf", "ms", "aj"):
-            for n in (2, 3):
+            for n in range(2, top_n + 1):
                 E = sym_eg(n)
                 std = table_reduction_standard(flavor, n)
                 for k in range(max_k + 1):
@@ -336,7 +322,9 @@ def trpr_suite(max_n=4, max_k=3):
                         ) == contract(tr)
 
     checks.append(
-        first_fail("TR closed = recursive, commutes with h (n<=3)", closed_vs_recursive())
+        first_fail(
+            f"TR closed = recursive, commutes with h (n<={top_n})", closed_vs_recursive()
+        )
     )
 
     x = (2, 1, 2, 3, 4, 2, 3, 1, 5, 4, 1, 2)
@@ -364,6 +352,16 @@ def trpr_suite(max_n=4, max_k=3):
 
 
 def minimal_suite():
+    from .minimal import (
+        delta_M,
+        lambda_power,
+        minimal_complex,
+        minimal_tensor,
+        multidiagonal_M,
+        phi_to_EC,
+        pi_from_EC,
+    )
+
     checks = []
     for n in (3, 5):
         ys = [minimal_complex(n).el(ZZ, (0, k)) for k in range(0, 7)]
@@ -432,6 +430,8 @@ def _perm_tuples(sizes):
 
 
 def sigma_suite(max_r=3, max_size=3, assoc_bound=3):
+    from .operads import oplus, sigma_compose
+
     checks = []
     u = Perm((2, 3, 1))
     vs = [Perm((2, 1)), Perm((3, 1, 2, 4)), Perm((3, 2, 1))]
@@ -533,6 +533,8 @@ def sigma_suite(max_r=3, max_size=3, assoc_bound=3):
 
 
 def _family_compose(kind, outer, inners, ring):
+    from .operads import be_compose, surj_compose
+
     if kind == "be":
         return be_compose(outer, inners, ring)
     return surj_compose(kind, outer, inners, ring)
@@ -540,6 +542,8 @@ def _family_compose(kind, outer, inners, ring):
 
 def _family_component(kind, n):
     if kind == "be":
+        from .maclane import sym_eg
+
         return sym_eg(n)
     return surjection_complex(kind, n)
 
@@ -582,6 +586,8 @@ def family_associativity(kind, r, r_list, s_matrix, max_degree, ring=ZZ):
 
 
 def _recursive_vs_closed(kind, engine, max_degree):
+    from .operads import engine_compose
+
     for sizes in ((1, 2), (2, 2)):
         comps = [_family_component(kind, n) for n in (2,) + sizes]
         for gens, els in _tensors(comps, max_degree):
@@ -601,6 +607,8 @@ def _unit_axioms():
 
 
 def _clean_outputs():
+    from .operads import surj_compose
+
     for sizes in ((2, 2), (1, 2)):
         comps = [surjection_complex("bf", n) for n in (2,) + sizes]
         for gens, els in _tensors(comps, 2, basis="gbasis"):
@@ -609,6 +617,8 @@ def _clean_outputs():
 
 
 def operads_suite(max_degree=2):
+    from .operads import be_engine, partial_compose, surj_compose, surj_engine
+
     checks = []
     checks.extend(sigma_suite().checks)
 
@@ -667,6 +677,9 @@ def operads_suite(max_degree=2):
 def morphism_squares_suite():
     """The table-reduction quotient square and the chain-action square."""
     from .action import sz_square
+    from .maclane import sym_eg
+    from .morphisms import table_reduction
+    from .operads import be_compose, surj_compose
 
     S = lambda n: surjection_complex("bf", n)
 
@@ -739,15 +752,23 @@ def action_suite(max_n=3, max_k=2, max_m=3):
         )
     )
 
+    # the vanishing check stops at n = 3; its name states a lower --n
+    top_n = min(max_n, 3)
+
     def vanishing():
-        for n in (2, 3):
+        for n in range(2, top_n + 1):
             S = surjection_complex("bf", n)
             for m in (0, 1, 2):
                 for k in range(m * (n - 1) + 1, m * (n - 1) + 3):
                     for gen in S.basis(k):
                         yield (n, gen, m), bf_action(S.el(ZZ, gen), m).is_zero()
 
-    checks.append(first_fail("Phi = 0 when k > m(n-1)", vanishing()))
+    checks.append(
+        first_fail(
+            "Phi = 0 when k > m(n-1)" + ("" if top_n == 3 else f" (n<={top_n})"),
+            vanishing(),
+        )
+    )
 
     checks.append(Check("c_{2,5} = 4", steenrod_constant(2, 5) == 4))
     checks.append(Check("c_{1,3} = 1", steenrod_constant(1, 3) == 1))

@@ -379,6 +379,130 @@ def test_cli_multi_term_output_golden(case, capsys):
     assert capsys.readouterr().out == case["stdout"]
 
 
+# Help, usage and parse errors of the whole parser, recorded before each
+# invocation built only its own subcommand's arguments.
+GOLDEN_ARGPARSE = json.loads(Path(__file__).with_name("golden_argparse.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_ARGPARSE, ids=lambda c: " ".join(c["argv"]) or "no-command"
+)
+def test_cli_argparse_output_golden(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    assert exc.value.code == case["code"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+# An explicit 0 selects its complex, whose factory rejects it.
+ZERO = {
+    "aw-cyclic2-0": (("aw", "--cyclic", "2", "--cyclic2", "0", "(0)", "(0)"), "order must be >= 1"),
+    "ez-eg2-0": (("ez", "--eg", "2", "--eg2", "0", "(1 2)", "(1)"), "arity must be >= 1"),
+    "eg-0": (("boundary", "--eg", "0", "(1)"), "arity must be >= 1"),
+    "cyclic-0": (("boundary", "--cyclic", "0", "(0)"), "order must be >= 1"),
+    "minimal-0": (("boundary", "--minimal", "0", "(0,0)"), "cyclic order must be >= 2"),
+    "flavor-n-0": (("boundary", "--flavor", "bf", "--n", "0", "(1)"), "arity must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("argv,message", ZERO.values(), ids=ZERO.keys())
+def test_cli_zero_is_a_given_value(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# Each suite's checks stop at the suite's bounds: (argv, module, function
+# the suite calls, the arity or degree a call works at, the bound, the
+# check line that states it).
+BOUNDED = {
+    "trpr-n-2": (
+        ("verify", "--suite", "trpr", "--n", "2"),
+        "chainops.morphisms", "table_reduction_standard", lambda flavor, n: n, 2,
+        "PASS TR closed = recursive, commutes with h (n<=2)",
+    ),
+    "action-n-2": (
+        ("verify", "--suite", "action", "--n", "2"),
+        "chainops.action", "bf_action", lambda x, m: x.complex.n, 2,
+        "PASS Phi = 0 when k > m(n-1) (n<=2)",
+    ),
+    "signs-max-degree-2": (
+        ("verify", "--suite", "signs", "--max-degree", "2"),
+        "chainops.suites", "_basis", lambda flavor, max_n, max_k: max_k, 2,
+        "PASS delta = parity of caesuras in even blocks (k<=2)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,module,name,reach,bound,line", BOUNDED.values(), ids=BOUNDED.keys()
+)
+def test_cli_verify_checks_no_case_beyond_its_bound(
+    argv, module, name, reach, bound, line, monkeypatch, capsys
+):
+    import importlib
+
+    mod = importlib.import_module(module)
+    real = getattr(mod, name)
+    seen = []
+
+    def recorded(*args):
+        seen.append(reach(*args))
+        return real(*args)
+
+    monkeypatch.setattr(mod, name, recorded)
+    assert main(list(argv)) == 0
+    assert max(seen) == bound
+    assert line in capsys.readouterr().out.splitlines()
+
+
+# A fresh interpreter running one command imports no module of chainops
+# that the command does not use.
+LOADED = (
+    "import sys\n"
+    "from chainops.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[1:])\n"
+    "finally:\n"
+    "    print(*sorted(m for m in sys.modules if m.startswith('chainops.')), file=sys.stderr)\n"
+)
+NOT_LOADED = {
+    "boundary": (
+        ("boundary", "--flavor", "bf", "--n", "3", "(1,2,1,3)"),
+        {"action", "maclane", "minimal", "morphisms", "operads", "procedure", "simplex", "suites"},
+    ),
+    "bf-action": (
+        ("bf-action", "--n", "2", "--m", "1", "(1,2,1)"),
+        {"maclane", "minimal", "morphisms", "operads", "suites", "witnesses"},
+    ),
+    "eval-cochain": (
+        EVAL + ("--faces", "{faces}", "--cochains", "{a}", "{a}"),
+        {"maclane", "minimal", "morphisms", "operads", "suites", "witnesses"},
+    ),
+    "verify-golden-boundaries": (
+        ("verify", "--suite", "golden-boundaries"),
+        {"action", "maclane", "minimal", "morphisms", "operads", "simplex", "witnesses"},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,unused", NOT_LOADED.values(), ids=NOT_LOADED.keys())
+def test_cli_command_imports_only_its_modules(argv, unused, tmp_path):
+    paths = {"faces": tmp_path / "faces.json", "a": tmp_path / "a.json"}
+    paths["faces"].write_text(json.dumps(TRIANGLE))
+    paths["a"].write_text(json.dumps(ALPHA))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, *(arg.format(**paths) for arg in argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.split(".", 1)[1] for name in proc.stderr.splitlines()[-1].split()}
+    assert "cli" in loaded and not loaded & unused
+
+
 def test_cli_phi_pi_lambda_diagonal():
     assert run_cli("phi-M", "--n", "3", "(0,2)").returncode == 0
     assert run_cli("pi-M", "--n", "3", "(0; 2; 0)").returncode == 0

@@ -190,6 +190,7 @@ def test_table_reduction_not_a_coalgebra_map():
 
 
 def test_trpr_suite_reports_first_counterexample(monkeypatch):
+    import chainops.morphisms
     import chainops.suites
 
     calls = []
@@ -201,7 +202,7 @@ def test_trpr_suite_reports_first_counterexample(monkeypatch):
 
         return std
 
-    monkeypatch.setattr(chainops.suites, "table_reduction_standard", wrong_engine)
+    monkeypatch.setattr(chainops.morphisms, "table_reduction_standard", wrong_engine)
     [check] = [
         c
         for c in chainops.suites.trpr_suite(max_n=2, max_k=0).checks

@@ -413,15 +413,19 @@ def test_dropped_engine_is_freed():
 
 
 def test_morphism_squares_suite_reports_first_counterexample(monkeypatch):
+    import chainops.operads
     import chainops.suites
 
     calls = []
+    be_compose = chainops.operads.be_compose
 
-    def wrong_compose(flavor, outer, inners, ring=ZZ):
+    # wrong on the quotient square's left side only: the action square
+    # composes surjections, not Barratt-Eccles components
+    def wrong_compose(outer, inners, ring=None):
         calls.append((outer, inners))
-        return None
+        return 2 * be_compose(outer, inners, ring)
 
-    monkeypatch.setattr(chainops.suites, "surj_compose", wrong_compose)
+    monkeypatch.setattr(chainops.operads, "be_compose", wrong_compose)
     [check] = [
         c
         for c in chainops.suites.morphism_squares_suite().checks
