@@ -10,9 +10,7 @@ converted to permutations, with flavor signs c(x) and p(x).
 from .errors import InvalidInput
 from .maclane import MacLaneComplex, sym_eg
 from .perms import Perm
-from .procedure import StandardMap
 from .rings import ZZ
-from .simplex import shuffle_words
 from .surjections import (
     SurjectionComplex,
     caesura_word,
@@ -61,6 +59,8 @@ def table_reduction(flavor, x):
 
 def table_reduction_standard(flavor, n, ring=ZZ):
     """The recursive standard-procedure TR, the oracle for the closed form."""
+    from .procedure import StandardMap
+
     return StandardMap(sym_eg(n), surjection_complex(flavor, n), ring=ring)
 
 # -- prism maps ----------------------------------------------------------------
@@ -93,6 +93,8 @@ def base_simplex(x):
 
 def prism_terms(x):
     """EZ triangulation of Prism(x) pushed into N(ESigma_n): the ms prism map."""
+    from .simplex import shuffle_words
+
     n = max(x)
     counts = [0] * n
     for w in caesura_word(x):

@@ -16,11 +16,9 @@ from itertools import combinations_with_replacement, product as _product
 from .complexes import TensorComplex, boundary
 from .elements import built
 from .errors import InvalidInput
-from .maclane import sym_eg
 from .perms import Perm, block_perm, koszul_permute, koszul_sign, permute_by
 from .procedure import RecursiveMap
 from .rings import ZZ
-from .simplex import ez_columns
 from .surjections import caesuras, iso, surjection_complex
 
 
@@ -120,6 +118,8 @@ def engine_compose(engine, outer, inners):
 
 def be_compose_terms(gen, arities):
     """EZ of the tuple tensor followed by vertexwise O_Sigma."""
+    from .simplex import ez_columns
+
     return [
         (sign, tuple(sigma_compose(col[0], list(col[1:])) for col in cols))
         for sign, cols in ez_columns(gen)
@@ -137,6 +137,8 @@ def _inputs_ring(outer, ring):
 def be_compose(outer, inners, ring=None):
     """O_E: N(ESigma_r) (x) N(ESigma_s1) (x) ... -> N(ESigma_s), closed form,
     over the inputs' ring."""
+    from .maclane import sym_eg
+
     _inputs_ring(outer, ring)
     r = outer.complex.group.n
     if r != len(inners):
@@ -291,6 +293,8 @@ def partial_compose(flavor, i, x, y, ring=None):
 
 
 def be_engine(ring=ZZ):
+    from .maclane import sym_eg
+
     return TwistedOperadMap(sym_eg, ring)
 
 

@@ -1,5 +1,6 @@
 """CLI: grammar, golden commands, JSON schema, exit codes, determinism."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -442,8 +443,6 @@ BOUNDED = {
 def test_cli_verify_checks_no_case_beyond_its_bound(
     argv, module, name, reach, bound, line, monkeypatch, capsys
 ):
-    import importlib
-
     mod = importlib.import_module(module)
     real = getattr(mod, name)
     seen = []
@@ -472,6 +471,14 @@ NOT_LOADED = {
     "boundary": (
         ("boundary", "--flavor", "bf", "--n", "3", "(1,2,1,3)"),
         {"action", "maclane", "minimal", "morphisms", "operads", "procedure", "simplex", "suites"},
+    ),
+    "tr": (
+        ("tr", "--n", "3", "(1 2 3; 2 3 1)"),
+        {"action", "minimal", "operads", "procedure", "simplex", "suites"},
+    ),
+    "compose": (
+        ("compose", "--arities", "2,1,1", "(1,2,1)", "(1)", "(1)"),
+        {"action", "maclane", "minimal", "morphisms", "simplex", "suites"},
     ),
     "bf-action": (
         ("bf-action", "--n", "2", "--m", "1", "(1,2,1)"),
