@@ -9,6 +9,23 @@ Every exhaustive check is stated the same way: a generator yields
 stops at the first case that is not ok and carries it as the
 counterexample.  A passing check keeps its name, including the case
 counts some names state.
+
+The module imports only the package core, `procedure` and `surjections`,
+which every suite uses.  Each suite imports the other families it
+checks when it runs: `contracted` the family of each complex it sweeps,
+`trpr` `maclane` and `morphisms`, `minimal` the minimal model,
+`operads` the operads (and `maclane` for the Barratt-Eccles components),
+`morphisms` `maclane`, `morphisms`, `operads` and `action`, `witnesses`
+and `action` their own modules.  So one `chainops verify` compiles only
+the families its suite needs, and a function sent to a `--jobs` worker
+imports what it needs there.  A test that substitutes one of these
+functions patches the module that defines it.
+
+Three checks stop at n = 3 or k = 3 whatever the bounds (`trpr`'s
+closed-versus-recursive TR, `action`'s vanishing of Phi and `signs`'s
+delta count); a lower `--n` or `--max-degree` cuts them there too.  The
+`trpr` check's name always states its n bound, and the other two names
+state theirs when it is below 3, so default output reads as before.
 """
 
 from itertools import product as _product
