@@ -472,6 +472,10 @@ NOT_LOADED = {
         ("boundary", "--flavor", "bf", "--n", "3", "(1,2,1,3)"),
         {"action", "maclane", "minimal", "morphisms", "operads", "procedure", "simplex", "suites"},
     ),
+    "boundary-simplex": (
+        ("boundary", "--simplex", "2", "(0,1,2)"),
+        {"action", "maclane", "minimal", "morphisms", "operads", "procedure", "suites"},
+    ),
     "tr": (
         ("tr", "--n", "3", "(1 2 3; 2 3 1)"),
         {"action", "minimal", "operads", "procedure", "simplex", "suites"},
