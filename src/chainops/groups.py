@@ -5,10 +5,12 @@ exponents 0..n-1 for C_n (the class of T^i), and tuples for products.
 
 `generators()` is a tuple of non-identity elements whose products (words,
 with no inverses needed in a finite group) give every element: the
-Coxeter transpositions s_i = (i i+1) for Sigma_n, the class 1 of T for
-C_n, and for a product each factor's generators with the identity in the
-other slots.  The trivial group has none.  `procedure.verify_contracted`
-proves equivariance of d from these and the action law.
+transposition (1 2) and the n-cycle (1 2 ... n) for Sigma_n, so two for
+every n >= 3 and (1 2) alone for n = 2, the class 1 of T for C_n, and
+for a product each factor's generators with the identity in the other
+slots.  The trivial groups have none.  `procedure.verify_contracted`
+proves equivariance of d from these and the action law, so its cost per
+generator grows with their number, not with the group's order.
 """
 
 import operator
@@ -36,13 +38,12 @@ class SymmetricGroup:
         return all_perms(self.n)
 
     def generators(self):
-        """The Coxeter transpositions s_i = (i i+1), 1 <= i < n."""
-        out = []
-        for i in range(1, self.n):
-            images = list(range(1, self.n + 1))
-            images[i - 1], images[i] = i + 1, i
-            out.append(Perm._trusted(images))
-        return tuple(out)
+        """The transposition (1 2) and, for n >= 3, the n-cycle (1 2 ... n)."""
+        n = self.n
+        if n == 1:
+            return ()
+        swap = Perm._trusted((2, 1, *range(3, n + 1)))
+        return (swap,) if n == 2 else (swap, Perm._trusted((*range(2, n + 1), 1)))
 
     def order(self):
         out = 1

@@ -31,11 +31,14 @@ all g and h, so each degree's span is closed under every act(g).  The g
 with d act(g) = act(g) d on the swept degrees contain e, and with h they
 contain s.h: d act(s.h) = d act(s) act(h) = act(s) d act(h)
 = act(s) act(h) d = act(s.h) d.  So they are all of G, which is finite
-and generated by S: the sweep costs |S| boundary comparisons per
-generator, not |G| - 1.  The law is evaluated through act_terms on
-witnesses that carry every datum the family's action formula depends on;
-an act_terms that departs from that formula only away from the witnesses
-is outside what it sees.
+and generated by S.  So the sweep keeps |S| act tables and makes |S|
+boundary comparisons per generator, not |G| - 1, and the law has
+|S|.|G| cases per witness.  Any generating set will do; for Sigma_n, S
+is (1 2) and the n-cycle, so |S| = 2 for every n >= 3, where the n - 1
+adjacent transpositions would give 3 at n = 4 and 4 at n = 5.  The law
+is evaluated through act_terms on witnesses that carry every datum the
+family's action formula depends on; an act_terms that departs from that
+formula only away from the witnesses is outside what it sees.
 
 For huge MacLane sweeps the verifier can consume relabeling classes:
 pattern_reps(degree) yields (representative, class size), one

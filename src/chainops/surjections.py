@@ -334,7 +334,8 @@ def sign_p(x):
 @lru_cache(maxsize=SIGN_MEMO)
 def aj_action_sign(g):
     """The aj action's sign tau(g), memoized within the same bound: a sweep
-    acts by the same n - 1 Coxeter generators on every generator."""
+    acts by the same two group generators, (1 2) and the n-cycle, on every
+    generator."""
     return g.parity()
 
 

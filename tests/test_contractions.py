@@ -325,14 +325,22 @@ class SignFlippedAction(SurjectionComplex):
         return terms
 
 
-class BoundaryOffS2(SurjectionComplex):
-    """S^bf(3) whose boundary changes sign on the degree-1 generators that
-    start with 3.  s_1 = (1 2) fixes 3, so d still commutes with s_1; s_2
-    moves it, so d fails to commute with s_2 alone."""
+class SignFlippedSwap(SignFlippedAction):
+    """S^bf(4) whose action by the non-generator (3 4) changes sign in
+    positive degrees: the n = 4 counterpart of SignFlippedAction, on an
+    adjacent transposition that generators() leaves out."""
+
+    flipped = Perm((1, 2, 4, 3))
+
+
+class BoundaryOffLast(SurjectionComplex):
+    """S^bf(n) whose boundary changes sign on the degree-1 generators that
+    start with n.  (1 2) fixes n, so d still commutes with (1 2); the
+    n-cycle (1 2 ... n) moves it, so d fails to commute with it alone."""
 
     def boundary_terms(self, gen):
         terms = super().boundary_terms(gen)
-        if self.degree_of(gen) == 1 and gen[0] == 3:
+        if self.degree_of(gen) == 1 and gen[0] == self.n:
             terms = [(-c, y) for c, y in terms]
         return terms
 
@@ -354,12 +362,16 @@ class SignFlippedMacLane(MacLaneComplex):
 def test_generators_generate_every_group():
     from chainops.groups import CyclicGroup
 
-    groups = [SymmetricGroup(n) for n in range(1, 6)]
+    groups = [SymmetricGroup(n) for n in range(1, 7)]
     groups += [CyclicGroup(n) for n in range(1, 9)]
     groups += [
         ProductGroup((SymmetricGroup(3), CyclicGroup(4))),
+        ProductGroup((SymmetricGroup(4), SymmetricGroup(2))),
         ProductGroup((SymmetricGroup(2),) * 3),
     ]
+    # (1 2) and the n-cycle: two generators for every n >= 3
+    for n in range(1, 7):
+        assert len(SymmetricGroup(n).generators()) == min(n - 1, 2)
     for group in groups:
         gens = group.generators()
         assert not any(group.is_identity(s) for s in gens), group
@@ -389,15 +401,20 @@ def test_generator_sweep_agrees_with_brute_force():
         check = equivariance_check(cplx, 3)
         assert check.ok, cplx
         assert brute_force_equivariant(cplx, 3), cplx
+    # arity 4, where the 4-cycle first stands in for two transpositions
+    for cplx in [surjection_complex(flavor, 4) for flavor in ("bf", "aj", "ms")] + [sym_eg(4)]:
+        check = equivariance_check(cplx, 1)
+        assert check.ok, cplx
+        assert brute_force_equivariant(cplx, 1), cplx
 
 
 def test_action_law_failure_fails_equivariance():
-    bad = SignFlippedAction("bf", 3)
-    check = equivariance_check(bad, 2)
-    assert not check.ok and not brute_force_equivariant(bad, 2)
-    assert check.counterexample.startswith("action law at s = ")
-    # d commutes with the Coxeter generators: only the law sees the fault
-    assert brute_force_equivariant(bad, 2, bad.group.generators())
+    for bad, max_degree in ((SignFlippedAction("bf", 3), 2), (SignFlippedSwap("bf", 4), 1)):
+        check = equivariance_check(bad, max_degree)
+        assert not check.ok and not brute_force_equivariant(bad, max_degree)
+        assert check.counterexample.startswith("action law at s = ")
+        # d commutes with (1 2) and the n-cycle: only the law sees the fault
+        assert brute_force_equivariant(bad, max_degree, bad.group.generators())
 
 
 def test_action_law_sees_only_its_witnesses():
@@ -412,13 +429,14 @@ def test_action_law_sees_only_its_witnesses():
 
 
 def test_boundary_off_one_generator_fails_equivariance():
-    bad = BoundaryOffS2("bf", 3)
-    check = equivariance_check(bad, 2)
-    assert not check.ok and not brute_force_equivariant(bad, 2)
-    assert check.counterexample is not None and check.checked > 0
-    s1, s2 = bad.group.generators()
-    assert brute_force_equivariant(bad, 2, [s1])
-    assert not brute_force_equivariant(bad, 2, [s2])
+    for n, max_degree in ((3, 2), (4, 1)):
+        bad = BoundaryOffLast("bf", n)
+        check = equivariance_check(bad, max_degree)
+        assert not check.ok and not brute_force_equivariant(bad, max_degree)
+        assert check.counterexample is not None and check.checked > 0
+        swap, cycle = bad.group.generators()
+        assert brute_force_equivariant(bad, max_degree, [swap])
+        assert not brute_force_equivariant(bad, max_degree, [cycle])
 
 
 def test_engines_do_not_revalidate_generators_they_built(monkeypatch):
@@ -580,10 +598,10 @@ class HSquaredOff(SimplexComplex):
 
 
 class ActionOffDegree(MacLaneComplex):
-    """N(ESigma_3) whose Coxeter generators add the vertex (e) to the image
-    of every degree-1 generator: the vertex is a cycle, so d(s.x) = s.dx
-    still holds and the law, witnessed on the vertices, still holds, but
-    s.x leaves the degree of x."""
+    """N(ESigma_3) whose generators (1 2) and (1 2 3) add the vertex (e) to
+    the image of every degree-1 generator: the vertex is a cycle, so
+    d(s.x) = s.dx still holds and the law, witnessed on the vertices, still
+    holds, but s.x leaves the degree of x."""
 
     def act_terms(self, g, gen):
         terms = super().act_terms(g, gen)
@@ -615,9 +633,11 @@ def test_one_pass_matches_oracle_on_negative_controls():
     controls = [
         (CorruptedBoundary(3), 3),
         (FlippedContraction("bf", 3), 3),
-        (BoundaryOffS2("bf", 3), 2),
+        (BoundaryOffLast("bf", 3), 2),
         (HSquaredOff(5), 4),
         (ActionOffDegree(SymmetricGroup(3)), 2),
+        (BoundaryOffLast("bf", 4), 1),
+        (SignFlippedSwap("bf", 4), 1),
     ]
     failures = set()
     for cplx, max_degree in controls:
