@@ -147,7 +147,7 @@ def action_for(x, m):
             return bf_action(x, m)
         return bf_action(iso(src.flavor, "bf", x), m)
     from .groups import SymmetricGroup
-    from .maclane import MacLaneComplex, cyc_eg, cyclic_into_symmetric, induced_map, sym_eg
+    from .maclane import InducedMap, MacLaneComplex, cyc_eg, cyclic_into_symmetric, sym_eg
     from .minimal import MinimalComplex, phi_to_EC
     from .morphisms import table_reduction
 
@@ -157,7 +157,7 @@ def action_for(x, m):
         return bf_action(table_reduction("bf", x), m)
     if isinstance(src, MinimalComplex):
         p = src.n
-        incl = induced_map(cyclic_into_symmetric(p), cyc_eg(p), sym_eg(p), x.ring)
+        incl = InducedMap(cyclic_into_symmetric(p), cyc_eg(p), sym_eg(p), x.ring)
         return bf_action(table_reduction("bf", incl(phi_to_EC(x))), m)
     raise InvalidInput(f"no chain action for elements of {src}")
 
@@ -187,10 +187,11 @@ class FaceTable:
     Cochain operations reach the faces of a simplex by deletion walks: a
     walk is the model vertices to delete, highest first, and steps from a
     simplex to its face at each of them in turn; a null face ends it.
-    walk() is the one walk routine.  From it the table builds, on first use
-    and never in __init__, a walk map per (dimension, walk), and from a
-    walk map the coface index of cofaces(); both are kept with the table.
-    subface() is a separate walk, the one the oracle of the tests takes.
+    walk() is the one face read on the evaluation path (a coboundary takes
+    the one-step walks).  From it the table builds, on first use and never
+    in __init__, a walk map per (dimension, walk), and from a walk map the
+    coface index of cofaces(); both are kept with the table.  subface() is
+    a separate walk, the one the oracle of the tests takes.
     """
 
     def __init__(self, data):
@@ -294,9 +295,6 @@ class FaceTable:
                 positions.update(index.get(t, ()))
         return sorted(positions)
 
-    def face(self, sid, j):
-        return self.faces[sid][j]
-
     def subface(self, sid, vertices):
         """The iterated face of sid spanned by a vertex subset of its model."""
         d = self.dims[sid]
@@ -305,13 +303,13 @@ class FaceTable:
         for v in reversed(missing):
             if sid is None:
                 return None
-            sid = self.face(sid, v)
+            sid = self.faces[sid][v]
         return sid
 
 
 def is_integral(degree, values):
     """Whether a cochain's degree and all its values (a dict) are integers."""
-    return isinstance(degree, int) and all(isinstance(v, int) for v in values.values())
+    return type(degree) is int and all(type(v) is int for v in values.values())
 
 
 class Cochain:
@@ -405,24 +403,18 @@ def cochain_evaluate(x, cochains, table, sid, ring=ZZ):
 
     Signs follow the preferred hom-complex convention: the outer factor
     (-1)^(|x|(1+|c|)) and the duality pairing sign (-1)^(l(l-1)/2) with l
-    the number of odd-degree tensor factors.  Each call sums the memoized
-    plans of x's generators for |c| and takes each factor's deletion walk
-    from sid with FaceTable.walk; to evaluate on many simplices use
-    dual_operation, which sums the plans once and reads the walks from the
-    table's walk maps.
+    the number of odd-degree tensor factors.  This is the column sum of
+    dual_operation at the one position of sid in simplices(|c|): each call
+    sums the memoized plans of x's generators for |c| anew and reads the
+    faces through the walk maps of |c|, built on first use; to evaluate on
+    many simplices use dual_operation, which sums the plans once.
     """
     _check_operands(x, cochains)
     if sid not in table.dims:
         raise InvalidInput(f"no simplex with id {sid!r} in the face table")
-    outer, terms = _pairing_plan(x, cochains, table.dims[sid])
-    total = 0
-    for prod, factors in terms:
-        for values, walk in factors:
-            t = table.walk(sid, walk)
-            prod = 0 if t is None else prod * values.get(t, 0)
-            if not prod:
-                break
-        total += prod
+    d = table.dims[sid]
+    outer, terms = _pairing_plan(x, cochains, d)
+    [total] = _column_sum(terms, table, d, [table._ordered(d).index(sid)])
     return ring.normalize(outer * total)
 
 
@@ -464,64 +456,68 @@ def _pull_back(values, faces, positions):
     return list(map(values.get, faces, repeat(0)))
 
 
+def _column_sum(terms, table, d, positions):
+    """A plan's terms summed in exact integers on the d-simplices at the
+    given positions in simplices(d): each factor's values are pulled back
+    once per (factor position, walk), through the walk map, to a column, and
+    each term adds the product of its columns times its coefficient."""
+    columns = {}
+    total = [0] * len(positions)
+    for c, factors in terms:
+        prod = None
+        for i, (vals, walk) in enumerate(factors):
+            column = columns.get((i, walk))
+            if column is None:
+                column = columns[i, walk] = _pull_back(vals, table.walk_map(d, walk), positions)
+            prod = column if prod is None else map(mul, prod, column)
+        if c != 1:
+            prod = map(mul, prod, repeat(c))
+        total = list(map(add, total, prod))
+    return total
+
+
+def _on_table(plan, cochains, table, d, ring):
+    """A pairing plan evaluated on every d-simplex, as a Cochain: the column
+    sum over the candidates, times the outer sign, normalised in the ring,
+    with the nonzero values kept in table order."""
+    values = {}
+    positions = _candidates(plan, cochains, table, d)
+    if positions:
+        outer, terms = plan
+        total = _column_sum(terms, table, d, positions)
+        sids = map(table._ordered(d).__getitem__, positions)
+        totals = map(ring.normalize, total if outer == 1 else map(neg, total))
+        values = {sid: v for sid, v in zip(sids, totals) if v}
+    return Cochain(d, values, _clean=True)
+
+
 def dual_operation(x, cochains, table, ring=ZZ):
     """The cochain Phi(x (x) alpha_1 ... alpha_n) as a Cochain on the table.
 
-    The bulk path, one column at a time.  The pairing plan of x for the
-    output dimension d is summed once from the memoized plans of x's
-    generators.  For each factor position and deletion walk the plan uses,
-    that factor's cochain is pulled back once, through the table's walk
-    map, to a column over the candidate d-simplices (see _candidates: the
-    cofaces of the sparsest support, or all d-simplices); each term is the
-    product of its factors' columns times its coefficient, and the terms
-    are summed column-wise in exact integers.  The totals are normalised
-    in the ring, and the nonzero ones kept in table order.
+    The bulk path: the pairing plan of x for the output dimension d is
+    summed once from the memoized plans of x's generators, and its column
+    sum taken over the candidates (see _candidates: the cofaces of the
+    sparsest support, or all d-simplices).
     """
     _check_operands(x, cochains)
-    out_dim = sum(a.degree for a in cochains) - x.degree
-    values = {}
-    if out_dim >= 0:
-        plan = _pairing_plan(x, cochains, out_dim)
-        outer, terms = plan
-        positions = _candidates(plan, cochains, table, out_dim)
-        if positions:
-            columns = {}
-            total = [0] * len(positions)
-            for c, factors in terms:
-                prod = None
-                for i, (vals, walk) in enumerate(factors):
-                    column = columns.get((i, walk))
-                    if column is None:
-                        column = columns[i, walk] = _pull_back(
-                            vals, table.walk_map(out_dim, walk), positions
-                        )
-                    prod = column if prod is None else map(mul, prod, column)
-                if c != 1:
-                    prod = map(mul, prod, repeat(c))
-                total = list(map(add, total, prod))
-            sids = map(table._ordered(out_dim).__getitem__, positions)
-            totals = map(ring.normalize, total if outer == 1 else map(neg, total))
-            values = {sid: v for sid, v in zip(sids, totals) if v}
-    return Cochain(out_dim, values, _clean=True)
+    d = sum(a.degree for a in cochains) - x.degree
+    if d < 0:
+        return Cochain(d, {}, _clean=True)
+    return _on_table(_pairing_plan(x, cochains, d), cochains, table, d, ring)
 
 
 def cochain_coboundary(alpha, table, ring=ZZ):
-    """< d(alpha), c > = (-1)^{|c|} < alpha, dc > with |c| the new degree."""
-    out = {}
+    """< d(alpha), c > = (-1)^{|c|} < alpha, dc > with |c| the new degree.
+
+    The plan of d(alpha) has one one-factor term (-1)^j alpha per face j
+    of c, reached by the one-step deletion walk (j,) (a null face gives 0),
+    and goes through the candidates and column sum of dual_operation.
+    """
     d = alpha.degree + 1
     if d <= 0:
-        return Cochain(d, out, _clean=True)
-    for sid in table.simplices(d):
-        total = 0
-        for j in range(d + 1):
-            f = table.face(sid, j)
-            if f is None:
-                continue
-            total += (-1) ** j * alpha(f)
-        total = ring.normalize((-1) ** d * total)
-        if total:
-            out[sid] = total
-    return Cochain(d, out, _clean=True)
+        return Cochain(d, {}, _clean=True)
+    terms = [(-1 if j % 2 else 1, ((alpha.values, (j,)),)) for j in range(d + 1)]
+    return _on_table((-1 if d % 2 else 1, terms), [alpha], table, d, ring)
 
 
 # -- the surjection -> Eilenberg-Zilber operad square --------------------------------

@@ -349,10 +349,6 @@ class JoinHomotopy:
         return x.map_terms(self._on_gen, codomain=self.codomain)
 
 
-def join_homotopy(phi0, phi1, domain, codomain, ring):
-    return JoinHomotopy(phi0, phi1, domain, codomain, ring)
-
-
 # -- maps induced by set functions of groups -----------------------------------
 
 
@@ -376,10 +372,6 @@ class InducedMap:
         return x.map_terms(
             lambda gen: [(1, tuple(fn(g) for g in gen))], codomain=self.codomain
         )
-
-
-def induced_map(fn, domain, codomain, ring):
-    return InducedMap(fn, domain, codomain, ring)
 
 
 def cyclic_into_symmetric(p):

@@ -18,13 +18,13 @@ from .complexes import TensorComplex, act, boundary
 from .errors import InvalidInput
 from .groups import CyclicGroup, ProductGroup
 from .maclane import (
+    InducedMap,
+    JoinHomotopy,
     coinvariants,
     cyc_eg,
     cyclic_into_symmetric,
     eg_diagonal,
     ez_maclane,
-    induced_map,
-    join_homotopy,
     maclane_complex,
     power_map,
     sym_eg,
@@ -61,22 +61,20 @@ class PowerWitness:
         self.M = minimal_complex(p)
         self.EC = cyc_eg(p)
         self.ES = sym_eg(p)
-        self.iota_ell = induced_map(power_map(ell, p), self.EC, self.EC, ring)
-        self.iota = induced_map(cyclic_into_symmetric(p), self.EC, self.ES, ring)
+        self.iota_ell = InducedMap(power_map(ell, p), self.EC, self.EC, ring)
+        self.iota = InducedMap(cyclic_into_symmetric(p), self.EC, self.ES, ring)
         self.g = multiply_perm(ell, p)
 
         def phi_lambda_pi(x):
             return phi_to_EC(lambda_power(ell, pi_from_EC(x)))
 
         self.phi_lambda_pi = phi_lambda_pi
-        self.J = join_homotopy(self.iota_ell, phi_lambda_pi, self.EC, self.EC, ring)
+        self.J = JoinHomotopy(self.iota_ell, phi_lambda_pi, self.EC, self.EC, ring)
         g = self.g
         self.rmul_g = lambda x: x.map_terms(
             lambda gen: [(1, tuple(h * g for h in gen))]
         )
-        self.K = join_homotopy(
-            lambda x: x, self.rmul_g, self.ES, self.ES, ring
-        )
+        self.K = JoinHomotopy(lambda x: x, self.rmul_g, self.ES, self.ES, ring)
 
     def x(self, k):
         return canonical_class(self.p, k, self.ring)
@@ -173,7 +171,7 @@ def diagonal_homotopy_report(p, max_degree, ring=ZZ):
         )
         return ez_maclane(lifted)
 
-    J = join_homotopy(phi0, phi1, EC, prod, ring)
+    J = JoinHomotopy(phi0, phi1, EC, prod, ring)
 
     def cases():
         for k in range(max_degree + 1):

@@ -369,9 +369,11 @@ def test_dual_operation_against_per_simplex_oracle():
                     got = dual_operation(x, cochains, tab, ring)
                     assert got.degree == sum(degrees) - k
                     assert list(got.values.items()) == list(want.items())
-                    for sid in by_dim[got.degree]:
+                    # one position at a time, on every simplex: 0 off the
+                    # output degree
+                    for sid, dim in tab.dims.items():
                         value = cochain_evaluate(x, cochains, tab, sid, ring)
-                        assert value == want.get(sid, 0)
+                        assert value == (want.get(sid, 0) if dim == got.degree else 0)
 
 
 def sparse_cochain(rng, tab, d):
@@ -450,6 +452,50 @@ def b_z2(m):
             for k in range(m + 1)
         ],
     }
+
+
+def coboundary_oracle(alpha, tab, ring):
+    """cochain_coboundary recomputed simplex by simplex from the face lists
+    themselves, independently of walks, walk maps and coface indexes."""
+    d = alpha.degree + 1
+    values = {}
+    for sid in sorted(tab.dims, key=str):
+        if d <= 0 or tab.dims[sid] != d:
+            continue
+        total = sum((-1) ** j * alpha(f) for j, f in enumerate(tab.faces[sid]) if f is not None)
+        v = ring.normalize((-1) ** d * total)
+        if v:
+            values[sid] = v
+    return values
+
+
+def test_cochain_coboundary_against_per_simplex_oracle():
+    """The coboundary's one-step walks give the oracle's values in table
+    order, through null faces (SIMPLEX3's c, B(Z/2)'s inner faces), for
+    dense and sparse cochains of every degree; the sparse ones on the
+    5-simplex take the coface index of the one-step walks."""
+    rng = random.Random(41)
+    for data in (SIMPLEX3, simplex_with_null(5), b_z2(5)):
+        tab = FaceTable(data)
+        nonzero = 0
+        for ring in (ZZ, GF(3)):
+            assert cochain_coboundary(Cochain(-1, {}), tab, ring).values == {}
+            for k in range(tab.dim + 1):
+                dense = Cochain(k, {sid: rng.choice((-2, -1, 1, 2)) for sid in tab.simplices(k)})
+                for alpha in (dense, sparse_cochain(rng, tab, k)):
+                    want = coboundary_oracle(alpha, tab, ring)
+                    got = cochain_coboundary(alpha, tab, ring)
+                    assert got.degree == k + 1
+                    assert list(got.values.items()) == list(want.items())
+                    nonzero += bool(want)
+        assert nonzero >= tab.dim
+    # a sparse edge cochain on the 5-simplex indexes the three one-step walks
+    tab = FaceTable(simplex_with_null(5))
+    edges = list(tab.simplices(1))
+    alpha = Cochain(1, {edges[0]: 1, edges[4]: 0, edges[7]: -2})
+    got = cochain_coboundary(alpha, tab)
+    assert list(got.values.items()) == list(coboundary_oracle(alpha, tab, ZZ).items())
+    assert set(tab._cofaces) == {(2, (j,)) for j in range(3)}
 
 
 def test_walk_map_agrees_with_subface():
@@ -616,7 +662,13 @@ def test_cochain_operands_are_validated():
 
 
 def test_cochains_hold_integers():
-    for degree, values in ((1, {"e01": 1.5}), (1.0, {"e01": 1}), ("1", {})):
+    for degree, values in (
+        (1, {"e01": 1.5}),
+        (1.0, {"e01": 1}),
+        ("1", {}),
+        (True, {"e01": 1}),
+        (1, {"e01": True}),
+    ):
         with pytest.raises(InvalidInput):
             Cochain(degree, values)
     assert Cochain(1, [("e01", 2)]).values == {"e01": 2}

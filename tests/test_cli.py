@@ -349,17 +349,20 @@ MALFORMED = {
     "cochain-missing": EVAL + ("--faces", "{faces}", "--cochains", "{a}", "{missing}"),
     "cochain-garbled": EVAL + ("--faces", "{faces}", "--cochains", "{garbled}", "{a}"),
     "faces-null-id": EVAL + ("--faces", "{nullid}", "--cochains", "{a}", "{a}"),
+    "cochain-bool": EVAL + ("--faces", "{faces}", "--cochains", "{bool}", "{a}"),
     "verify-isos-n-1": ("verify", "--suite", "isos", "--n", "1"),
 }
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_cli_malformed_input_one_error_line(tmp_path, argv):
-    paths = {name: tmp_path / f"{name}.json" for name in ("faces", "a", "garbled", "missing", "nullid")}
+    names = ("faces", "a", "garbled", "missing", "nullid", "bool")
+    paths = {name: tmp_path / f"{name}.json" for name in names}
     paths["faces"].write_text(json.dumps(TRIANGLE))
     paths["nullid"].write_text(json.dumps({"dim": 0, "simplices": [{"id": None, "dim": 0}]}))
     paths["a"].write_text(json.dumps(ALPHA))
     paths["garbled"].write_text('{"degree": 1,')
+    paths["bool"].write_text(json.dumps({"degree": True, "values": {"e": True}}))
     out = run_cli(*(arg.format(**paths) for arg in argv))
     assert out.returncode == 2
     [line] = out.stderr.splitlines()

@@ -227,7 +227,7 @@ def test_standard_homotopy_between_induced_maps():
     # two pointed set maps G -> G induce chain maps with equal augmentation;
     # the recursive homotopy satisfies dH + Hd = phi1 - phi0 throughout
     from chainops.groups import SymmetricGroup
-    from chainops.maclane import induced_map
+    from chainops.maclane import InducedMap
     from chainops.perms import Perm
 
     E = sym_eg(3)
@@ -235,8 +235,8 @@ def test_standard_homotopy_between_induced_maps():
         Perm((1, 3, 2)): Perm((3, 2, 1)),
         Perm((3, 2, 1)): Perm((1, 3, 2)),
     }
-    f1 = induced_map(lambda g: swap.get(g, g), E, E, ZZ)
-    f2 = induced_map(lambda g: g.inverse(), E, E, ZZ)
+    f1 = InducedMap(lambda g: swap.get(g, g), E, E, ZZ)
+    f2 = InducedMap(lambda g: g.inverse(), E, E, ZZ)
     H = StandardHomotopy(f1, f2, E, E, equivariant=False)
     for k in range(0, 4):
         for gen in E.basis(k):
@@ -445,7 +445,7 @@ def test_engines_do_not_revalidate_generators_they_built(monkeypatch):
     from chainops.action import BFActionStandard
     from chainops.complexes import ChainComplex
     from chainops.elements import built
-    from chainops.maclane import join_homotopy
+    from chainops.maclane import JoinHomotopy
     from chainops.operads import surj_engine
 
     S = surjection_complex("bf", 3)
@@ -459,7 +459,7 @@ def test_engines_do_not_revalidate_generators_they_built(monkeypatch):
     phi = StandardMap(S, S)
     H = StandardHomotopy(phi, phi, S, S)
     std = BFActionStandard(3)
-    J = join_homotopy(rho, lambda x: x, E, E, ZZ)
+    J = JoinHomotopy(rho, lambda x: x, E, E, ZZ)
 
     calls = []
     for family in (SurjectionComplex, ChainComplex):

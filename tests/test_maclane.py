@@ -17,6 +17,8 @@ from chainops.complexes import (
 from chainops.errors import InvalidInput
 from chainops.groups import CyclicGroup, ProductGroup, SymmetricGroup
 from chainops.maclane import (
+    InducedMap,
+    JoinHomotopy,
     aw_maclane,
     coinvariants,
     coinvariant_complex,
@@ -24,9 +26,7 @@ from chainops.maclane import (
     cyclic_into_symmetric,
     eg_diagonal,
     ez_maclane,
-    induced_map,
     join,
-    join_homotopy,
     maclane_complex,
     power_map,
     sym_eg,
@@ -147,7 +147,7 @@ def test_join_boundary_law_with_augmentation_terms():
 
 
 def test_join_homotopy_rho_id_is_contraction():
-    J = join_homotopy(lambda x: rho(x), lambda x: x, E3, E3, ZZ)
+    J = JoinHomotopy(lambda x: rho(x), lambda x: x, E3, E3, ZZ)
     for k in range(0, 3):
         for gen in E3.basis(k):
             assert J(E3.el(ZZ, gen)) == contract(E3.el(ZZ, gen))
@@ -156,7 +156,7 @@ def test_join_homotopy_rho_id_is_contraction():
 def test_join_homotopy_Kg():
     g = g3(2, 1, 3)
     rmul = lambda x: x.map_terms(lambda gen: [(1, tuple(h * g for h in gen))])
-    K = join_homotopy(lambda x: x, rmul, E3, E3, ZZ)
+    K = JoinHomotopy(lambda x: x, rmul, E3, E3, ZZ)
     for k in range(0, 3):
         for gen in E3.basis(k):
             x = E3.el(ZZ, gen)
@@ -166,7 +166,7 @@ def test_join_homotopy_Kg():
 
 
 def test_join_homotopy_equal_maps():
-    J = join_homotopy(lambda x: x, lambda x: x, E3, E3, ZZ)
+    J = JoinHomotopy(lambda x: x, lambda x: x, E3, E3, ZZ)
     for gen in E3.basis(1):
         x = E3.el(ZZ, gen)
         assert (boundary(J(x)) + J(boundary(x))).is_zero()
@@ -174,7 +174,7 @@ def test_join_homotopy_equal_maps():
 
 def test_join_homotopy_augmentation_precondition():
     double = lambda x: 2 * x
-    J = join_homotopy(double, lambda x: x, E3, E3, ZZ)
+    J = JoinHomotopy(double, lambda x: x, E3, E3, ZZ)
     with pytest.raises(InvalidInput):
         J(E3.el(ZZ, (e3,)))
 
@@ -182,7 +182,7 @@ def test_join_homotopy_augmentation_precondition():
 def test_induced_map_inclusion_commutes_with_contraction():
     p = 3
     EC, ES = cyc_eg(p), sym_eg(p)
-    incl = induced_map(cyclic_into_symmetric(p), EC, ES, ZZ)
+    incl = InducedMap(cyclic_into_symmetric(p), EC, ES, ZZ)
     for k in range(0, 4):
         for gen in EC.basis(k):
             x = EC.el(ZZ, gen)
@@ -192,7 +192,7 @@ def test_induced_map_inclusion_commutes_with_contraction():
 
 def test_induced_map_power_is_chain_map():
     EC = cyc_eg(5)
-    pw = induced_map(power_map(2, 5), EC, EC, ZZ)
+    pw = InducedMap(power_map(2, 5), EC, EC, ZZ)
     for k in range(1, 4):
         for gen in EC.basis(k):
             x = EC.el(ZZ, gen)
@@ -202,12 +202,12 @@ def test_induced_map_power_is_chain_map():
 def test_induced_map_requires_pointed_function():
     EC = cyc_eg(5)
     with pytest.raises(InvalidInput):
-        induced_map(lambda i: (i + 1) % 5, EC, EC, ZZ)
+        InducedMap(lambda i: (i + 1) % 5, EC, EC, ZZ)
 
 
 def test_induced_constant_map_is_rho_in_positive_degrees():
     EC = cyc_eg(5)
-    const = induced_map(lambda i: 0, EC, EC, ZZ)
+    const = InducedMap(lambda i: 0, EC, EC, ZZ)
     for gen in EC.basis(2):
         assert const(EC.el(ZZ, gen)).is_zero()
     for gen in EC.basis(0):

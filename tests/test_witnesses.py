@@ -57,7 +57,7 @@ def test_diagonal_homotopy(monkeypatch):
     # under the passing check's name
     monkeypatch.setattr(
         chainops.witnesses,
-        "join_homotopy",
+        "JoinHomotopy",
         lambda phi0, phi1, domain, codomain, ring: lambda x: codomain.zero(ring, x.degree + 1),
     )
     [failing] = diagonal_homotopy_report(3, 3).checks
