@@ -13,12 +13,12 @@ from itertools import combinations_with_replacement, product, repeat
 from operator import add, mul, neg
 
 from .complexes import boundary
-from .elements import Element, add_terms, built, collect, reduce_terms
+from .elements import Element, add_terms, built, collect
 from .errors import InvalidInput, check_guard
 from .perms import koszul_permute
 from .procedure import RecursiveMap
 from .rings import ZZ, _is_prime
-from .simplex import face_vmap, multidiagonal_standard, push_face, tensor_power
+from .simplex import face_vmap, push_face, tensor_power
 from .surjections import SurjectionComplex, caesuras, iso, surjection_complex
 
 
@@ -83,7 +83,10 @@ def perm_act(g, x):
 
 class BFActionStandard(RecursiveMap):
     """The functorial standard procedure for Phi, memoized on (basis
-    generator, ambient dimension)."""
+    generator, ambient dimension).  The seed is Phi(b (x) Delta^0): the
+    basepoint (0) (x) ... (x) (0) in degree 0 and zero above; every m > 0
+    is h(defect).  In degree 0 Phi(id (x) Delta^m) is the multidiagonal,
+    so this recursion is also the oracle of simplex.multidiagonal."""
 
     _act = staticmethod(perm_act)
 
@@ -97,14 +100,12 @@ class BFActionStandard(RecursiveMap):
 
     def seed(self, key):
         b, m = key
+        if m != 0:
+            return None
         k = self.S.degree_of(b)
         if k == 0:
-            value = multidiagonal_standard(self.n, m)
-            terms = reduce_terms(value.terms, self.ring)
-            return Element(value.complex, self.ring, value.degree, terms, _clean=True)
-        if m == 0:
-            return self.target(m).zero(self.ring, k)
-        return None
+            return self.target(0).basepoint(self.ring)
+        return self.target(0).zero(self.ring, k)
 
     def defect(self, key):
         """Phi(d b (x) Delta^m) plus the faces of Delta^m pushed forward
@@ -196,10 +197,12 @@ class FaceTable:
 
     def __init__(self, data):
         try:
-            self.dim = data["dim"]
+            top = data["dim"]
             simplices = data["simplices"]
         except (KeyError, TypeError):
             raise InvalidInput("a face table needs a 'dim' and a 'simplices' list") from None
+        if type(top) is not int or top < 0:
+            raise InvalidInput("a face table needs a non-negative integer 'dim'")
         self.dims = {}
         self.faces = {}
         for s in simplices:
@@ -212,6 +215,8 @@ class FaceTable:
             faces = s.get("faces", [])
             if type(dim) is not int or dim < 0:
                 raise InvalidInput(f"simplex {sid!r} needs a non-negative integer 'dim'")
+            if dim > top:
+                raise InvalidInput(f"simplex {sid!r} has dim {dim} above the table's dim {top}")
             if not isinstance(faces, list):
                 raise InvalidInput(f"the faces of simplex {sid!r} must be a list")
             if dim > 0 and len(faces) != dim + 1:

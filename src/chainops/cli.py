@@ -16,7 +16,9 @@ import json
 import sys
 
 from . import errors
-from .complexes import act, boundary, contract, tensor_elements, TensorComplex
+from .complexes import (
+    act, boundary, contract, tensor_elements, TensorComplex, VertexSequenceComplex,
+)
 from .elements import built
 from .errors import GuardExceeded, InvalidInput
 from .groups import CyclicGroup, ProductGroup, SymmetricGroup
@@ -408,14 +410,10 @@ def cmd_ez(args):
 def cmd_diagonal(args):
     cplx = complex_of(args)
     x = parse_in(args, args.expr, cplx)
-    if _of_family(cplx, "simplex", "SimplexComplex"):
+    if isinstance(cplx, VertexSequenceComplex):
         from .simplex import multidiagonal
 
         emit(args, multidiagonal(args.arity, x))
-    elif _of_family(cplx, "maclane", "MacLaneComplex"):
-        from .maclane import eg_diagonal
-
-        emit(args, eg_diagonal(x, args.arity))
     elif _of_family(cplx, "minimal", "MinimalComplex"):
         from .minimal import multidiagonal_M
 
@@ -641,7 +639,6 @@ def build_parser(command=None):
     p.add_argument("--from", dest="src", required=True, choices=("aj", "bf", "ms"))
     p.add_argument("--to", dest="dst", required=True, choices=("aj", "bf", "ms"))
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(flavor=None, eg=None, cyclic=None, minimal=None, simplex=None)
     p.add_argument("expr")
 
     p = new("tr", cmd_tr, help="table reduction N(ESigma_n) -> S(n)")

@@ -115,6 +115,33 @@ class ChainComplex:
         return built(self, ring, self.basepoint_gen())
 
 
+class VertexSequenceComplex(ChainComplex):
+    """Normalized chains of a simplicial set whose simplices are their
+    vertex sequences, as N(Delta^m) and N(EG) are: face j deletes entry j,
+    and a sequence is degenerate when it is empty or repeats a vertex in
+    two neighbouring entries."""
+
+    def normalize(self, gen):
+        """None for the empty sequence and for two equal neighbours."""
+        gen = tuple(gen)
+        if not gen:
+            return None
+        prev = None
+        for v in gen:
+            if v == prev:
+                return None
+            prev = v
+        return gen
+
+    def degree_of(self, gen):
+        return len(gen) - 1
+
+    def boundary_terms(self, gen):
+        if len(gen) <= 1:
+            return []
+        return [((-1) ** j, gen[:j] + gen[j + 1 :]) for j in range(len(gen))]
+
+
 def law_cases(cplx, witnesses):
     """(case, ok) pairs of the action law on each witness generator x,
     evaluated through cplx.act_terms over the integers: act(e) x = x, and

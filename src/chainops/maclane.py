@@ -7,40 +7,24 @@ symmetric groups.
 """
 
 from functools import lru_cache
-from operator import eq
 
-from .complexes import ChainComplex, TensorComplex, augment, law_cases
+from .complexes import ChainComplex, TensorComplex, VertexSequenceComplex, augment, law_cases
 from .elements import Element, built, collect
 from .errors import InvalidInput
 from .groups import CyclicGroup, ProductGroup, SymmetricGroup
 from .perms import Perm
 
 
-class MacLaneComplex(ChainComplex):
+class MacLaneComplex(VertexSequenceComplex):
     def __init__(self, group):
         self.group = group
         self.name = f"N(E{group!r})"
-
-    def normalize(self, gen):
-        """None for the empty tuple and for two equal neighbours."""
-        gen = tuple(gen)
-        if not gen or any(map(eq, gen, gen[1:])):
-            return None
-        return gen
-
-    def degree_of(self, gen):
-        return len(gen) - 1
 
     def format_gen(self, gen):
         return "(" + "; ".join(self.group.format(g) for g in gen) + ")"
 
     def encode_gen(self, gen):
         return [self.group.encode(g) for g in gen]
-
-    def boundary_terms(self, gen):
-        if len(gen) <= 1:
-            return []
-        return [((-1) ** j, gen[:j] + gen[j + 1 :]) for j in range(len(gen))]
 
     def contraction_terms(self, gen):
         return [(1, (self.group.identity,) + gen)]
@@ -144,7 +128,11 @@ class MacLaneComplex(ChainComplex):
 
 
 class CoinvariantComplex(ChainComplex):
-    """N_*(BG) = G\\N_*(EG), optionally with the parity twist of the action."""
+    """N_*(BG) = G\\N_*(EG), optionally with the parity twist of the action.
+
+    Not a complex of vertex sequences: its generators are the N(EG)
+    tuples with first entry e, a face leaves that normal form, and there
+    is no cone contraction.  Faces and classes are read through N(EG)."""
 
     def __init__(self, group, twist=False):
         if twist and not isinstance(group, SymmetricGroup):
@@ -158,15 +146,8 @@ class CoinvariantComplex(ChainComplex):
 
     def class_terms(self, gen):
         """Normal form of an EG tuple: left-translate g_0 to e."""
-        g0 = gen[0]
-        coeff = 1
-        if not self.base_group.is_identity(g0):
-            inv = self.base_group.inv(g0)
-            mul = self.base_group.mul
-            gen = tuple(mul(inv, x) for x in gen)
-            if self.twist:
-                coeff = self.base_group.parity(g0)
-        return [(coeff, gen)]
+        g0, _, gen = self.eg.decompose(gen)
+        return [(self.base_group.parity(g0) if self.twist else 1, gen)]
 
     def normalize(self, gen):
         """None unless gen is a nondegenerate EG tuple with first entry e."""
@@ -185,14 +166,12 @@ class CoinvariantComplex(ChainComplex):
         return [self.base_group.encode(g) for g in gen]
 
     def boundary_terms(self, gen):
-        if len(gen) <= 1:
-            return []
-        out = []
-        for j in range(len(gen)):
-            face = gen[:j] + gen[j + 1 :]
-            for c, cls in self.class_terms(face):
-                out.append(((-1) ** j * c, cls))
-        return out
+        """The faces of N(EG), each in its class's normal form."""
+        return [
+            (sign * c, cls)
+            for sign, face in self.eg.boundary_terms(gen)
+            for c, cls in self.class_terms(face)
+        ]
 
     def basepoint_gen(self):
         return (self.base_group.identity,)
@@ -270,21 +249,6 @@ def ez_maclane(x):
 
     def terms(gen):
         return [(sign, tuple(cols)) for sign, cols in ez_columns(gen)]
-
-    return x.map_terms(terms, codomain=target)
-
-
-def eg_diagonal(x, arity=2):
-    """The iterated Alexander-Whitney diagonal on N_*(EG)."""
-    src = x.complex
-    if not isinstance(src, MacLaneComplex):
-        raise InvalidInput("eg_diagonal expects a MacLane element")
-    target = TensorComplex((src,) * arity)
-
-    def terms(gen):
-        from .simplex import multidiagonal_terms
-
-        return multidiagonal_terms(arity, gen)
 
     return x.map_terms(terms, codomain=target)
 

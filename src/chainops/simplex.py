@@ -5,23 +5,27 @@ increasing vertex tuples; a generator of a product of simplices is a
 tuple of equal-length rows, one per factor, individually allowed to
 repeat vertices but jointly nondegenerate.
 
-The Alexander-Whitney, Eilenberg-Zilber, and multidiagonal maps come
-in two forms: the closed formulas (front/back faces, signed lattice
-paths, overlapping splittings) and the recursive standard-procedure
-constructions, kept separate so the tests can play them against each
-other.
+N(Delta^m) and N(EG) are both a VertexSequenceComplex: their simplices
+are their vertex sequences, so they share their faces and one
+multidiagonal.  The Alexander-Whitney, Eilenberg-Zilber, and
+multidiagonal maps come in two forms: the closed formulas (front/back
+faces, signed lattice paths, overlapping splittings) and the recursive
+standard-procedure constructions, kept separate so the tests can play
+them against each other.  EZ's recursion is ez_standard here; the
+multidiagonal's is the Berger-Fresse action's in degree 0
+(action.BFActionStandard on the identity surjection).
 """
 
 from functools import lru_cache
 from itertools import combinations, product as _product
 
-from .complexes import ChainComplex, TensorComplex, contract
+from .complexes import ChainComplex, TensorComplex, VertexSequenceComplex, contract
 from .elements import Element, collect
 from .errors import InvalidInput
 from .rings import ZZ
 
 
-class SimplexComplex(ChainComplex):
+class SimplexComplex(VertexSequenceComplex):
     """N_*(Delta^m) with the contraction h(x) = (0, x)."""
 
     def __init__(self, m):
@@ -41,29 +45,8 @@ class SimplexComplex(ChainComplex):
             prev = v
         return gen
 
-    def normalize(self, gen):
-        """None for the empty face and for a repeated vertex."""
-        if not gen:
-            return None
-        prev = None
-        for v in gen:
-            if v == prev:
-                return None
-            prev = v
-        return gen
-
-    def degree_of(self, gen):
-        return len(gen) - 1
-
     def format_gen(self, gen):
         return "(" + ",".join(str(v) for v in gen) + ")"
-
-    def boundary_terms(self, gen):
-        if len(gen) <= 1:
-            return []
-        return [
-            ((-1) ** j, gen[:j] + gen[j + 1 :]) for j in range(len(gen))
-        ]
 
     def contraction_terms(self, gen):
         return [(1, (0,) + gen)]
@@ -293,13 +276,14 @@ def multidiagonal_terms(n, face):
 
 
 def multidiagonal(n, x):
-    """The n-fold Alexander-Whitney multidiagonal, linear on elements."""
+    """The n-fold Alexander-Whitney multidiagonal, linear on elements of
+    N(Delta^m), N(EG) or any other complex of vertex sequences."""
     if n < 1:
         raise InvalidInput("multidiagonal arity must be >= 1")
     src = x.complex
-    if not isinstance(src, SimplexComplex):
-        raise InvalidInput("multidiagonal expects an element of N(Delta^m)")
-    target = tensor_power(src.m, n)
+    if not isinstance(src, VertexSequenceComplex):
+        raise InvalidInput("multidiagonal expects an element of N(Delta^m) or N(EG)")
+    target = TensorComplex((src,) * n)
     return x.map_terms(lambda f: multidiagonal_terms(n, f), codomain=target)
 
 
@@ -354,20 +338,3 @@ def ez_standard(m, n):
                 (sign * c, (gen[0], push_face(vmap, gen[1]))) for gen, c in inner
             )
     return contract(collect(target, ZZ, m + n - 1, pairs))
-
-
-@lru_cache(maxsize=None)
-def multidiagonal_standard(n, m):
-    """delta^(n)(Delta^m) by the functorial recursion with the preferred
-    tensor-power contraction."""
-    target = tensor_power(m, n)
-    if m == 0:
-        return collect(target, ZZ, 0, [(1, ((0,),) * n)])
-    inner = multidiagonal_standard(n, m - 1).terms.items()
-    pairs = []
-    for j in range(m + 1):
-        vmap = face_vmap(m, j)
-        pairs.extend(
-            ((-1) ** j * c, tuple(push_face(vmap, f) for f in gen)) for gen, c in inner
-        )
-    return contract(collect(target, ZZ, m - 1, pairs))

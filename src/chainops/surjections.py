@@ -309,7 +309,8 @@ def sign_delta(x):
 
 def tau_f(x):
     """Parity of the permutation of final occurrences read left to right."""
-    final = [v for j, v in enumerate(x, start=1) if j not in set(caesuras(x))]
+    caes = set(caesuras(x))
+    final = [v for j, v in enumerate(x, start=1) if j not in caes]
     return perm_of_word(final)
 
 

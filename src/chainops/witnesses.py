@@ -23,7 +23,6 @@ from .maclane import (
     coinvariants,
     cyc_eg,
     cyclic_into_symmetric,
-    eg_diagonal,
     ez_maclane,
     maclane_complex,
     power_map,
@@ -40,6 +39,7 @@ from .minimal import (
 from .perms import Perm
 from .procedure import Check, Report, first_fail
 from .rings import GF, ZZ
+from .simplex import multidiagonal
 
 
 def multiply_perm(ell, p):
@@ -152,7 +152,7 @@ def diagonal_homotopy_report(p, max_degree, ring=ZZ):
     prod = maclane_complex(ProductGroup((CyclicGroup(p), CyclicGroup(p))))
 
     def phi0(x):
-        return ez_maclane(eg_diagonal(x))
+        return ez_maclane(multidiagonal(2, x))
 
     def phi1(x):
         two = delta_M(pi_from_EC(x))

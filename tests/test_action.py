@@ -480,7 +480,7 @@ def test_cochain_coboundary_against_per_simplex_oracle():
         nonzero = 0
         for ring in (ZZ, GF(3)):
             assert cochain_coboundary(Cochain(-1, {}), tab, ring).values == {}
-            for k in range(tab.dim + 1):
+            for k in range(data["dim"] + 1):
                 dense = Cochain(k, {sid: rng.choice((-2, -1, 1, 2)) for sid in tab.simplices(k)})
                 for alpha in (dense, sparse_cochain(rng, tab, k)):
                     want = coboundary_oracle(alpha, tab, ring)
@@ -488,7 +488,7 @@ def test_cochain_coboundary_against_per_simplex_oracle():
                     assert got.degree == k + 1
                     assert list(got.values.items()) == list(want.items())
                     nonzero += bool(want)
-        assert nonzero >= tab.dim
+        assert nonzero >= data["dim"]
     # a sparse edge cochain on the 5-simplex indexes the three one-step walks
     tab = FaceTable(simplex_with_null(5))
     edges = list(tab.simplices(1))
@@ -505,7 +505,7 @@ def test_walk_map_agrees_with_subface():
     today; a subface that goes on through it must take the walk along."""
     for data in (SIMPLEX3, simplex_with_null(5), b_z2(5)):
         tab = FaceTable(data)
-        for d in range(tab.dim + 1):
+        for d in range(data["dim"] + 1):
             walks = {
                 tuple(v for v in range(d, -1, -1) if v not in kept)
                 for k in range(1, d + 2)
@@ -723,6 +723,10 @@ def test_face_table_validation():
         # null marks a degenerate face, so no simplex may be called null
         {"dim": 0, "simplices": [{"id": None, "dim": 0}]},
         {"dim": 1, "simplices": [{"id": None, "dim": 0}, {"id": "e", "dim": 1, "faces": [None, None]}]},
+        # the table's dim is a non-negative int, and no simplex lies above it
+        {"dim": "five", "simplices": []},
+        {"dim": -3, "simplices": []},
+        {"dim": 0, "simplices": [{"id": "a", "dim": 0}, {"id": "e", "dim": 1, "faces": ["a", "a"]}]},
     ):
         with pytest.raises(InvalidInput):
             FaceTable(data)

@@ -349,17 +349,20 @@ MALFORMED = {
     "cochain-missing": EVAL + ("--faces", "{faces}", "--cochains", "{a}", "{missing}"),
     "cochain-garbled": EVAL + ("--faces", "{faces}", "--cochains", "{garbled}", "{a}"),
     "faces-null-id": EVAL + ("--faces", "{nullid}", "--cochains", "{a}", "{a}"),
+    "faces-dim-string": EVAL + ("--faces", "{dimstring}", "--cochains", "{a}", "{a}"),
     "cochain-bool": EVAL + ("--faces", "{faces}", "--cochains", "{bool}", "{a}"),
     "verify-isos-n-1": ("verify", "--suite", "isos", "--n", "1"),
+    "diagonal-eg-arity-0": ("diagonal", "--eg", "3", "--arity", "0", "(1 2 3)"),
 }
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_cli_malformed_input_one_error_line(tmp_path, argv):
-    names = ("faces", "a", "garbled", "missing", "nullid", "bool")
+    names = ("faces", "a", "garbled", "missing", "nullid", "dimstring", "bool")
     paths = {name: tmp_path / f"{name}.json" for name in names}
     paths["faces"].write_text(json.dumps(TRIANGLE))
     paths["nullid"].write_text(json.dumps({"dim": 0, "simplices": [{"id": None, "dim": 0}]}))
+    paths["dimstring"].write_text(json.dumps(dict(TRIANGLE, dim="five")))
     paths["a"].write_text(json.dumps(ALPHA))
     paths["garbled"].write_text('{"degree": 1,')
     paths["bool"].write_text(json.dumps({"degree": True, "values": {"e": True}}))
@@ -399,8 +402,11 @@ def test_cli_argparse_output_golden(case, capsys, monkeypatch):
     assert capsys.readouterr() == (case["stdout"], case["stderr"])
 
 
-# An explicit 0 selects its complex, whose factory rejects it.
+# An explicit 0 selects its complex, whose factory rejects it, or is the
+# arity of a multidiagonal, which rejects it in one message for every model.
 ZERO = {
+    "diagonal-simplex-arity-0": (("diagonal", "--simplex", "2", "--arity", "0", "(0,1)"), "multidiagonal arity must be >= 1"),
+    "diagonal-cyclic-arity-0": (("diagonal", "--cyclic", "3", "--arity", "0", "(0)"), "multidiagonal arity must be >= 1"),
     "aw-cyclic2-0": (("aw", "--cyclic", "2", "--cyclic2", "0", "(0)", "(0)"), "order must be >= 1"),
     "ez-eg2-0": (("ez", "--eg", "2", "--eg2", "0", "(1 2)", "(1)"), "arity must be >= 1"),
     "eg-0": (("boundary", "--eg", "0", "(1)"), "arity must be >= 1"),

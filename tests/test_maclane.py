@@ -24,7 +24,6 @@ from chainops.maclane import (
     coinvariant_complex,
     cyc_eg,
     cyclic_into_symmetric,
-    eg_diagonal,
     ez_maclane,
     join,
     maclane_complex,
@@ -34,6 +33,7 @@ from chainops.maclane import (
 from chainops.perms import Perm, all_perms
 from chainops.procedure import verify_contracted
 from chainops.rings import GF, ZZ
+from chainops.simplex import multidiagonal
 
 E3 = sym_eg(3)
 S3 = SymmetricGroup(3)
@@ -246,9 +246,9 @@ def test_eg_diagonal_is_chain_map_and_counts():
     for k in range(1, 3):
         for gen in E3.basis(k):
             x = E3.el(ZZ, gen)
-            assert eg_diagonal(boundary(x)) == boundary(eg_diagonal(x))
+            assert multidiagonal(2, boundary(x)) == boundary(multidiagonal(2, x))
     x = E3.el(ZZ, (e3, g3(2, 1, 3), g3(3, 1, 2)))
-    assert len(eg_diagonal(x).terms) == 3
+    assert len(multidiagonal(2, x).terms) == 3
 
 
 def test_contraction_identities_depth_five():
@@ -285,4 +285,4 @@ def test_eg_diagonal_equals_standard_procedure():
     for k in range(0, 3):
         for gen in E.basis(k):
             x = E.el(ZZ, gen)
-            assert eg_diagonal(x) == std(x)
+            assert multidiagonal(2, x) == std(x)

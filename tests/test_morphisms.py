@@ -1,7 +1,7 @@
 """Table reduction, prism maps, roundtrips, and the coalgebra checks."""
 
 from chainops.complexes import TensorComplex, act, boundary, contract
-from chainops.maclane import eg_diagonal, sym_eg
+from chainops.maclane import sym_eg
 from chainops.morphisms import (
     base_simplex,
     fundamental_simplex,
@@ -13,6 +13,7 @@ from chainops.morphisms import (
 from chainops.perms import Perm, all_perms
 from chainops.procedure import StandardMap
 from chainops.rings import ZZ
+from chainops.simplex import multidiagonal
 from chainops.suites import roundtrip_check
 from chainops.surjections import is_basis_gen, iso, sign_c, surjection_complex
 
@@ -154,7 +155,7 @@ def test_pr_is_coalgebra_map():
         for k in range(0, 3):
             for gen in S.basis(k):
                 x = S.el(ZZ, gen)
-                lhs = eg_diagonal(prism_map("ms", x))
+                lhs = multidiagonal(2, prism_map("ms", x))
                 rhs = delta_S(x).map_terms(
                     lambda g: [
                         (ca * cb, (ga, gb))
@@ -176,7 +177,7 @@ def test_table_reduction_not_a_coalgebra_map():
     assert trZ.is_zero()
     S3 = surjection_complex("ms", 3)
     TT = TensorComplex((S3, S3))
-    dZ = eg_diagonal(E3.el(ZZ, Z))
+    dZ = multidiagonal(2, E3.el(ZZ, Z))
     trtr = dZ.map_terms(
         lambda gen: [
             (ca * cb, (ga, gb))

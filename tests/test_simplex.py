@@ -5,9 +5,12 @@ from math import comb
 
 import pytest
 
+from chainops.action import BFActionStandard, bf_action_standard
 from chainops.complexes import boundary, contract, tensor_elements
 from chainops.errors import InvalidInput
-from chainops.rings import ZZ
+from chainops.groups import CyclicGroup
+from chainops.maclane import coinvariant_complex
+from chainops.rings import GF, ZZ
 from chainops.simplex import (
     aw,
     ez,
@@ -16,7 +19,6 @@ from chainops.simplex import (
     ez_terms,
     fundamental,
     multidiagonal,
-    multidiagonal_standard,
     product_complex,
     simplex_complex,
     tensor_pair,
@@ -187,13 +189,25 @@ def test_multidiagonal_counts():
         x = simplex_complex(m).el(ZZ, fundamental(m))
         val = multidiagonal(arity, x)
         assert len(val.terms) == comb(m + arity - 1, arity - 1)
+    # N(BG) and products of simplices are not complexes of vertex sequences
+    BC3 = coinvariant_complex(CyclicGroup(3))
+    for y in (BC3.el(ZZ, (0, 1)), product_complex(1, 1).el(ZZ, ((0, 1), (0, 1)))):
+        with pytest.raises(InvalidInput):
+            multidiagonal(2, y)
 
 
 def test_multidiagonal_closed_equals_recursive():
+    """The closed multidiagonal is Phi(id (x) Delta^m) of the standard
+    procedure, over ZZ and over F_3, whose seed is in the engine's ring."""
     for arity in (2, 3, 4):
-        for m in range(0, 4):
-            x = simplex_complex(m).el(ZZ, fundamental(m))
-            assert multidiagonal(arity, x) == multidiagonal_standard(arity, m)
+        identity = tuple(range(1, arity + 1))
+        for std in (bf_action_standard(arity), BFActionStandard(arity, GF(3))):
+            for m in range(0, 4):
+                x = simplex_complex(m).el(std.ring, fundamental(m))
+                # the memoized value itself, the seed's at m = 0
+                phi = std.on_gen(identity, m)
+                assert phi.ring == std.ring
+                assert multidiagonal(arity, x) == phi
 
 
 def test_multidiagonal_chain_map():
