@@ -9,15 +9,15 @@ pushed forward from their models is kept alongside as the oracle.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, product, repeat
-from operator import add, mul, neg
+from itertools import combinations_with_replacement, compress, product, repeat
+from operator import add, and_, mul, neg
 
 from .complexes import boundary
 from .elements import Element, add_terms, built, collect
 from .errors import InvalidInput, check_guard
 from .perms import koszul_permute
 from .procedure import RecursiveMap
-from .rings import ZZ, _is_prime
+from .rings import GF, ZZ, _is_prime
 from .simplex import face_vmap, push_face, tensor_power
 from .surjections import SurjectionComplex, caesuras, iso, surjection_complex
 
@@ -191,8 +191,9 @@ class FaceTable:
     walk() is the one face read on the evaluation path (a coboundary takes
     the one-step walks).  From it the table builds, on first use and never
     in __init__, a walk map per (dimension, walk), and from a walk map the
-    coface index of cofaces(); both are kept with the table.  subface() is
-    a separate walk, the one the oracle of the tests takes.
+    coface index of cofaces() (over Z and F_p, p odd) and the mask index of
+    masks() (over F_2); all three are kept with the table.  subface() is a
+    separate walk, the one the oracle of the tests takes.
     """
 
     def __init__(self, data):
@@ -242,6 +243,7 @@ class FaceTable:
         self._by_dim = None
         self._walks = {}
         self._cofaces = {}
+        self._masks = {}
 
     def _ordered(self, dim):
         """The list behind simplices(dim), computed once, on first use."""
@@ -279,26 +281,45 @@ class FaceTable:
             faces = self._walks[d, walk] = [self.walk(t, walk) for t in self._ordered(d)]
         return faces
 
+    def _landings(self, d, walk):
+        """The walk map inverted: each face the walk reaches from a
+        d-simplex -> the ascending positions in simplices(d) that land there,
+        one entry per d-simplex whose walk does not end."""
+        index = {}
+        for pos, t in enumerate(self.walk_map(d, walk)):
+            if t is not None:
+                index.setdefault(t, []).append(pos)
+        return index
+
     def cofaces(self, d, walks, support):
         """The positions in simplices(d), ascending, of the d-simplices that
         one of the deletion walks takes into support.
 
-        The index of a walk, from each face it reaches to the positions of
-        the d-simplices that land there, is its walk map inverted: one entry
-        per d-simplex whose walk does not end; it is built on first use and
-        kept with the table.
+        The index of a walk is its walk map inverted, as lists of positions;
+        it is built on first use and kept with the table.
         """
         positions = set()
         for walk in walks:
             index = self._cofaces.get((d, walk))
             if index is None:
-                index = self._cofaces[d, walk] = {}
-                for pos, t in enumerate(self.walk_map(d, walk)):
-                    if t is not None:
-                        index.setdefault(t, []).append(pos)
+                index = self._cofaces[d, walk] = self._landings(d, walk)
             for t in support:
                 positions.update(index.get(t, ()))
         return sorted(positions)
+
+    def masks(self, d, walk):
+        """The mask index of a walk: each face it reaches from a d-simplex ->
+        the bitmask (bit p for position p in simplices(d)) of the d-simplices
+        that land there.  The masks are disjoint, and together they cover the
+        d-simplices whose walk does not end.  Built on first use and kept
+        with the table: about count(d)/8 bytes per face reached."""
+        index = self._masks.get((d, walk))
+        if index is None:
+            index = self._masks[d, walk] = {
+                t: sum(map((1).__lshift__, positions))
+                for t, positions in self._landings(d, walk).items()
+            }
+        return index
 
     def subface(self, sid, vertices):
         """The iterated face of sid spanned by a vertex subset of its model."""
@@ -481,10 +502,61 @@ def _column_sum(terms, table, d, positions):
     return total
 
 
+_F2 = GF(2)
+# the digits of a binary numeral as the bytes 0 and 1, which compress() selects with
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _mod2_on_table(plan, table, d):
+    """A pairing plan evaluated mod 2 on every d-simplex, on bitmasks over
+    the positions in simplices(d) (see FaceTable.masks).
+
+    A factor's column is the union of the masks of the faces on which its
+    operand is odd: the masks are disjoint, so a sum.  It is read from
+    whichever is shorter, the walk's mask index (each face's value tested)
+    or the operand's values (reduced once per call to its odd-valued
+    support).  A term is the intersection of its columns, and the plan the
+    symmetric difference of its terms of odd coefficient: the signs are 1
+    mod 2, and the coefficients are normalised in x's ring, which need not
+    be F_2 (an integer 2x gives 0).  The set bits are the output, each with
+    value 1, in table order.
+    """
+    _, terms = plan
+    supports = {}
+    columns = {}
+    total = 0
+    for c, factors in terms:
+        if not c & 1:
+            continue
+        term = -1
+        for i, (values, walk) in enumerate(factors):
+            column = columns.get((i, walk))
+            if column is None:
+                masks = table.masks(d, walk)
+                if len(masks) < len(values):
+                    odd = map(and_, map(values.get, masks, repeat(0)), repeat(1))
+                    column = sum(compress(masks.values(), odd))
+                else:
+                    # by identity: one operand passed twice is reduced once
+                    support = supports.get(id(values))
+                    if support is None:
+                        support = [sid for sid, v in values.items() if v & 1]
+                        supports[id(values)] = support
+                    column = sum(map(masks.get, support, repeat(0)))
+                columns[i, walk] = column
+            term &= column
+        total ^= term
+    bits = bin(total)[:1:-1].encode().translate(_BITS)
+    return Cochain(d, dict.fromkeys(compress(table._ordered(d), bits), 1), _clean=True)
+
+
 def _on_table(plan, cochains, table, d, ring):
-    """A pairing plan evaluated on every d-simplex, as a Cochain: the column
-    sum over the candidates, times the outer sign, normalised in the ring,
-    with the nonzero values kept in table order."""
+    """A pairing plan evaluated on every d-simplex, as a Cochain: over F_2 on
+    bitmasks, otherwise the column sum over the candidates, times the outer
+    sign, normalised in the ring, with the nonzero values kept in table
+    order."""
+    if ring == _F2:
+        return _mod2_on_table(plan, table, d)
     values = {}
     positions = _candidates(plan, cochains, table, d)
     if positions:
@@ -500,9 +572,11 @@ def dual_operation(x, cochains, table, ring=ZZ):
     """The cochain Phi(x (x) alpha_1 ... alpha_n) as a Cochain on the table.
 
     The bulk path: the pairing plan of x for the output dimension d is
-    summed once from the memoized plans of x's generators, and its column
-    sum taken over the candidates (see _candidates: the cofaces of the
-    sparsest support, or all d-simplices).
+    summed once from the memoized plans of x's generators.  Over F_2 it is
+    evaluated on the bitmasks of the operands' odd-valued supports (see
+    _mod2_on_table); over Z and F_p, p odd, its column sum is taken over the
+    candidates (see _candidates: the cofaces of the sparsest support, or all
+    d-simplices).
     """
     _check_operands(x, cochains)
     d = sum(a.degree for a in cochains) - x.degree
@@ -516,7 +590,8 @@ def cochain_coboundary(alpha, table, ring=ZZ):
 
     The plan of d(alpha) has one one-factor term (-1)^j alpha per face j
     of c, reached by the one-step deletion walk (j,) (a null face gives 0),
-    and goes through the candidates and column sum of dual_operation.
+    and goes the way of dual_operation: over F_2 through the bitmasks,
+    otherwise through the candidates and the column sum.
     """
     d = alpha.degree + 1
     if d <= 0:

@@ -539,6 +539,14 @@ def cmd_eval_cochain(args):
                 f"cochain file {path} needs an integer 'degree' and a 'values' "
                 "object of integers"
             )
+        # the library reads only the simplices of a cochain's degree, so a
+        # stray id would be dropped without a word
+        for sid in data["values"]:
+            if table.dims.get(sid) != data["degree"]:
+                raise InvalidInput(
+                    f"cochain file {path} has a value on {sid!r}, "
+                    f"which is not a simplex of dimension {data['degree']}"
+                )
         cochains.append(Cochain(data["degree"], data["values"]))
     x = ElementParser(surjection_complex("bf", args.n), ring).parse(read_expr(args.x))
     if args.simplex_id is not None:

@@ -348,32 +348,36 @@ def dual_operation_oracle(x, cochains, tab, ring):
 
 
 def test_dual_operation_against_per_simplex_oracle():
+    """Over ZZ, GF(3) and GF(2) (on bitmasks), with integer values that are
+    negative, even and odd, through SIMPLEX3's null face, and over GF(2)
+    through B(Z/2)'s inner null faces, in table order."""
     rng = random.Random(5)
-    tab = FaceTable(SIMPLEX3)
-    assert any(None in f for f in tab.faces.values())
-    by_dim = {d: [sid for sid in tab.dims if tab.dims[sid] == d] for d in range(4)}
-    for ring in (ZZ, GF(3)):
-        for n in (2, 3):
-            for k in (0, 1, 2):
-                x = Element(
-                    S(n), ring, k, [(rng.randint(1, 4), g) for g in S(n).basis(k)]
-                )
-                for degrees in product(range(4), repeat=n):
-                    if not 0 <= sum(degrees) - k <= 3:
-                        continue
-                    cochains = [
-                        Cochain(d, {sid: rng.randint(-3, 3) for sid in by_dim[d]})
-                        for d in degrees
-                    ]
-                    want = dual_operation_oracle(x, cochains, tab, ring)
-                    got = dual_operation(x, cochains, tab, ring)
-                    assert got.degree == sum(degrees) - k
-                    assert list(got.values.items()) == list(want.items())
-                    # one position at a time, on every simplex: 0 off the
-                    # output degree
-                    for sid, dim in tab.dims.items():
-                        value = cochain_evaluate(x, cochains, tab, sid, ring)
-                        assert value == (want.get(sid, 0) if dim == got.degree else 0)
+    for data, rings in ((SIMPLEX3, (ZZ, GF(3), GF(2))), (b_z2(3), (GF(2),))):
+        tab = FaceTable(data)
+        assert any(None in f for f in tab.faces.values())
+        by_dim = {d: [sid for sid in tab.dims if tab.dims[sid] == d] for d in range(4)}
+        for ring in rings:
+            for n in (2, 3):
+                for k in (0, 1, 2):
+                    x = Element(
+                        S(n), ring, k, [(rng.randint(1, 4), g) for g in S(n).basis(k)]
+                    )
+                    for degrees in product(range(4), repeat=n):
+                        if not 0 <= sum(degrees) - k <= 3:
+                            continue
+                        cochains = [
+                            Cochain(d, {sid: rng.randint(-3, 3) for sid in by_dim[d]})
+                            for d in degrees
+                        ]
+                        want = dual_operation_oracle(x, cochains, tab, ring)
+                        got = dual_operation(x, cochains, tab, ring)
+                        assert got.degree == sum(degrees) - k
+                        assert list(got.values.items()) == list(want.items())
+                        # one position at a time, on every simplex: 0 off the
+                        # output degree
+                        for sid, dim in tab.dims.items():
+                            value = cochain_evaluate(x, cochains, tab, sid, ring)
+                            assert value == (want.get(sid, 0) if dim == got.degree else 0)
 
 
 def sparse_cochain(rng, tab, d):
@@ -389,10 +393,11 @@ def sparse_cochain(rng, tab, d):
 def test_dual_operation_on_sparse_supports_against_oracle():
     """The cofaces of the sparsest support give the scan's values, in table
     order, also through a null face (SIMPLEX3's c) and on a table large
-    enough that every degree from 1 to 3 takes the index."""
+    enough that every degree from 1 to 3 takes the index; the bitmasks of
+    GF(2) give them on the same sparse supports."""
     rng = random.Random(13)
     for tab in (FaceTable(SIMPLEX3), FaceTable(simplex_with_null(5))):
-        for ring in (ZZ, GF(3)):
+        for ring in (ZZ, GF(3), GF(2)):
             for n in (2, 3):
                 for k in (0, 1, 2):
                     x = Element(
@@ -478,7 +483,7 @@ def test_cochain_coboundary_against_per_simplex_oracle():
     for data in (SIMPLEX3, simplex_with_null(5), b_z2(5)):
         tab = FaceTable(data)
         nonzero = 0
-        for ring in (ZZ, GF(3)):
+        for ring in (ZZ, GF(3), GF(2)):
             assert cochain_coboundary(Cochain(-1, {}), tab, ring).values == {}
             for k in range(data["dim"] + 1):
                 dense = Cochain(k, {sid: rng.choice((-2, -1, 1, 2)) for sid in tab.simplices(k)})
@@ -524,12 +529,47 @@ def test_walk_map_agrees_with_subface():
                     assert face == tab.subface(sid, kept) == tab.walk(sid, walk)
 
 
+def test_mask_index_partitions_the_landing_simplices():
+    """Per (dimension, walk) the masks are disjoint, and together they are
+    the positions whose walk does not end at a null face, each under the
+    face its walk reaches.  A GF(2) operation builds masks and no coface
+    index; a ZZ operation builds coface indexes and no masks."""
+    for data in (SIMPLEX3, simplex_with_null(5), b_z2(5)):
+        tab = FaceTable(data)
+        for d in range(data["dim"] + 1):
+            for k in range(1, d + 2):
+                for kept in combinations(range(d + 1), k):
+                    walk = tuple(v for v in range(d, -1, -1) if v not in kept)
+                    faces = tab.walk_map(d, walk)
+                    masks = tab.masks(d, walk)
+                    union = 0
+                    for face, mask in masks.items():
+                        assert mask and not union & mask
+                        union |= mask
+                        bits = range(mask.bit_length())
+                        assert all(faces[pos] == face for pos in bits if mask >> pos & 1)
+                    landed = [pos for pos, face in enumerate(faces) if face is not None]
+                    assert union == sum(1 << pos for pos in landed)
+    x = S(2).el(ZZ, (1, 2, 1))
+    for ring, built, unbuilt in ((GF(2), "_masks", "_cofaces"), (ZZ, "_cofaces", "_masks")):
+        tab = FaceTable(simplex_with_null(5))
+        edges = list(tab.simplices(1))
+        dense = Cochain(1, {sid: i + 1 for i, sid in enumerate(edges)})
+        # the sparse operand takes the coface index over ZZ
+        sparse = Cochain(1, {edges[0]: 1, edges[1]: 3})
+        for cochains in ([dense, sparse], [sparse, sparse]):
+            dual_operation(x, cochains, tab, ring)
+            cochain_coboundary(sparse, tab, ring)
+        assert getattr(tab, built) and getattr(tab, unbuilt) == {}
+
+
 def test_repeated_and_equal_operands():
-    """One Cochain object passed twice, and two distinct cochains with equal
-    values, give the oracle's values in value order, dense and sparse."""
+    """One Cochain object passed twice (as the benchmark's Sq^1(xy) and
+    Sq^2(xy) pass xy), and two distinct cochains with equal values, give the
+    oracle's values in value order, dense and sparse, on GF(2) too."""
     rng = random.Random(31)
     tab = FaceTable(simplex_with_null(5))
-    for ring in (ZZ, GF(3)):
+    for ring in (ZZ, GF(3), GF(2)):
         for gen, d in (((1, 2), 1), ((1, 2, 1), 2), ((1, 2), 2), ((1, 2, 1), 1)):
             x = S(2).el(ring, gen, rng.randint(1, 4))
             dense = {sid: rng.choice((-2, -1, 1, 2)) for sid in tab.simplices(d)}
@@ -539,13 +579,27 @@ def test_repeated_and_equal_operands():
                     want = dual_operation_oracle(x, cochains, tab, ring)
                     got = dual_operation(x, cochains, tab, ring)
                     assert list(got.values.items()) == list(want.items())
-        x = S(3).el(ring, (1, 2, 1, 3), 2)
+        # 5 is 2 in GF(3) and 1 in GF(2)
+        x = S(3).el(ring, (1, 2, 1, 3), 5)
         alpha = Cochain(1, {sid: rng.randint(-3, 3) for sid in tab.simplices(1)})
         beta = Cochain(1, dict(alpha.values))
         for cochains in ([alpha, alpha, alpha], [alpha, beta, alpha]):
             want = dual_operation_oracle(x, cochains, tab, ring)
             assert want
             assert list(dual_operation(x, cochains, tab, ring).values.items()) == list(want.items())
+    # on B(Z/2): an odd lift of the generator x in degree 1, and its cup
+    # square passed twice to the cup-0, cup-1 and cup-2 words
+    b = FaceTable(b_z2(5))
+    x1 = Cochain(1, {"s1": -3})
+    square = dual_operation(S(2).el(GF(2), (1, 2)), [x1, x1], b, GF(2))
+    assert square.values == {"s2": 1}
+    lifted = Cochain(2, {"s2": 5})
+    for gen in ((1, 2), (1, 2, 1), (1, 2, 1, 2)):
+        x = S(2).el(GF(2), gen)
+        for cochains in ([square, square], [lifted, lifted], [square, lifted]):
+            want = dual_operation_oracle(x, cochains, b, GF(2))
+            got = dual_operation(x, cochains, b, GF(2))
+            assert list(got.values.items()) == list(want.items())
 
 
 def test_null_key_in_a_cochain_names_no_simplex():
@@ -602,9 +656,11 @@ def test_term_guard_trips_where_bf_action_does():
 
 
 def test_plan_memo_serves_every_ring():
-    """Plans memoized over GF(2) give the oracle's values over ZZ and GF(3),
-    in value order, without a miss, and the values a cold memo gives; the
-    same generators meet several output dimensions.  The memo is bounded."""
+    """Plans memoized over GF(2), where they give the oracle's values, give
+    the oracle's values over ZZ and GF(3), in value order, without a miss,
+    and the values a cold memo gives; the same generators meet several
+    output dimensions.  An integer element evaluated over GF(2) keeps only
+    its terms of odd coefficient.  The memo is bounded."""
     assert _generator_plan.cache_info().maxsize is not None
     rng = random.Random(29)
     tab = FaceTable(simplex_with_null(5))
@@ -630,7 +686,9 @@ def test_plan_memo_serves_every_ring():
     _generator_plan.cache_clear()
     for n, k, pairs, cochains in cases:
         x = Element(S(n), GF(2), k, [(1, g) for _, g in pairs])
-        dual_operation(x, cochains, tab, GF(2))
+        got = dual_operation(x, cochains, tab, GF(2))
+        want = dual_operation_oracle(x, cochains, tab, GF(2))
+        assert list(got.values.items()) == list(want.items())
     misses = _generator_plan.cache_info().misses
     for ring in (ZZ, GF(3)):
         for i, (n, k, pairs, cochains) in enumerate(cases):
@@ -640,7 +698,16 @@ def test_plan_memo_serves_every_ring():
             assert list(got.values.items()) == list(want.items()) == results[ring, i]
             for sid in tab.simplices(got.degree):
                 assert cochain_evaluate(x, cochains, tab, sid, ring) == want.get(sid, 0)
+    # integer coefficients 1-4, read mod 2: the terms of even coefficient drop
+    for n, k, pairs, cochains in cases:
+        x = Element(S(n), ZZ, k, pairs)
+        want = dual_operation_oracle(x, cochains, tab, GF(2))
+        assert list(dual_operation(x, cochains, tab, GF(2)).values.items()) == list(want.items())
     assert _generator_plan.cache_info().misses == misses
+    even = S(2).el(ZZ, (1, 2), 2)
+    ones = Cochain(1, {sid: 1 for sid in tab.simplices(1)})
+    assert dual_operation_oracle(even, [ones, ones], tab, ZZ)
+    assert dual_operation(even, [ones, ones], tab, GF(2)).values == {}
 
 
 def test_cochain_operands_are_validated():

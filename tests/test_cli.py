@@ -351,6 +351,8 @@ MALFORMED = {
     "faces-null-id": EVAL + ("--faces", "{nullid}", "--cochains", "{a}", "{a}"),
     "faces-dim-string": EVAL + ("--faces", "{dimstring}", "--cochains", "{a}", "{a}"),
     "cochain-bool": EVAL + ("--faces", "{faces}", "--cochains", "{bool}", "{a}"),
+    "cochain-stray-id": EVAL + ("--faces", "{faces}", "--cochains", "{a}", "{stray}"),
+    "cochain-off-degree-id": EVAL + ("--faces", "{faces}", "--cochains", "{offdegree}", "{a}"),
     "verify-isos-n-1": ("verify", "--suite", "isos", "--n", "1"),
     "diagonal-eg-arity-0": ("diagonal", "--eg", "3", "--arity", "0", "(1 2 3)"),
 }
@@ -358,7 +360,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_cli_malformed_input_one_error_line(tmp_path, argv):
-    names = ("faces", "a", "garbled", "missing", "nullid", "dimstring", "bool")
+    names = ("faces", "a", "garbled", "missing", "nullid", "dimstring", "bool", "stray", "offdegree")
     paths = {name: tmp_path / f"{name}.json" for name in names}
     paths["faces"].write_text(json.dumps(TRIANGLE))
     paths["nullid"].write_text(json.dumps({"dim": 0, "simplices": [{"id": None, "dim": 0}]}))
@@ -366,6 +368,9 @@ def test_cli_malformed_input_one_error_line(tmp_path, argv):
     paths["a"].write_text(json.dumps(ALPHA))
     paths["garbled"].write_text('{"degree": 1,')
     paths["bool"].write_text(json.dumps({"degree": True, "values": {"e": True}}))
+    # an id the table lacks, and one of a simplex of another dimension
+    paths["stray"].write_text(json.dumps({"degree": 1, "values": {"e12": 1, "nowhere": 5}}))
+    paths["offdegree"].write_text(json.dumps({"degree": 1, "values": {"e01": 1, "t": 7}}))
     out = run_cli(*(arg.format(**paths) for arg in argv))
     assert out.returncode == 2
     [line] = out.stderr.splitlines()
