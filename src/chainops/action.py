@@ -191,9 +191,13 @@ class FaceTable:
     walk() is the one face read on the evaluation path (a coboundary takes
     the one-step walks).  From it the table builds, on first use and never
     in __init__, a walk map per (dimension, walk), and from a walk map the
-    coface index of cofaces() (over Z and F_p, p odd) and the mask index of
-    masks() (over F_2); all three are kept with the table.  subface() is a
-    separate walk, the one the oracle of the tests takes.
+    mask index of masks() (over F_2); both are kept with the table.
+    subface() is a separate walk, the one the oracle of the tests takes.
+
+    A null face says only that a face is degenerate, not which degenerate
+    simplex it is, so a walk cannot go on through it: the table is exact
+    for cochain operations only where no walk needs a face of a null face
+    (see BG for a space whose walk is vertex selection instead).
     """
 
     def __init__(self, data):
@@ -223,9 +227,12 @@ class FaceTable:
             if dim > 0 and len(faces) != dim + 1:
                 raise InvalidInput(f"simplex {sid} needs {dim + 1} faces")
             try:
-                self.dims[sid] = dim
+                twice = sid in self.dims
             except TypeError:
                 raise InvalidInput(f"simplex id {sid!r} is a list or an object") from None
+            if twice:
+                raise InvalidInput(f"two simplices have the id {sid!r}")
+            self.dims[sid] = dim
             self.faces[sid] = list(faces)
         for sid, faces in self.faces.items():
             want = self.dims[sid] - 1
@@ -242,7 +249,6 @@ class FaceTable:
                     )
         self._by_dim = None
         self._walks = {}
-        self._cofaces = {}
         self._masks = {}
 
     def _ordered(self, dim):
@@ -281,32 +287,6 @@ class FaceTable:
             faces = self._walks[d, walk] = [self.walk(t, walk) for t in self._ordered(d)]
         return faces
 
-    def _landings(self, d, walk):
-        """The walk map inverted: each face the walk reaches from a
-        d-simplex -> the ascending positions in simplices(d) that land there,
-        one entry per d-simplex whose walk does not end."""
-        index = {}
-        for pos, t in enumerate(self.walk_map(d, walk)):
-            if t is not None:
-                index.setdefault(t, []).append(pos)
-        return index
-
-    def cofaces(self, d, walks, support):
-        """The positions in simplices(d), ascending, of the d-simplices that
-        one of the deletion walks takes into support.
-
-        The index of a walk is its walk map inverted, as lists of positions;
-        it is built on first use and kept with the table.
-        """
-        positions = set()
-        for walk in walks:
-            index = self._cofaces.get((d, walk))
-            if index is None:
-                index = self._cofaces[d, walk] = self._landings(d, walk)
-            for t in support:
-                positions.update(index.get(t, ()))
-        return sorted(positions)
-
     def masks(self, d, walk):
         """The mask index of a walk: each face it reaches from a d-simplex ->
         the bitmask (bit p for position p in simplices(d)) of the d-simplices
@@ -315,9 +295,12 @@ class FaceTable:
         with the table: about count(d)/8 bytes per face reached."""
         index = self._masks.get((d, walk))
         if index is None:
+            landings = {}
+            for pos, t in enumerate(self.walk_map(d, walk)):
+                if t is not None:
+                    landings.setdefault(t, []).append(pos)
             index = self._masks[d, walk] = {
-                t: sum(map((1).__lshift__, positions))
-                for t, positions in self._landings(d, walk).items()
+                t: sum(map((1).__lshift__, positions)) for t, positions in landings.items()
             }
         return index
 
@@ -331,6 +314,47 @@ class FaceTable:
                 return None
             sid = self.faces[sid][v]
         return sid
+
+
+class BG(FaceTable):
+    """The classifying space B(Z/n_1 x ... x Z/n_k) up to dimension top,
+    the nerve of the group: a d-simplex is a bar (g_1, ..., g_d) of
+    non-identity elements, each a tuple of residues mod n_1, ..., n_k, with
+    the partial sums 0, g_1, g_1 + g_2, ... as its vertices.
+
+    A deletion walk is vertex selection: the face keeps the other vertices,
+    its bar is their successive differences, and it is degenerate (None)
+    where two consecutive kept vertices coincide.  So a walk goes on where
+    a face table's null face would end it.  No face lists are built:
+    simplices, count, walk_map and masks are the face table's, and
+    subface, which walks face lists, has none to walk here.
+    """
+
+    def __init__(self, orders, top):
+        orders = tuple(orders)
+        if not all(type(n) is int and n >= 1 for n in orders):
+            raise InvalidInput("BG needs group orders that are positive integers")
+        if type(top) is not int or top < 0:
+            raise InvalidInput("BG needs a non-negative integer top dimension")
+        self.orders = orders
+        elements = [g for g in product(*map(range, orders)) if any(g)]
+        self.dims = {bar: d for d in range(top + 1) for bar in product(elements, repeat=d)}
+        self._by_dim = None
+        self._walks = {}
+        self._masks = {}
+
+    def walk(self, sid, walk):
+        orders = self.orders
+        vertex = (0,) * len(orders)
+        vertices = [vertex]
+        for g in sid:
+            vertex = tuple((a + b) % n for a, b, n in zip(vertex, g, orders))
+            vertices.append(vertex)
+        kept = [p for v, p in enumerate(vertices) if v not in walk]
+        steps = list(zip(kept, kept[1:]))
+        if any(p == q for p, q in steps):
+            return None
+        return tuple(tuple((b - a) % n for a, b, n in zip(p, q, orders)) for p, q in steps)
 
 
 def is_integral(degree, values):
@@ -429,72 +453,42 @@ def cochain_evaluate(x, cochains, table, sid, ring=ZZ):
 
     Signs follow the preferred hom-complex convention: the outer factor
     (-1)^(|x|(1+|c|)) and the duality pairing sign (-1)^(l(l-1)/2) with l
-    the number of odd-degree tensor factors.  This is the column sum of
-    dual_operation at the one position of sid in simplices(|c|): each call
-    sums the memoized plans of x's generators for |c| anew and reads the
-    faces through the walk maps of |c|, built on first use; to evaluate on
-    many simplices use dual_operation, which sums the plans once.
+    the number of odd-degree tensor factors.  This is dual_operation's
+    value at sid, planned at |c|: each call sums the memoized plans of x's
+    generators for |c| anew and evaluates the plan on every simplex of
+    dimension |c|, so to evaluate on many simplices use dual_operation,
+    which does that once.
     """
     _check_operands(x, cochains)
-    if sid not in table.dims:
-        raise InvalidInput(f"no simplex with id {sid!r} in the face table")
-    d = table.dims[sid]
-    outer, terms = _pairing_plan(x, cochains, d)
-    [total] = _column_sum(terms, table, d, [table._ordered(d).index(sid)])
-    return ring.normalize(outer * total)
+    try:
+        d = table.dims[sid]
+    except (KeyError, TypeError):
+        raise InvalidInput(f"no simplex with id {sid!r} in the face table") from None
+    return _on_table(_pairing_plan(x, cochains, d), table, d, ring)(sid)
 
 
-# A sparsest operand nonzero on more than this share of the simplices of
-# its degree is dense: dual_operation scans instead of building an index,
-# since past about this share the scan is the cheaper of the two.
-DENSE_SHARE = 0.4
-
-
-def _candidates(plan, cochains, table, d):
-    """The positions in simplices(d), ascending, outside which the plan
-    sums to 0.
-
-    Every term is a product with one factor per cochain, so a term is 0 on
-    a simplex unless the deletion walk of the sparsest cochain's factor
-    lands in that cochain's support.  When that cochain is dense, the
-    candidates are all d-simplices, and no index is built.
-    """
-    sizes = [len(a.values) - list(a.values.values()).count(0) for a in cochains]
-    i = min(range(len(cochains)), key=sizes.__getitem__)
-    sparsest = cochains[i]
-    if sizes[i] > DENSE_SHARE * table.count(sparsest.degree):
-        return range(table.count(d))
-    if not sizes[i]:
-        return ()
-    support = [sid for sid, v in sparsest.values.items() if v]
-    walks = {factors[i][1] for _, factors in plan[1]}
-    return table.cofaces(d, walks, support)
-
-
-def _pull_back(values, faces, positions):
-    """A cochain's values on the faces a walk map gives at the candidate
-    positions (all of them, or a sorted subset), 0 where the walk ends."""
-    if len(positions) < len(faces):
-        faces = [faces[pos] for pos in positions]
+def _pull_back(values, faces):
+    """A cochain's values on the faces a walk map gives, 0 where the walk
+    ends."""
     if None in values:
         # no simplex has a null id: None in a walk map only ends the walk
         values = {sid: v for sid, v in values.items() if sid is not None}
     return list(map(values.get, faces, repeat(0)))
 
 
-def _column_sum(terms, table, d, positions):
-    """A plan's terms summed in exact integers on the d-simplices at the
-    given positions in simplices(d): each factor's values are pulled back
-    once per (factor position, walk), through the walk map, to a column, and
-    each term adds the product of its columns times its coefficient."""
+def _column_sum(terms, table, d):
+    """A plan's terms summed in exact integers on every d-simplex, in
+    simplices(d) order: each factor's values are pulled back once per
+    (factor position, walk), through the walk map, to a column, and each
+    term adds the product of its columns times its coefficient."""
     columns = {}
-    total = [0] * len(positions)
+    total = [0] * table.count(d)
     for c, factors in terms:
         prod = None
         for i, (vals, walk) in enumerate(factors):
             column = columns.get((i, walk))
             if column is None:
-                column = columns[i, walk] = _pull_back(vals, table.walk_map(d, walk), positions)
+                column = columns[i, walk] = _pull_back(vals, table.walk_map(d, walk))
             prod = column if prod is None else map(mul, prod, column)
         if c != 1:
             prod = map(mul, prod, repeat(c))
@@ -550,21 +544,16 @@ def _mod2_on_table(plan, table, d):
     return Cochain(d, dict.fromkeys(compress(table._ordered(d), bits), 1), _clean=True)
 
 
-def _on_table(plan, cochains, table, d, ring):
+def _on_table(plan, table, d, ring):
     """A pairing plan evaluated on every d-simplex, as a Cochain: over F_2 on
-    bitmasks, otherwise the column sum over the candidates, times the outer
-    sign, normalised in the ring, with the nonzero values kept in table
-    order."""
+    bitmasks, otherwise the column sum times the outer sign, normalised in
+    the ring, with the nonzero values kept in table order."""
     if ring == _F2:
         return _mod2_on_table(plan, table, d)
-    values = {}
-    positions = _candidates(plan, cochains, table, d)
-    if positions:
-        outer, terms = plan
-        total = _column_sum(terms, table, d, positions)
-        sids = map(table._ordered(d).__getitem__, positions)
-        totals = map(ring.normalize, total if outer == 1 else map(neg, total))
-        values = {sid: v for sid, v in zip(sids, totals) if v}
+    outer, terms = plan
+    total = _column_sum(terms, table, d)
+    totals = map(ring.normalize, total if outer == 1 else map(neg, total))
+    values = {sid: v for sid, v in zip(table._ordered(d), totals) if v}
     return Cochain(d, values, _clean=True)
 
 
@@ -572,17 +561,15 @@ def dual_operation(x, cochains, table, ring=ZZ):
     """The cochain Phi(x (x) alpha_1 ... alpha_n) as a Cochain on the table.
 
     The bulk path: the pairing plan of x for the output dimension d is
-    summed once from the memoized plans of x's generators.  Over F_2 it is
-    evaluated on the bitmasks of the operands' odd-valued supports (see
-    _mod2_on_table); over Z and F_p, p odd, its column sum is taken over the
-    candidates (see _candidates: the cofaces of the sparsest support, or all
-    d-simplices).
+    summed once from the memoized plans of x's generators and evaluated on
+    every d-simplex: over F_2 on the bitmasks of the operands' odd-valued
+    supports (see _mod2_on_table), over Z and F_p, p odd, by the column sum.
     """
     _check_operands(x, cochains)
     d = sum(a.degree for a in cochains) - x.degree
     if d < 0:
         return Cochain(d, {}, _clean=True)
-    return _on_table(_pairing_plan(x, cochains, d), cochains, table, d, ring)
+    return _on_table(_pairing_plan(x, cochains, d), table, d, ring)
 
 
 def cochain_coboundary(alpha, table, ring=ZZ):
@@ -591,13 +578,13 @@ def cochain_coboundary(alpha, table, ring=ZZ):
     The plan of d(alpha) has one one-factor term (-1)^j alpha per face j
     of c, reached by the one-step deletion walk (j,) (a null face gives 0),
     and goes the way of dual_operation: over F_2 through the bitmasks,
-    otherwise through the candidates and the column sum.
+    otherwise through the column sum over every d-simplex.
     """
     d = alpha.degree + 1
     if d <= 0:
         return Cochain(d, {}, _clean=True)
     terms = [(-1 if j % 2 else 1, ((alpha.values, (j,)),)) for j in range(d + 1)]
-    return _on_table((-1 if d % 2 else 1, terms), [alpha], table, d, ring)
+    return _on_table((-1 if d % 2 else 1, terms), table, d, ring)
 
 
 # -- the surjection -> Eilenberg-Zilber operad square --------------------------------

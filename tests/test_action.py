@@ -3,10 +3,12 @@ dual cochain operations."""
 
 import random
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 import pytest
 
 from chainops.action import (
+    BG,
     BFActionStandard,
     Cochain,
     FaceTable,
@@ -391,10 +393,10 @@ def sparse_cochain(rng, tab, d):
 
 
 def test_dual_operation_on_sparse_supports_against_oracle():
-    """The cofaces of the sparsest support give the scan's values, in table
-    order, also through a null face (SIMPLEX3's c) and on a table large
-    enough that every degree from 1 to 3 takes the index; the bitmasks of
-    GF(2) give them on the same sparse supports."""
+    """Sparse operands give the oracle's values in table order, also through
+    a null face (SIMPLEX3's c): over ZZ and GF(3) by the column sum over
+    every d-simplex, which builds no mask index, over GF(2) on the
+    bitmasks."""
     rng = random.Random(13)
     for tab in (FaceTable(SIMPLEX3), FaceTable(simplex_with_null(5))):
         for ring in (ZZ, GF(3), GF(2)):
@@ -411,39 +413,37 @@ def test_dual_operation_on_sparse_supports_against_oracle():
                         got = dual_operation(x, cochains, tab, ring)
                         assert got.degree == sum(degrees) - k
                         assert list(got.values.items()) == list(want.items())
-        # the index served every positive output dimension, and each walk's
-        # index holds one entry per d-simplex at most
-        assert {d for d, _ in tab._cofaces} >= {1, 2, 3}
-        for (d, walk), index in tab._cofaces.items():
-            positions = [pos for block in index.values() for pos in block]
-            assert len(positions) == len(set(positions)) <= tab.count(d)
+            # the rings run in the order ZZ, GF(3), GF(2)
+            assert bool(tab._masks) == (ring == GF(2))
 
 
 def test_dense_operand_scans_and_builds_no_index():
-    """A sparsest operand nonzero on most simplices of its degree (as the
-    benchmark's xy op is, 315 of 405 edges) takes the scan: no index."""
+    """Dense operands (as the benchmark's xy op is, 315 of 405 edges
+    nonzero), mixed with a sparse one, give the oracle's values over ZZ by
+    the column sum over every edge, which builds no mask index."""
     tab = FaceTable(simplex_with_null(5))
     x = S(2).el(ZZ, (1, 2, 1))
     edges = list(tab.simplices(1))
     dense = Cochain(1, {sid: i + 1 for i, sid in enumerate(edges)})
     # 11 of 15 edges nonzero, the other 4 explicit zeros
     mostly = Cochain(1, {sid: int(i % 4 != 0) for i, sid in enumerate(edges)})
-    for cochains in ([dense, dense], [dense, mostly], [mostly, mostly]):
+    sparse = Cochain(1, {edges[0]: 1, edges[1]: 0})
+    for cochains in ([dense, dense], [dense, mostly], [mostly, mostly], [dense, sparse]):
         got = dual_operation(x, cochains, tab)
         assert got.values
         assert list(got.values.items()) == list(
             dual_operation_oracle(x, cochains, tab, ZZ).items()
         )
-    assert tab._cofaces == {}
-    sparse = Cochain(1, {edges[0]: 1, edges[1]: 0})
-    dual_operation(x, [dense, sparse], tab)
-    assert tab._cofaces
+    assert tab._masks == {}
 
 
 def b_z2(m):
     """B(Z/2) as a one-vertex face table up to dimension m: one simplex sN
     per dimension N, whose faces d_0 and d_N are s(N-1) and whose inner
-    faces are null."""
+    faces are null.  It is a null-face fragment, not B(Z/2): a walk stops at
+    an inner null face where a face of that degenerate face is s(k), so
+    cochain operations that need such a face come out 0 on it (BG((2,), m)
+    is the space itself).  The tests keep it as a table with null faces."""
     return {
         "dim": m,
         "simplices": [
@@ -461,7 +461,7 @@ def b_z2(m):
 
 def coboundary_oracle(alpha, tab, ring):
     """cochain_coboundary recomputed simplex by simplex from the face lists
-    themselves, independently of walks, walk maps and coface indexes."""
+    themselves, independently of walks, walk maps and mask indexes."""
     d = alpha.degree + 1
     values = {}
     for sid in sorted(tab.dims, key=str):
@@ -477,8 +477,8 @@ def coboundary_oracle(alpha, tab, ring):
 def test_cochain_coboundary_against_per_simplex_oracle():
     """The coboundary's one-step walks give the oracle's values in table
     order, through null faces (SIMPLEX3's c, B(Z/2)'s inner faces), for
-    dense and sparse cochains of every degree; the sparse ones on the
-    5-simplex take the coface index of the one-step walks."""
+    dense and sparse cochains of every degree; over GF(2) they take the
+    mask indexes of the one-step walks, over ZZ and GF(3) none."""
     rng = random.Random(41)
     for data in (SIMPLEX3, simplex_with_null(5), b_z2(5)):
         tab = FaceTable(data)
@@ -494,20 +494,23 @@ def test_cochain_coboundary_against_per_simplex_oracle():
                     assert list(got.values.items()) == list(want.items())
                     nonzero += bool(want)
         assert nonzero >= data["dim"]
-    # a sparse edge cochain on the 5-simplex indexes the three one-step walks
-    tab = FaceTable(simplex_with_null(5))
-    edges = list(tab.simplices(1))
-    alpha = Cochain(1, {edges[0]: 1, edges[4]: 0, edges[7]: -2})
-    got = cochain_coboundary(alpha, tab)
-    assert list(got.values.items()) == list(coboundary_oracle(alpha, tab, ZZ).items())
-    assert set(tab._cofaces) == {(2, (j,)) for j in range(3)}
+    # a sparse edge cochain on the 5-simplex: the three one-step walks are
+    # mask-indexed over GF(2) only
+    for ring in (ZZ, GF(3), GF(2)):
+        tab = FaceTable(simplex_with_null(5))
+        edges = list(tab.simplices(1))
+        alpha = Cochain(1, {edges[0]: 1, edges[4]: 0, edges[7]: -2})
+        got = cochain_coboundary(alpha, tab, ring)
+        assert list(got.values.items()) == list(coboundary_oracle(alpha, tab, ring).items())
+        assert set(tab._masks) == ({(2, (j,)) for j in range(3)} if ring == GF(2) else set())
 
 
 def test_walk_map_agrees_with_subface():
     """The walk map and the oracle's subface reach the same face from every
     d-simplex, on every walk a plan uses and on every other vertex subset,
-    also through null faces.  On B(Z/2) both stop at an inner null face
-    today; a subface that goes on through it must take the walk along."""
+    also through null faces.  On the null-face fragment b_z2 both stop at
+    an inner null face (BG walks on through it); a subface that goes on
+    through a null face must take the walk along."""
     for data in (SIMPLEX3, simplex_with_null(5), b_z2(5)):
         tab = FaceTable(data)
         for d in range(data["dim"] + 1):
@@ -529,11 +532,113 @@ def test_walk_map_agrees_with_subface():
                     assert face == tab.subface(sid, kept) == tab.walk(sid, walk)
 
 
+def cup_on_bars(alpha, beta, space, ring):
+    """The Dold-signed cup product on a nerve, read off the bars themselves:
+    (-1)^(pq) alpha(g_1..g_p) beta(g_(p+1)..g_(p+q)), in table order, with
+    no walk."""
+    p, q = alpha.degree, beta.degree
+    values = {}
+    for bar in space.simplices(p + q):
+        v = ring.normalize((-1) ** (p * q) * alpha(bar[:p]) * beta(bar[p:]))
+        if v:
+            values[bar] = v
+    return values
+
+
+def squares_wrong(space):
+    """The (n, k), 1 <= n <= 6 and 0 <= k <= n, where Sq^k(x^n) is not
+    C(n, k) x^(n+k) on a model of B(Z/2) with one simplex per dimension.
+    Mod 2 every cochain there is a cocycle and only 0 a coboundary, so x^n
+    is the indicator of the n-simplex, and Sq^k(u) = u cup_(n-k) u through
+    the bf word 1212... of length n - k + 2."""
+    wrong = []
+    for n in range(1, 7):
+        xn = Cochain(n, {next(space.simplices(n)): 1})
+        for k in range(n + 1):
+            word = tuple(1 + j % 2 for j in range(n - k + 2))
+            got = dual_operation(S(2).el(GF(2), word), [xn, xn], space, GF(2))
+            want = {next(space.simplices(n + k)): 1} if comb(n, k) % 2 else {}
+            if got.values != want:
+                wrong.append((n, k))
+    return wrong
+
+
+def test_steenrod_squares_on_bz2_against_known_answers():
+    """All 27 cases Sq^k(x^n) = C(n, k) x^(n+k), n <= 6, hold on BG((2,)).
+    On the null-face fragment b_z2 the cup squares Sq^n(x^n) for n = 2, 3
+    and 4 come out 0."""
+    assert squares_wrong(BG((2,), 12)) == []
+    assert {(2, 2), (3, 3), (4, 4)} <= set(squares_wrong(FaceTable(b_z2(12))))
+
+
+def test_cup_products_on_classifying_spaces():
+    """On B(Z/2), B(Z/3) and B(Z/2 x Z/2), over ZZ, GF(3) and GF(2), the cup
+    product of random cochains is the bar formula and associative.  On the
+    null-face fragment b_z2, (x cup x) cup x = 0 while x cup (x cup x) = x^3."""
+    rng = random.Random(7)
+    nonzero = 0
+    for space in (BG((2,), 5), BG((3,), 4), BG((2, 2), 4)):
+        for ring in (ZZ, GF(3), GF(2)):
+            cup = S(2).el(ring, (1, 2))
+            for degrees in ((1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2)):
+                a, b, c = (
+                    Cochain(d, {bar: rng.randint(-3, 3) for bar in space.simplices(d)})
+                    for d in degrees
+                )
+                ab = dual_operation(cup, [a, b], space, ring)
+                assert list(ab.values.items()) == list(cup_on_bars(a, b, space, ring).items())
+                left = dual_operation(cup, [ab, c], space, ring)
+                right = dual_operation(cup, [a, dual_operation(cup, [b, c], space, ring)], space, ring)
+                assert left.values == right.values
+                nonzero += bool(left.values)
+    # not vacuous: most of the 36 cases have a nonzero triple product
+    assert nonzero >= 18
+    cup = S(2).el(GF(2), (1, 2))
+    for space, want in ((BG((2,), 3), {((1,),) * 3: 1}), (FaceTable(b_z2(3)), {"s3": 1})):
+        x = Cochain(1, {next(space.simplices(1)): 1})
+        xx = dual_operation(cup, [x, x], space, GF(2))
+        right = dual_operation(cup, [x, xx], space, GF(2)).values
+        left = dual_operation(cup, [xx, x], space, GF(2)).values
+        assert right == want
+        assert (left == right) == isinstance(space, BG)
+
+
+def test_bockstein_and_cup_square_on_bz3():
+    """On B(Z/3), with u(g) = g and v(g, h) = [g + h >= 3]: the coboundary
+    of u is 3v, so 0 mod 3, v is a cocycle, and v cup v is nonzero exactly
+    on the 9 of 16 four-simplices whose halves both carry."""
+    space = BG((3,), 4)
+    carries = lambda g, h: int(g[0] + h[0] >= 3)
+    u = Cochain(1, {bar: bar[0][0] for bar in space.simplices(1)})
+    v = Cochain(2, {bar: carries(*bar) for bar in space.simplices(2)})
+    assert cochain_coboundary(u, space).values == {bar: 3 for bar, c in v.values.items() if c}
+    assert cochain_coboundary(u, space, GF(3)).values == {}
+    for ring in (ZZ, GF(3)):
+        assert cochain_coboundary(v, space, ring).values == {}
+        square = dual_operation(S(2).el(ring, (1, 2)), [v, v], space, ring)
+        want = [bar for bar in space.simplices(4) if carries(*bar[:2]) and carries(*bar[2:])]
+        assert square.values == dict.fromkeys(want, 1)
+        assert len(want) == 9 and space.count(4) == 16
+
+
+def test_bg_builds_no_face_lists_and_validates():
+    """BG(orders, top) has (|G| - 1)^d simplices in dimension d, builds no
+    face lists, and rejects orders and dimensions that are not positive
+    and non-negative integers."""
+    space = BG((2, 2), 8)
+    assert [space.count(d) for d in range(10)] == [3**d for d in range(9)] + [0]
+    assert not hasattr(space, "faces") and space._walks == {}
+    assert list(BG((), 3).simplices()) == [()]
+    for orders, top in (((0,), 2), ((2.0,), 2), ((2, -1), 2), ((2,), -1), ((2,), "3"), ((True,), 1)):
+        with pytest.raises(InvalidInput):
+            BG(orders, top)
+
+
 def test_mask_index_partitions_the_landing_simplices():
     """Per (dimension, walk) the masks are disjoint, and together they are
     the positions whose walk does not end at a null face, each under the
-    face its walk reaches.  A GF(2) operation builds masks and no coface
-    index; a ZZ operation builds coface indexes and no masks."""
+    face its walk reaches.  A GF(2) operation builds masks; a ZZ or GF(3)
+    operation builds none."""
     for data in (SIMPLEX3, simplex_with_null(5), b_z2(5)):
         tab = FaceTable(data)
         for d in range(data["dim"] + 1):
@@ -551,16 +656,15 @@ def test_mask_index_partitions_the_landing_simplices():
                     landed = [pos for pos, face in enumerate(faces) if face is not None]
                     assert union == sum(1 << pos for pos in landed)
     x = S(2).el(ZZ, (1, 2, 1))
-    for ring, built, unbuilt in ((GF(2), "_masks", "_cofaces"), (ZZ, "_cofaces", "_masks")):
+    for ring in (ZZ, GF(3), GF(2)):
         tab = FaceTable(simplex_with_null(5))
         edges = list(tab.simplices(1))
         dense = Cochain(1, {sid: i + 1 for i, sid in enumerate(edges)})
-        # the sparse operand takes the coface index over ZZ
         sparse = Cochain(1, {edges[0]: 1, edges[1]: 3})
         for cochains in ([dense, sparse], [sparse, sparse]):
             dual_operation(x, cochains, tab, ring)
             cochain_coboundary(sparse, tab, ring)
-        assert getattr(tab, built) and getattr(tab, unbuilt) == {}
+        assert bool(tab._masks) == (ring == GF(2))
 
 
 def test_repeated_and_equal_operands():
@@ -794,9 +898,18 @@ def test_face_table_validation():
         {"dim": "five", "simplices": []},
         {"dim": -3, "simplices": []},
         {"dim": 0, "simplices": [{"id": "a", "dim": 0}, {"id": "e", "dim": 1, "faces": ["a", "a"]}]},
+        # two records with one id: the later one used to replace the earlier
+        {"dim": 1, "simplices": [{"id": "a", "dim": 0}, {"id": "a", "dim": 1, "faces": [None, None]}]},
+        {"dim": 0, "simplices": [{"id": "a", "dim": 0}, {"id": "a", "dim": 0}]},
     ):
         with pytest.raises(InvalidInput):
             FaceTable(data)
+    # a simplex id asked for is hashable: a list is invalid input, not a TypeError
+    x = S(2).el(ZZ, (1, 2))
+    alpha = Cochain(1, {"e01": 1})
+    for sid in (["t"], {}):
+        with pytest.raises(InvalidInput, match="no simplex"):
+            cochain_evaluate(x, [alpha, alpha], table(), sid)
 
 
 def test_simplices_order_by_str_id():

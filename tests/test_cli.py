@@ -350,6 +350,7 @@ MALFORMED = {
     "cochain-garbled": EVAL + ("--faces", "{faces}", "--cochains", "{garbled}", "{a}"),
     "faces-null-id": EVAL + ("--faces", "{nullid}", "--cochains", "{a}", "{a}"),
     "faces-dim-string": EVAL + ("--faces", "{dimstring}", "--cochains", "{a}", "{a}"),
+    "faces-duplicate-id": EVAL + ("--faces", "{duplicate}", "--cochains", "{a}", "{a}"),
     "cochain-bool": EVAL + ("--faces", "{faces}", "--cochains", "{bool}", "{a}"),
     "cochain-stray-id": EVAL + ("--faces", "{faces}", "--cochains", "{a}", "{stray}"),
     "cochain-off-degree-id": EVAL + ("--faces", "{faces}", "--cochains", "{offdegree}", "{a}"),
@@ -360,11 +361,17 @@ MALFORMED = {
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_cli_malformed_input_one_error_line(tmp_path, argv):
-    names = ("faces", "a", "garbled", "missing", "nullid", "dimstring", "bool", "stray", "offdegree")
+    names = (
+        "faces", "a", "garbled", "missing", "nullid", "dimstring", "duplicate", "bool", "stray",
+        "offdegree",
+    )
     paths = {name: tmp_path / f"{name}.json" for name in names}
     paths["faces"].write_text(json.dumps(TRIANGLE))
     paths["nullid"].write_text(json.dumps({"dim": 0, "simplices": [{"id": None, "dim": 0}]}))
     paths["dimstring"].write_text(json.dumps(dict(TRIANGLE, dim="five")))
+    # a second record for the edge e01, which used to replace the first
+    again = {"id": "e01", "dim": 1, "faces": ["v2", "v0"]}
+    paths["duplicate"].write_text(json.dumps(dict(TRIANGLE, simplices=TRIANGLE["simplices"] + [again])))
     paths["a"].write_text(json.dumps(ALPHA))
     paths["garbled"].write_text('{"degree": 1,')
     paths["bool"].write_text(json.dumps({"degree": True, "values": {"e": True}}))
