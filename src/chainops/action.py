@@ -180,25 +180,72 @@ def steenrod_constant(m, p):
 # -- cochain evaluation through the graded duality pairing --------------------------
 
 
-class FaceTable:
+class Space:
+    """What cochain operations read of a simplicial set.  A subclass gives
+    dims, a map from simplex id to dimension, and walk(): a deletion walk
+    is the model vertices to delete, highest first, and walk() the one face
+    read on the evaluation path (a coboundary takes the one-step walks).
+    The rest derives here, on first use and never in __init__, and is kept
+    with the space: the simplex order, a walk map per (dimension, walk), and
+    from a walk map the mask index of masks() (over F_2)."""
+
+    def __init__(self, dims):
+        self.dims = dims
+        self._by_dim = None
+        self._walks = {}
+        self._masks = {}
+
+    def simplices(self, d):
+        """The ids of the d-simplices ordered by str(id), as a tuple; the
+        order is computed once, on first use."""
+        if self._by_dim is None:
+            by_dim = {}
+            for sid in sorted(self.dims, key=str):
+                by_dim.setdefault(self.dims[sid], []).append(sid)
+            self._by_dim = {e: tuple(sids) for e, sids in by_dim.items()}
+        return self._by_dim.get(d, ())
+
+    def walk(self, sid, walk):
+        """The face a deletion walk reaches from sid, or None if degenerate."""
+        raise NotImplementedError
+
+    def walk_map(self, d, walk):
+        """walk() from every d-simplex: the list of the faces it reaches, in
+        simplices(d) order, with None where it ends.  Built on first use and
+        kept with the space."""
+        faces = self._walks.get((d, walk))
+        if faces is None:
+            faces = self._walks[d, walk] = [self.walk(t, walk) for t in self.simplices(d)]
+        return faces
+
+    def masks(self, d, walk):
+        """The mask index of a walk: each face it reaches from a d-simplex ->
+        the bitmask (bit p for position p in simplices(d)) of the d-simplices
+        that land there.  The masks are disjoint, and together they cover the
+        d-simplices whose walk does not end.  Built on first use and kept
+        with the space: about len(simplices(d))/8 bytes per face reached."""
+        index = self._masks.get((d, walk))
+        if index is None:
+            landings = {}
+            for pos, t in enumerate(self.walk_map(d, walk)):
+                if t is not None:
+                    landings.setdefault(t, []).append(pos)
+            index = self._masks[d, walk] = {
+                t: sum(map((1).__lshift__, positions)) for t, positions in landings.items()
+            }
+        return index
+
+
+class FaceTable(Space):
     """A finite simplicial-set fragment: nondegenerate simplices with ids,
     dimensions, and ordered face ids (null marks a degenerate face, so no
     simplex may have a null id).
 
-    Cochain operations reach the faces of a simplex by deletion walks: a
-    walk is the model vertices to delete, highest first, and steps from a
-    simplex to its face at each of them in turn; a null face ends it.
-    walk() is the one face read on the evaluation path (a coboundary takes
-    the one-step walks).  From it the table builds, on first use and never
-    in __init__, a walk map per (dimension, walk), and from a walk map the
-    mask index of masks() (over F_2); both are kept with the table.
-    subface() is a separate walk, the one the oracle of the tests takes.
-
-    A null face says only that a face is degenerate, not which degenerate
-    simplex it is, so a walk cannot go on through it: the table is exact
-    for cochain operations only where no walk needs a face of a null face
-    (see BG for a space whose walk is vertex selection instead).
-    """
+    walk() follows the face lists; subface() is a separate walk, the one
+    the oracle of the tests takes.  A null face says only that a face is
+    degenerate, not which degenerate simplex it is, so a walk ends there:
+    the table is exact for cochain operations only where no walk needs a
+    face of a null face (BG's walk is vertex selection instead)."""
 
     def __init__(self, data):
         try:
@@ -208,7 +255,7 @@ class FaceTable:
             raise InvalidInput("a face table needs a 'dim' and a 'simplices' list") from None
         if type(top) is not int or top < 0:
             raise InvalidInput("a face table needs a non-negative integer 'dim'")
-        self.dims = {}
+        dims = {}
         self.faces = {}
         for s in simplices:
             try:
@@ -227,18 +274,18 @@ class FaceTable:
             if dim > 0 and len(faces) != dim + 1:
                 raise InvalidInput(f"simplex {sid} needs {dim + 1} faces")
             try:
-                twice = sid in self.dims
+                twice = sid in dims
             except TypeError:
                 raise InvalidInput(f"simplex id {sid!r} is a list or an object") from None
             if twice:
                 raise InvalidInput(f"two simplices have the id {sid!r}")
-            self.dims[sid] = dim
+            dims[sid] = dim
             self.faces[sid] = list(faces)
         for sid, faces in self.faces.items():
-            want = self.dims[sid] - 1
+            want = dims[sid] - 1
             for f in faces:
                 try:
-                    ok = f is None or self.dims.get(f) == want
+                    ok = f is None or dims.get(f) == want
                 except TypeError:
                     raise InvalidInput(
                         f"face {f!r} of simplex {sid!r} is a list or an object"
@@ -247,62 +294,15 @@ class FaceTable:
                     raise InvalidInput(
                         f"face {f!r} of simplex {sid!r} is not a simplex of dimension {want}"
                     )
-        self._by_dim = None
-        self._walks = {}
-        self._masks = {}
-
-    def _ordered(self, dim):
-        """The list behind simplices(dim), computed once, on first use."""
-        if self._by_dim is None:
-            self._by_dim = {None: sorted(self.dims, key=str)}
-            for sid in self._by_dim[None]:
-                self._by_dim.setdefault(self.dims[sid], []).append(sid)
-        return self._by_dim.get(dim, ())
-
-    def simplices(self, dim=None):
-        """Simplex ids ordered by str(id), all of them or those of one
-        dimension; the order is computed once, on first use."""
-        return iter(self._ordered(dim))
-
-    def count(self, dim):
-        """The number of simplices of one dimension."""
-        return len(self._ordered(dim))
+        super().__init__(dims)
 
     def walk(self, sid, walk):
-        """The face a deletion walk (model vertices to delete, highest
-        first) reaches from sid, or None where a null face ends it."""
         faces = self.faces
         for v in walk:
             sid = faces[sid][v]
             if sid is None:
                 return None
         return sid
-
-    def walk_map(self, d, walk):
-        """walk() from every d-simplex: the list of the faces it reaches, in
-        simplices(d) order, with None where it ends.  Built on first use and
-        kept with the table."""
-        faces = self._walks.get((d, walk))
-        if faces is None:
-            faces = self._walks[d, walk] = [self.walk(t, walk) for t in self._ordered(d)]
-        return faces
-
-    def masks(self, d, walk):
-        """The mask index of a walk: each face it reaches from a d-simplex ->
-        the bitmask (bit p for position p in simplices(d)) of the d-simplices
-        that land there.  The masks are disjoint, and together they cover the
-        d-simplices whose walk does not end.  Built on first use and kept
-        with the table: about count(d)/8 bytes per face reached."""
-        index = self._masks.get((d, walk))
-        if index is None:
-            landings = {}
-            for pos, t in enumerate(self.walk_map(d, walk)):
-                if t is not None:
-                    landings.setdefault(t, []).append(pos)
-            index = self._masks[d, walk] = {
-                t: sum(map((1).__lshift__, positions)) for t, positions in landings.items()
-            }
-        return index
 
     def subface(self, sid, vertices):
         """The iterated face of sid spanned by a vertex subset of its model."""
@@ -316,7 +316,7 @@ class FaceTable:
         return sid
 
 
-class BG(FaceTable):
+class BG(Space):
     """The classifying space B(Z/n_1 x ... x Z/n_k) up to dimension top,
     the nerve of the group: a d-simplex is a bar (g_1, ..., g_d) of
     non-identity elements, each a tuple of residues mod n_1, ..., n_k, with
@@ -325,10 +325,8 @@ class BG(FaceTable):
     A deletion walk is vertex selection: the face keeps the other vertices,
     its bar is their successive differences, and it is degenerate (None)
     where two consecutive kept vertices coincide.  So a walk goes on where
-    a face table's null face would end it.  No face lists are built:
-    simplices, count, walk_map and masks are the face table's, and
-    subface, which walks face lists, has none to walk here.
-    """
+    a face table's null face would end it.  No face lists are built, and
+    there is no subface()."""
 
     def __init__(self, orders, top):
         orders = tuple(orders)
@@ -338,10 +336,7 @@ class BG(FaceTable):
             raise InvalidInput("BG needs a non-negative integer top dimension")
         self.orders = orders
         elements = [g for g in product(*map(range, orders)) if any(g)]
-        self.dims = {bar: d for d in range(top + 1) for bar in product(elements, repeat=d)}
-        self._by_dim = None
-        self._walks = {}
-        self._masks = {}
+        super().__init__({bar: d for d in range(top + 1) for bar in product(elements, repeat=d)})
 
     def walk(self, sid, walk):
         orders = self.orders
@@ -378,12 +373,14 @@ class Cochain:
         return self.values.get(sid, 0)
 
 
-def _check_operands(x, cochains):
+def _check_operands(x, cochains, table):
     src = x.complex if isinstance(x, Element) else None
     if not isinstance(src, SurjectionComplex) or src.flavor != "bf":
         raise InvalidInput("cochain operations expect an S^bf element")
     if len(cochains) != src.n:
         raise InvalidInput(f"need {src.n} cochains")
+    if not (isinstance(table, Space) and all(isinstance(a, Cochain) for a in cochains)):
+        raise InvalidInput("cochain operations expect Cochain operands on a Space")
 
 
 # The plans of the surjection generators that cochain operations meet,
@@ -459,7 +456,7 @@ def cochain_evaluate(x, cochains, table, sid, ring=ZZ):
     dimension |c|, so to evaluate on many simplices use dual_operation,
     which does that once.
     """
-    _check_operands(x, cochains)
+    _check_operands(x, cochains, table)
     try:
         d = table.dims[sid]
     except (KeyError, TypeError):
@@ -482,7 +479,7 @@ def _column_sum(terms, table, d):
     (factor position, walk), through the walk map, to a column, and each
     term adds the product of its columns times its coefficient."""
     columns = {}
-    total = [0] * table.count(d)
+    total = [0] * len(table.simplices(d))
     for c, factors in terms:
         prod = None
         for i, (vals, walk) in enumerate(factors):
@@ -503,7 +500,7 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 
 def _mod2_on_table(plan, table, d):
     """A pairing plan evaluated mod 2 on every d-simplex, on bitmasks over
-    the positions in simplices(d) (see FaceTable.masks).
+    the positions in simplices(d) (see Space.masks).
 
     A factor's column is the union of the masks of the faces on which its
     operand is odd: the masks are disjoint, so a sum.  It is read from
@@ -541,7 +538,7 @@ def _mod2_on_table(plan, table, d):
             term &= column
         total ^= term
     bits = bin(total)[:1:-1].encode().translate(_BITS)
-    return Cochain(d, dict.fromkeys(compress(table._ordered(d), bits), 1), _clean=True)
+    return Cochain(d, dict.fromkeys(compress(table.simplices(d), bits), 1), _clean=True)
 
 
 def _on_table(plan, table, d, ring):
@@ -553,7 +550,7 @@ def _on_table(plan, table, d, ring):
     outer, terms = plan
     total = _column_sum(terms, table, d)
     totals = map(ring.normalize, total if outer == 1 else map(neg, total))
-    values = {sid: v for sid, v in zip(table._ordered(d), totals) if v}
+    values = {sid: v for sid, v in zip(table.simplices(d), totals) if v}
     return Cochain(d, values, _clean=True)
 
 
@@ -565,7 +562,7 @@ def dual_operation(x, cochains, table, ring=ZZ):
     every d-simplex: over F_2 on the bitmasks of the operands' odd-valued
     supports (see _mod2_on_table), over Z and F_p, p odd, by the column sum.
     """
-    _check_operands(x, cochains)
+    _check_operands(x, cochains, table)
     d = sum(a.degree for a in cochains) - x.degree
     if d < 0:
         return Cochain(d, {}, _clean=True)
@@ -580,6 +577,8 @@ def cochain_coboundary(alpha, table, ring=ZZ):
     and goes the way of dual_operation: over F_2 through the bitmasks,
     otherwise through the column sum over every d-simplex.
     """
+    if not (isinstance(table, Space) and isinstance(alpha, Cochain)):
+        raise InvalidInput("cochain operations expect Cochain operands on a Space")
     d = alpha.degree + 1
     if d <= 0:
         return Cochain(d, {}, _clean=True)

@@ -12,6 +12,7 @@ from chainops.action import (
     BFActionStandard,
     Cochain,
     FaceTable,
+    Space,
     _generator_plan,
     bf_action,
     bf_action_standard,
@@ -509,8 +510,10 @@ def test_walk_map_agrees_with_subface():
     """The walk map and the oracle's subface reach the same face from every
     d-simplex, on every walk a plan uses and on every other vertex subset,
     also through null faces.  On the null-face fragment b_z2 both stop at
-    an inner null face (BG walks on through it); a subface that goes on
-    through a null face must take the walk along."""
+    an inner null face; a subface that goes on through a null face must take
+    the walk along.  BG walks on through such faces, but it builds no face
+    lists and has no subface, so its tests check known answers only, until
+    face tables with degeneracy records give it an independent oracle."""
     for data in (SIMPLEX3, simplex_with_null(5), b_z2(5)):
         tab = FaceTable(data)
         for d in range(data["dim"] + 1):
@@ -527,9 +530,59 @@ def test_walk_map_agrees_with_subface():
             for walk in walks:
                 kept = [v for v in range(d + 1) if v not in walk]
                 faces = tab.walk_map(d, walk)
-                assert len(faces) == tab.count(d)
+                assert len(faces) == len(tab.simplices(d))
                 for sid, face in zip(tab.simplices(d), faces):
                     assert face == tab.subface(sid, kept) == tab.walk(sid, walk)
+
+
+class OrderedComplex(Space):
+    """An ordered simplicial complex from its top simplices: every vertex
+    subset of one is a simplex, whose id is its vertex tuple, and a walk
+    deletes the listed positions, so a subface is a vertex selection."""
+
+    def __init__(self, tops):
+        subsets = (s for top in tops for k in range(1, len(top) + 1) for s in combinations(top, k))
+        super().__init__({s: len(s) - 1 for s in subsets})
+
+    def walk(self, sid, walk):
+        return tuple(v for i, v in enumerate(sid) if i not in walk)
+
+
+def test_a_space_is_dims_and_walk():
+    """dual_operation and cochain_coboundary on a Space that gives only dims
+    and walk (Delta^3 and the boundary of Delta^4 as ordered complexes), over
+    ZZ, GF(3) and GF(2), equal the oracles run on the face tables of the same
+    complexes with each vertex tuple relabelled as its string of digits, in
+    table order."""
+    rng = random.Random(17)
+    name = lambda s: "".join(map(str, s))
+    nonzero = 0
+    for tops in ([tuple(range(4))], list(combinations(range(5), 4))):
+        space = OrderedComplex(tops)
+        assert set(vars(space)) == {"dims", "_by_dim", "_walks", "_masks"}
+        assert {a for a in dir(space) if a[0] != "_"} == {"dims", "simplices", "walk", "walk_map", "masks"}
+        records = []
+        for s, d in space.dims.items():
+            faces = [name(s[:j] + s[j + 1 :]) for j in range(d + 1)] if d else []
+            records.append({"id": name(s), "dim": d, "faces": faces})
+        tab = FaceTable({"dim": 3, "simplices": records})
+        relabel = lambda c: [(name(s), v) for s, v in c.values.items()]
+        for ring in (ZZ, GF(3), GF(2)):
+            lifts = {}
+            for d in range(4):
+                values = {s: rng.randint(-3, 3) for s in space.simplices(d)}
+                lifts[d] = (Cochain(d, values), Cochain(d, {name(s): v for s, v in values.items()}))
+                got = cochain_coboundary(lifts[d][0], space, ring)
+                assert relabel(got) == list(coboundary_oracle(lifts[d][1], tab, ring).items())
+            for n, k in ((2, 0), (2, 1), (2, 2), (3, 1)):
+                x = Element(S(n), ring, k, [(rng.randint(1, 4), g) for g in S(n).basis(k)])
+                for degrees in product(range(4), repeat=n):
+                    if 0 <= sum(degrees) - k <= 3:
+                        got = dual_operation(x, [lifts[e][0] for e in degrees], space, ring)
+                        want = dual_operation_oracle(x, [lifts[e][1] for e in degrees], tab, ring)
+                        assert relabel(got) == list(want.items())
+                        nonzero += bool(want)
+    assert nonzero >= 100
 
 
 def cup_on_bars(alpha, beta, space, ring):
@@ -553,11 +606,11 @@ def squares_wrong(space):
     the bf word 1212... of length n - k + 2."""
     wrong = []
     for n in range(1, 7):
-        xn = Cochain(n, {next(space.simplices(n)): 1})
+        xn = Cochain(n, {space.simplices(n)[0]: 1})
         for k in range(n + 1):
             word = tuple(1 + j % 2 for j in range(n - k + 2))
             got = dual_operation(S(2).el(GF(2), word), [xn, xn], space, GF(2))
-            want = {next(space.simplices(n + k)): 1} if comb(n, k) % 2 else {}
+            want = {space.simplices(n + k)[0]: 1} if comb(n, k) % 2 else {}
             if got.values != want:
                 wrong.append((n, k))
     return wrong
@@ -595,7 +648,7 @@ def test_cup_products_on_classifying_spaces():
     assert nonzero >= 18
     cup = S(2).el(GF(2), (1, 2))
     for space, want in ((BG((2,), 3), {((1,),) * 3: 1}), (FaceTable(b_z2(3)), {"s3": 1})):
-        x = Cochain(1, {next(space.simplices(1)): 1})
+        x = Cochain(1, {space.simplices(1)[0]: 1})
         xx = dual_operation(cup, [x, x], space, GF(2))
         right = dual_operation(cup, [x, xx], space, GF(2)).values
         left = dual_operation(cup, [xx, x], space, GF(2)).values
@@ -618,17 +671,20 @@ def test_bockstein_and_cup_square_on_bz3():
         square = dual_operation(S(2).el(ring, (1, 2)), [v, v], space, ring)
         want = [bar for bar in space.simplices(4) if carries(*bar[:2]) and carries(*bar[2:])]
         assert square.values == dict.fromkeys(want, 1)
-        assert len(want) == 9 and space.count(4) == 16
+        assert len(want) == 9 and len(space.simplices(4)) == 16
 
 
 def test_bg_builds_no_face_lists_and_validates():
-    """BG(orders, top) has (|G| - 1)^d simplices in dimension d, builds no
-    face lists, and rejects orders and dimensions that are not positive
-    and non-negative integers."""
+    """BG(orders, top) is a Space and not a FaceTable: it has (|G| - 1)^d
+    simplices in dimension d, builds no face lists and has no subface, and
+    rejects orders and dimensions that are not positive and non-negative
+    integers."""
     space = BG((2, 2), 8)
-    assert [space.count(d) for d in range(10)] == [3**d for d in range(9)] + [0]
-    assert not hasattr(space, "faces") and space._walks == {}
-    assert list(BG((), 3).simplices()) == [()]
+    assert isinstance(space, Space) and not isinstance(space, FaceTable)
+    assert [len(space.simplices(d)) for d in range(10)] == [3**d for d in range(9)] + [0]
+    assert not hasattr(space, "faces") and not hasattr(space, "subface")
+    assert space._walks == {}
+    assert [BG((), 3).simplices(d) for d in range(4)] == [((),), (), (), ()]
     for orders, top in (((0,), 2), ((2.0,), 2), ((2, -1), 2), ((2,), -1), ((2,), "3"), ((True,), 1)):
         with pytest.raises(InvalidInput):
             BG(orders, top)
@@ -733,7 +789,7 @@ def test_term_guard_trips_where_bf_action_does():
         for x, degrees in cases:
             d = sum(degrees) - x.degree
             cochains = [Cochain(k, {sid: 1 for sid in tab.simplices(k)}) for k in degrees]
-            sid = next(tab.simplices(d))
+            sid = tab.simplices(d)[0]
             set_term_guard(old)
             count = len(bf_action(x, d).terms)
             set_term_guard(count - 1)
@@ -830,6 +886,18 @@ def test_cochain_operands_are_validated():
             dual_operation(bad_x, cochains, tab)
         with pytest.raises(InvalidInput):
             cochain_evaluate(bad_x, cochains, tab, "t")
+    # an operand that is not a Cochain, or a space that is not a Space, is
+    # invalid input, not an AttributeError
+    space = BG((2,), 3)
+    for call in (
+        lambda: dual_operation(x, [{"a": 1}, {"b": 1}], space),
+        lambda: dual_operation(x, [alpha, alpha], {"dim": 1}),
+        lambda: cochain_evaluate(x, [alpha, alpha], {"dim": 1}, "t"),
+        lambda: cochain_coboundary({"a": 1}, space),
+        lambda: cochain_coboundary(alpha, {"dim": 1}),
+    ):
+        with pytest.raises(InvalidInput):
+            call()
 
 
 def test_cochains_hold_integers():
@@ -924,10 +992,9 @@ def test_simplices_order_by_str_id():
             ],
         }
     )
-    assert list(tab.simplices()) == [10, 9, "a", "b"]
-    assert list(tab.simplices(0)) == [10, 9]
-    assert list(tab.simplices(1)) == ["a", "b"]
-    assert list(tab.simplices(2)) == []
+    assert tab.simplices(0) == (10, 9)
+    assert tab.simplices(1) == ("a", "b")
+    assert tab.simplices(2) == ()
 
 
 def test_sz_square_cases():
