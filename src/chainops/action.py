@@ -131,11 +131,6 @@ class BFActionStandard(RecursiveMap):
         return self._map(x, self.target(m), m, m)
 
 
-@lru_cache(maxsize=None)
-def bf_action_standard(n):
-    return BFActionStandard(n)
-
-
 # -- composites through TR, phi, and the flavor isomorphisms -----------------------
 
 

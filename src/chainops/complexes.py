@@ -219,6 +219,8 @@ class TensorComplex(ChainComplex):
             self.group = ProductGroup(groups)
 
     def validate(self, gen):
+        if not isinstance(gen, (tuple, list)) or len(gen) != len(self.factors):
+            raise InvalidInput(f"a generator of {self.name} has {len(self.factors)} factors")
         return tuple(f.validate(g) for f, g in zip(self.factors, gen))
 
     def normalize(self, gen):

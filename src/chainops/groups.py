@@ -61,6 +61,11 @@ class SymmetricGroup:
         return list(a)
 
     def decode(self, data):
+        """The permutation of 1..n with these images, or InvalidInput."""
+        if not isinstance(data, (tuple, list)):
+            raise InvalidInput(f"{data!r} is not a permutation of 1..{self.n}")
+        if len(data) != self.n:
+            raise InvalidInput(f"{tuple(data)} is not a permutation of 1..{self.n}")
         return Perm(data)
 
     def format(self, a):
@@ -106,6 +111,9 @@ class CyclicGroup:
         return a
 
     def decode(self, data):
+        """The class of T^data; data must be an int."""
+        if type(data) is not int:
+            raise InvalidInput(f"{data!r} is not an exponent of T")
         return data % self.n
 
     def format(self, a):
@@ -159,6 +167,9 @@ class ProductGroup:
         return [g.encode(x) for g, x in zip(self.factors, a)]
 
     def decode(self, data):
+        """One element per factor, each decoded by its factor."""
+        if not isinstance(data, (tuple, list)) or len(data) != len(self.factors):
+            raise InvalidInput(f"{data!r} is not an element of {self!r}")
         return tuple(g.decode(x) for g, x in zip(self.factors, data))
 
     def format(self, a):

@@ -20,6 +20,10 @@ class MacLaneComplex(VertexSequenceComplex):
         self.group = group
         self.name = f"N(E{group!r})"
 
+    def validate(self, gen):
+        """Each entry decoded as an element of the group."""
+        return tuple(map(self.group.decode, gen))
+
     def format_gen(self, gen):
         return "(" + "; ".join(self.group.format(g) for g in gen) + ")"
 

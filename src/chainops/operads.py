@@ -1,23 +1,20 @@
 """Operad structure maps: the symmetric-group operad, the Barratt-Eccles
 operad on N(ESigma_n), and the surjection operad on S(n).
 
-The recursive twisted-equivariant engine defines O_B(b) = H_s O_B(db)
-on basis tensors and extends by O_B(g^ x) = O_Sigma(g^) O_B(tau_g x);
-the closed forms (EZ followed by vertexwise O_Sigma for Barratt-Eccles,
+The closed forms (EZ followed by vertexwise O_Sigma for Barratt-Eccles,
 k-divisions with caesura-shuffle signs for the Berger-Fresse surjection
-operad) are implemented independently and tested against it.  The ms
-and aj surjection structure maps are obtained by conjugating with the
-flavor isomorphisms.
+operad) are tested against the recursive twisted-equivariant engine,
+procedure.TwistedOperadMap, which be_engine and surj_engine build and
+engine_compose evaluates.  The ms and aj surjection structure maps are
+obtained by conjugating with the flavor isomorphisms.
 """
 
 from functools import partial
 from itertools import combinations_with_replacement, product as _product
 
-from .complexes import TensorComplex, boundary
-from .elements import built
+from .complexes import TensorComplex
 from .errors import InvalidInput
-from .perms import Perm, block_perm, koszul_permute, koszul_sign, permute_by
-from .procedure import RecursiveMap
+from .perms import Perm, block_perm, koszul_sign
 from .rings import ZZ
 from .surjections import caesuras, iso, surjection_complex
 
@@ -40,59 +37,6 @@ def sigma_compose(u, vs):
 def oplus(vs):
     """v_1 + ... + v_r acting blockwise (the direct-sum permutation)."""
     return sigma_compose(Perm.identity(len(vs)), vs)
-
-
-# -- the recursive twisted-equivariant engine -------------------------------------
-
-
-class TwistedOperadMap(RecursiveMap):
-    """The standard twisted-equivariant procedure structure map O_B,
-    memoized on (arities, basis tensor), on the family of complexes
-    component(n) (N(ESigma_n) for Barratt-Eccles, S(n) for surjections)."""
-
-    def __init__(self, component, ring=ZZ):
-        super().__init__(ring)
-        self.component = component
-        self._domains = {}
-
-    def domain(self, arities):
-        dom = self._domains.get(arities)
-        if dom is None:
-            factors = tuple(self.component(n) for n in arities)
-            dom = self._domains[arities] = TensorComplex(factors)
-        return dom
-
-    def target(self, arities):
-        return self.component(sum(arities[1:]))
-
-    def seed(self, key):
-        arities, gen = key
-        if self.domain(arities).degree_of(gen) != 0:
-            return None
-        return self.target(arities).basepoint(self.ring)
-
-    def defect(self, key):
-        arities, gen = key
-        return self.apply(arities, boundary(built(self.domain(arities), self.ring, gen)))
-
-    def split(self, gen, arities):
-        """O_B(g^ x) = O_Sigma(g^) O_B(tau_g x): the inner inputs of the
-        basis tensor are reordered by g^-1 with its Koszul sign."""
-        dom = self.domain(arities)
-        ghat, coeff, b = dom.decompose(gen)
-        g, hs = ghat[0], ghat[1:]
-        inner = b[1:]
-        if not g.is_identity():
-            ginv = g.inverse()
-            degrees = [f.degree_of(y) for f, y in zip(dom.factors[1:], inner)]
-            sign, inner = koszul_permute(ginv, inner, degrees)
-            coeff *= sign
-            arities = (arities[0],) + tuple(permute_by(ginv, arities[1:]))
-        osig = sigma_compose(g, list(hs))
-        return (arities, (b[0],) + inner), coeff, None if osig.is_identity() else osig
-
-    def apply(self, arities, x):
-        return self._map(x, self.target(arities), 0, arities)
 
 
 def engine_compose(engine, outer, inners):
@@ -294,9 +238,12 @@ def partial_compose(flavor, i, x, y, ring=None):
 
 def be_engine(ring=ZZ):
     from .maclane import sym_eg
+    from .procedure import TwistedOperadMap
 
     return TwistedOperadMap(sym_eg, ring)
 
 
 def surj_engine(flavor="bf", ring=ZZ):
+    from .procedure import TwistedOperadMap
+
     return TwistedOperadMap(partial(surjection_complex, flavor), ring)

@@ -6,8 +6,10 @@ case and h(defect(key)) otherwise, and a generator is split into a basis
 key, a coefficient and a twist it acts by.  StandardMap builds the
 equivariant chain map phi(b) = h_C(phi(d b)) from a degree-0 seed;
 StandardHomotopy builds H(b) = h_C(phi1(b) - phi0(b) - H(db)); the
-operad structure maps (operads.TwistedOperadMap) and the Berger-Fresse
-action (action.BFActionStandard) are the other two instances.
+operad structure maps (TwistedOperadMap), EZ (EZStandard) and the
+Berger-Fresse action (action.BFActionStandard) are the other instances,
+each the oracle of a closed formula that shares no code with it.  An
+engine imports from operads or simplex when it is constructed.
 verify_contracted checks the contraction identities (d^2 = 0,
 dh + hd = Id - rho, h^2 = 0, h iota = 0, equivariance of d) in one pass
 per degree k: each generator of degree k runs every identity that has
@@ -60,9 +62,10 @@ holds at x exactly when it holds at every tuple of x's class:
 
 from functools import partial
 
-from .complexes import act, augment, boundary, contract
-from .elements import Element, built
+from .complexes import TensorComplex, act, augment, boundary, contract
+from .elements import Element, built, collect
 from .errors import InvalidInput
+from .perms import koszul_permute, permute_by
 from .rings import ZZ
 
 
@@ -185,6 +188,95 @@ class StandardHomotopy(RecursiveMap):
         # augmentations of phi0 and phi1 match
         eb = built(self.domain, self.ring, b)
         return self.phi1(eb) - self.phi0(eb) - self(boundary(eb))
+
+
+class TwistedOperadMap(RecursiveMap):
+    """The standard twisted-equivariant procedure structure map O_B,
+    memoized on (arities, basis tensor), on the family of complexes
+    component(n) (N(ESigma_n) for Barratt-Eccles, S(n) for surjections):
+    O_B(b) = H_s O_B(db) on basis tensors, extended by
+    O_B(g^ x) = O_Sigma(g^) O_B(tau_g x)."""
+
+    def __init__(self, component, ring=ZZ):
+        from .operads import sigma_compose
+
+        super().__init__(ring)
+        self.component = component
+        self._sigma_compose = sigma_compose
+        self._domains = {}
+
+    def domain(self, arities):
+        dom = self._domains.get(arities)
+        if dom is None:
+            factors = tuple(self.component(n) for n in arities)
+            dom = self._domains[arities] = TensorComplex(factors)
+        return dom
+
+    def target(self, arities):
+        return self.component(sum(arities[1:]))
+
+    def seed(self, key):
+        arities, gen = key
+        if self.domain(arities).degree_of(gen) != 0:
+            return None
+        return self.target(arities).basepoint(self.ring)
+
+    def defect(self, key):
+        arities, gen = key
+        return self.apply(arities, boundary(built(self.domain(arities), self.ring, gen)))
+
+    def split(self, gen, arities):
+        """O_B(g^ x) = O_Sigma(g^) O_B(tau_g x): the inner inputs of the
+        basis tensor are reordered by g^-1 with its Koszul sign."""
+        dom = self.domain(arities)
+        ghat, coeff, b = dom.decompose(gen)
+        g, hs = ghat[0], ghat[1:]
+        inner = b[1:]
+        if not g.is_identity():
+            ginv = g.inverse()
+            degrees = [f.degree_of(y) for f, y in zip(dom.factors[1:], inner)]
+            sign, inner = koszul_permute(ginv, inner, degrees)
+            coeff *= sign
+            arities = (arities[0],) + tuple(permute_by(ginv, arities[1:]))
+        osig = self._sigma_compose(g, list(hs))
+        return (arities, (b[0],) + inner), coeff, None if osig.is_identity() else osig
+
+    def apply(self, arities, x):
+        return self._map(x, self.target(arities), 0, arities)
+
+
+class EZStandard(RecursiveMap):
+    """EZ(Delta^m (x) Delta^n) in N(Delta^m x Delta^n), memoized on (m, n):
+    ((0), (0)) at (0, 0), and otherwise h of EZ(d(Delta^m (x) Delta^n)),
+    whose faces are pushed forward from their models EZ(Delta^(m-1) (x)
+    Delta^n) and EZ(Delta^m (x) Delta^(n-1)), over the integers."""
+
+    def __init__(self):
+        from . import simplex
+
+        super().__init__(ZZ)
+        self._simplex = simplex
+
+    def seed(self, key):
+        if key == (0, 0):
+            return self._simplex.product_complex(0, 0).basepoint(self.ring)
+        return None
+
+    def defect(self, key):
+        m, n = key
+        face_vmap, push = self._simplex.face_vmap, self._simplex.push_face
+        pairs = []
+        if m > 0:
+            inner = self.on_basis((m - 1, n)).terms.items()
+            for j in range(m + 1):
+                vmap, sign = face_vmap(m, j), (-1) ** j
+                pairs.extend((sign * c, (push(vmap, a), b)) for (a, b), c in inner)
+        if n > 0:
+            inner = self.on_basis((m, n - 1)).terms.items()
+            for j in range(n + 1):
+                vmap, sign = face_vmap(n, j), (-1) ** (m + j)
+                pairs.extend((sign * c, (a, push(vmap, b))) for (a, b), c in inner)
+        return collect(self._simplex.product_complex(m, n), self.ring, m + n - 1, pairs)
 
 
 # -- contraction verification ---------------------------------------------------

@@ -11,18 +11,32 @@ multidiagonal.  The Alexander-Whitney, Eilenberg-Zilber, and
 multidiagonal maps come in two forms: the closed formulas (front/back
 faces, signed lattice paths, overlapping splittings) and the recursive
 standard-procedure constructions, kept separate so the tests can play
-them against each other.  EZ's recursion is ez_standard here; the
-multidiagonal's is the Berger-Fresse action's in degree 0
-(action.BFActionStandard on the identity surjection).
+them against each other.  EZ's recursion is procedure.EZStandard, which
+pushes faces forward along push_face and face_vmap; the multidiagonal's
+is the Berger-Fresse action's in degree 0 (action.BFActionStandard on
+the identity surjection).
 """
 
 from functools import lru_cache
 from itertools import combinations, product as _product
 
-from .complexes import ChainComplex, TensorComplex, VertexSequenceComplex, contract
-from .elements import Element, collect
+from .complexes import ChainComplex, TensorComplex, VertexSequenceComplex
+from .elements import Element
 from .errors import InvalidInput
 from .rings import ZZ
+
+
+def _ordered_vertices(row, m):
+    """Whether row is nondecreasing; InvalidInput at a vertex that is not
+    an integer in 0..m."""
+    prev = -1
+    for v in row:
+        if type(v) is not int or not 0 <= v <= m:
+            raise InvalidInput(f"vertex {v!r} outside Delta^{m}")
+        if v < prev:
+            return False
+        prev = v
+    return True
 
 
 class SimplexComplex(VertexSequenceComplex):
@@ -36,13 +50,8 @@ class SimplexComplex(VertexSequenceComplex):
 
     def validate(self, gen):
         gen = tuple(gen)
-        prev = -1
-        for v in gen:
-            if v < 0 or v > self.m:
-                raise InvalidInput(f"vertex {v} outside Delta^{self.m}")
-            if v < prev:
-                raise InvalidInput(f"vertices {gen} out of order")
-            prev = v
+        if not _ordered_vertices(gen, self.m):
+            raise InvalidInput(f"vertices {gen} out of order")
         return gen
 
     def format_gen(self, gen):
@@ -82,17 +91,14 @@ class ProductSimplexComplex(ChainComplex):
 
     def validate(self, gen):
         rows = tuple(tuple(r) for r in gen)
+        if len(rows) != len(self.ambients):
+            raise InvalidInput(f"a generator of {self.name} has {len(self.ambients)} rows")
         width = len(rows[0])
         if any(len(r) != width for r in rows) or width == 0:
             raise InvalidInput("product generator rows must share a length >= 1")
         for r, m in zip(rows, self.ambients):
-            prev = -1
-            for v in r:
-                if v < 0 or v > m:
-                    raise InvalidInput(f"vertex {v} outside Delta^{m}")
-                if v < prev:
-                    raise InvalidInput(f"row {r} out of order")
-                prev = v
+            if not _ordered_vertices(r, m):
+                raise InvalidInput(f"row {r} out of order")
         return rows
 
     def normalize(self, gen):
@@ -309,32 +315,3 @@ def face_vmap(m, j):
     """Vertex map of the j-th codimension-one face Delta^{m-1} -> Delta^m."""
     return [v if v < j else v + 1 for v in range(m)]
 
-
-# -- recursive standard-procedure oracles -------------------------------------
-
-
-@lru_cache(maxsize=None)
-def ez_standard(m, n):
-    """EZ(Delta^m (x) Delta^n) built by the functorial recursion
-    h(EZ(d(...))) with boundary faces pushed forward from their models."""
-    target = product_complex(m, n)
-    if m == 0 and n == 0:
-        return collect(target, ZZ, 0, [(1, ((0,), (0,)))])
-    pairs = []
-    if m > 0:
-        inner = ez_standard(m - 1, n).terms.items()
-        for j in range(m + 1):
-            vmap = face_vmap(m, j)
-            sign = (-1) ** j
-            pairs.extend(
-                (sign * c, (push_face(vmap, gen[0]), gen[1])) for gen, c in inner
-            )
-    if n > 0:
-        inner = ez_standard(m, n - 1).terms.items()
-        for j in range(n + 1):
-            vmap = face_vmap(n, j)
-            sign = (-1) ** (m + j)
-            pairs.extend(
-                (sign * c, (gen[0], push_face(vmap, gen[1]))) for gen, c in inner
-            )
-    return contract(collect(target, ZZ, m + n - 1, pairs))

@@ -743,12 +743,7 @@ def witnesses_suite(p=3, ell=2, max_k=2, max_degree=4):
 
 
 def action_suite(max_n=3, max_k=2, max_m=3):
-    from .action import (
-        bf_action,
-        bf_action_standard,
-        bf_action_terms,
-        steenrod_constant,
-    )
+    from .action import BFActionStandard, bf_action, bf_action_terms, steenrod_constant
 
     checks = []
     terms = bf_action_terms((1, 2, 1, 3, 2, 1, 3), 5)
@@ -756,8 +751,11 @@ def action_suite(max_n=3, max_k=2, max_m=3):
     checks.append(Check("monomial action golden term, sign +1", co == [1]))
 
     def closed_vs_recursive():
+        engines = {}
         for S, gen in _basis("bf", max_n, max_k):
-            std = bf_action_standard(S.n)
+            if S.n not in engines:
+                engines[S.n] = BFActionStandard(S.n)
+            std = engines[S.n]
             x = S.el(ZZ, gen)
             for m in range(0, max_m + 1):
                 yield (S.n, gen, m), bf_action(x, m) == std.apply(x, m)

@@ -15,7 +15,6 @@ from chainops.action import (
     Space,
     _generator_plan,
     bf_action,
-    bf_action_standard,
     bf_action_terms,
     cochain_coboundary,
     cochain_evaluate,
@@ -69,7 +68,7 @@ def test_vanishing_above_dimension_bound():
 
 def test_closed_equals_recursive():
     for n in (2, 3):
-        std = bf_action_standard(n)
+        std = BFActionStandard(n)
         for k in range(0, 3):
             for gen in S(n).basis(k):
                 for m in range(0, 4):
@@ -164,7 +163,7 @@ def test_action_suite_reports_first_counterexample(monkeypatch):
             calls.append((x, m))
             return None
 
-    monkeypatch.setattr(chainops.action, "bf_action_standard", lambda n: WrongEngine())
+    monkeypatch.setattr(chainops.action, "BFActionStandard", lambda n: WrongEngine())
     [check] = [c for c in action_suite().checks if c.name.startswith("closed = recursive")]
     assert not check.ok
     assert check.counterexample == (2, next(iter(S(2).basis(0))), 0)

@@ -356,6 +356,9 @@ MALFORMED = {
     "cochain-off-degree-id": EVAL + ("--faces", "{faces}", "--cochains", "{offdegree}", "{a}"),
     "verify-isos-n-1": ("verify", "--suite", "isos", "--n", "1"),
     "diagonal-eg-arity-0": ("diagonal", "--eg", "3", "--arity", "0", "(1 2 3)"),
+    # a permutation of another size in N(ESigma_n), which used to print a boundary
+    "boundary-eg-short-entry": ("boundary", "--eg", "3", "(1 2; 2 1 3)"),
+    "compose-be-long-inner": ("compose", "--be", "--arities", "2,1,2", "(1 2; 2 1)", "(1)", "(1 2 3)"),
 }
 
 
@@ -503,7 +506,11 @@ NOT_LOADED = {
     ),
     "compose": (
         ("compose", "--arities", "2,1,1", "(1,2,1)", "(1)", "(1)"),
-        {"action", "maclane", "minimal", "morphisms", "simplex", "suites"},
+        {"action", "maclane", "minimal", "morphisms", "procedure", "simplex", "suites"},
+    ),
+    "partial-compose": (
+        ("partial-compose", "--i", "2", "--r", "3", "--s", "2", "(1,2,1,3,2)", "(1,2,1)"),
+        {"action", "maclane", "minimal", "morphisms", "procedure", "simplex", "suites"},
     ),
     "bf-action": (
         ("bf-action", "--n", "2", "--m", "1", "(1,2,1)"),

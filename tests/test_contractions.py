@@ -1,6 +1,10 @@
 """The procedure engine: tensor contractions, standard maps, homotopies,
 uniqueness criteria, and the contraction validator."""
 
+import ast
+import inspect
+import textwrap
+
 import pytest
 
 from chainops.complexes import (
@@ -749,3 +753,49 @@ def test_sweeps_reject_a_negative_degree_and_no_workers():
         contracted_suite(2, -1)
     with pytest.raises(InvalidInput, match="jobs"):
         contracted_suite(2, 1, jobs=0)
+
+
+# The closed formulas the recursive oracles are checked against.
+FORMULAS = {
+    "bf_action_terms",
+    "multidiagonal_terms",
+    "ez_columns",
+    "ez_terms",
+    "surj_compose_terms",
+    "be_compose_terms",
+    "table_reduction_terms",
+}
+
+
+def _names(source):
+    """Every name the code reads, imports, looks up as an attribute or
+    spells out as a string (as getattr would take it)."""
+    out = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_oracles_share_no_code_with_the_formulas():
+    from chainops import procedure
+    from chainops.action import BFActionStandard, FaceTable
+
+    oracles = {
+        "procedure.py": inspect.getsource(procedure),
+        "BFActionStandard": inspect.getsource(BFActionStandard),
+        "FaceTable.subface": inspect.getsource(FaceTable.subface),
+    }
+    for name, source in oracles.items():
+        assert not _names(source) & FORMULAS, name
+    # the oracle walk of dual_operation_oracle reads the face lists itself
+    assert not _names(oracles["FaceTable.subface"]) & {"walk", "walk_map"}
+    # the check sees a formula where it is named
+    assert _names("from .simplex import ez_terms as t\nt(x)") & FORMULAS
+    assert _names("self._simplex.ez_columns(rows)") & FORMULAS

@@ -303,6 +303,36 @@ def _edge_cases():
     ]
 
 
+def _truncated_cases():
+    from chainops.simplex import product_complex, tensor_pair
+
+    T, P = tensor_pair(1, 1), product_complex(1, 1)
+    tensors = "a generator of N(Delta^1) (x) N(Delta^1) has 2 factors"
+    rows = "a generator of N(Delta^1 x Delta^1) has 2 rows"
+    return [
+        # (complex, raw generator, message): a generator is refused whole,
+        # never cut to fit the factors or rows, and so is a vertex that is
+        # not an integer in range
+        (T, ((0, 1),), tensors),
+        (T, ((0, 1), (0,), (1,)), tensors),
+        (P, ((0, 1),), rows),
+        (P, ((0, 1), (0, 1), (0, 1)), rows),
+        (P, (), rows),
+        (P, ((0, 1.5), (0, 1)), "vertex 1.5 outside Delta^1"),
+        (simplex_complex(2), (0, 1.5), "vertex 1.5 outside Delta^2"),
+        (simplex_complex(2), ("a",), "vertex 'a' outside Delta^2"),
+        (simplex_complex(2), (0, True), "vertex True outside Delta^2"),
+    ]
+
+
+@pytest.mark.parametrize("cplx, gen, message", _truncated_cases())
+def test_malformed_generators_are_refused_whole(cplx, gen, message):
+    for build in (lambda: cplx.canonical(gen), lambda: cplx.el(ZZ, gen)):
+        with pytest.raises(InvalidInput) as err:
+            build()
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("cplx, gen, argv, message", _edge_cases())
 def test_bad_generators_are_refused_with_their_message(cplx, gen, argv, message, capsys):
     from chainops.cli import main

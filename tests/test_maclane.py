@@ -44,6 +44,32 @@ def g3(*images):
     return Perm(images)
 
 
+def test_eg_entries_are_decoded_by_the_group():
+    # a C_n entry is an exponent reduced mod n, so (0, 3) in N(EC_3) is the
+    # degenerate (0, 0), as the CLI reads "(0; 3)"
+    C3 = cyc_eg(3)
+    assert C3.el(ZZ, (0, 3)).is_zero()
+    assert C3.el(ZZ, (0, 4)) == C3.el(ZZ, (0, 1))
+    E_HG = maclane_complex(ProductGroup((CyclicGroup(2), SymmetricGroup(2))))
+    assert E_HG.el(ZZ, ((0, (1, 2)), (1, (2, 1)))).terms == {((0, (1, 2)), (1, (2, 1))): 1}
+    bad = [
+        (E3, ((1, 2), (2, 1, 3)), "(1, 2) is not a permutation of 1..3"),
+        (E3, ((1, 2, 3), (2, 1, 3, 4)), "(2, 1, 3, 4) is not a permutation of 1..3"),
+        (E3, (1, 2), "1 is not a permutation of 1..3"),
+        (C3, (0, 1.5), "1.5 is not an exponent of T"),
+        (C3, (0, "1"), "'1' is not an exponent of T"),
+        (C3, (0, True), "True is not an exponent of T"),
+        (E_HG, ((0, (1, 2)), (1,)), "(1,) is not an element of C_2 x Sigma_2"),
+        (E_HG, ((0, (1, 2), 1),), "(0, (1, 2), 1) is not an element of C_2 x Sigma_2"),
+        (E_HG, ((0, (1, 2)), (1, (2, 1, 3))), "(2, 1, 3) is not a permutation of 1..2"),
+    ]
+    for cplx, gen, message in bad:
+        for build in (lambda: cplx.el(ZZ, gen), lambda: cplx.canonical(gen)):
+            with pytest.raises(InvalidInput) as err:
+                build()
+            assert str(err.value) == message
+
+
 def test_eg_boundary_golden():
     g = g3(2, 1, 3)
     x = E3.el(ZZ, (e3, g))

@@ -21,11 +21,11 @@ from chainops.operads import (
     oplus,
     partial_compose,
     sigma_compose,
-    TwistedOperadMap,
     surj_compose,
     surj_engine,
 )
 from chainops.perms import Perm, all_perms, block_perm, koszul_sign
+from chainops.procedure import TwistedOperadMap
 from chainops.rings import GF, ZZ
 from chainops.suites import family_associativity, sigma_suite
 from chainops.surjections import is_clean_gen, surjection_complex

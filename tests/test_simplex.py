@@ -4,22 +4,25 @@ recursive standard-procedure oracles."""
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainops.action import BFActionStandard, bf_action_standard
+from chainops.action import BFActionStandard
 from chainops.complexes import boundary, contract, tensor_elements
 from chainops.errors import InvalidInput
 from chainops.groups import CyclicGroup
 from chainops.maclane import coinvariant_complex
+from chainops.procedure import EZStandard
 from chainops.rings import GF, ZZ
 from chainops.simplex import (
     aw,
     ez,
     ez_element,
-    ez_standard,
     ez_terms,
     fundamental,
     multidiagonal,
     product_complex,
+    push_face,
     simplex_complex,
     tensor_pair,
     tensor_power,
@@ -84,8 +87,32 @@ def test_ez_counts_and_unit_coefficients():
 
 
 def test_ez_closed_equals_recursive():
+    std = EZStandard()
     for m, n in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 1)]:
-        assert ez(fundamental(m), fundamental(n), m, n) == ez_standard(m, n)
+        assert ez(fundamental(m), fundamental(n), m, n) == std.on_basis((m, n))
+
+
+@st.composite
+def face_pairs(draw):
+    """(a, b, m, n): faces a of Delta^m and b of Delta^n, m + n <= 5."""
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 5 - m))
+    a, b = (
+        tuple(sorted(draw(st.just(range(k + 1)) | st.sets(st.integers(0, k), min_size=1))))
+        for k in (m, n)
+    )
+    return a, b, m, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(face_pairs())
+def test_ez_closed_equals_recursive_on_faces(case):
+    # one past test_ez_closed_equals_recursive: EZ(a (x) b) is the engine's
+    # EZ(Delta^p (x) Delta^q) pushed forward along the faces a and b
+    a, b, m, n = case
+    model = EZStandard().on_basis((len(a) - 1, len(b) - 1))
+    pushed = {(push_face(a, r), push_face(b, s)): c for (r, s), c in model.terms.items()}
+    assert ez(a, b, m, n).terms == pushed
 
 
 def test_ez_is_chain_map():
@@ -201,7 +228,7 @@ def test_multidiagonal_closed_equals_recursive():
     procedure, over ZZ and over F_3, whose seed is in the engine's ring."""
     for arity in (2, 3, 4):
         identity = tuple(range(1, arity + 1))
-        for std in (bf_action_standard(arity), BFActionStandard(arity, GF(3))):
+        for std in (BFActionStandard(arity), BFActionStandard(arity, GF(3))):
             for m in range(0, 4):
                 x = simplex_complex(m).el(std.ring, fundamental(m))
                 # the memoized value itself, the seed's at m = 0
