@@ -460,28 +460,20 @@ def cmd_compose(args):
     if len(args.exprs) != r + 1:
         raise InvalidInput(f"expected 1 outer and {r} inner elements")
     if args.be:
-        from .maclane import sym_eg
-
-        outer = ElementParser(sym_eg(r), ring).parse(read_expr(args.exprs[0]))
-        inners = [
-            ElementParser(sym_eg(s), ring).parse(e)
-            for s, e in zip(sizes, args.exprs[1:])
-        ]
-        from .operads import be_compose
-
-        emit(args, be_compose(outer, inners, ring))
+        from .maclane import sym_eg as component
+        from .operads import be_compose as compose
     else:
+        from functools import partial
+
+        from .operads import surj_compose
         from .surjections import surjection_complex
 
         flavor = args.flavor or "bf"
-        outer = ElementParser(surjection_complex(flavor, r), ring).parse(read_expr(args.exprs[0]))
-        inners = [
-            ElementParser(surjection_complex(flavor, s), ring).parse(e)
-            for s, e in zip(sizes, args.exprs[1:])
-        ]
-        from .operads import surj_compose
-
-        emit(args, surj_compose(flavor, outer, inners, ring))
+        component = partial(surjection_complex, flavor)
+        compose = partial(surj_compose, flavor)
+    outer = ElementParser(component(r), ring).parse(read_expr(args.exprs[0]))
+    inners = [ElementParser(component(s), ring).parse(e) for s, e in zip(sizes, args.exprs[1:])]
+    emit(args, compose(outer, inners, ring))
 
 
 def cmd_partial_compose(args):

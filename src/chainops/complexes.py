@@ -42,6 +42,12 @@ class ChainComplex:
         input override this."""
         return gen
 
+    def entries(self, gen):
+        """gen as a tuple, or InvalidInput when it is not a tuple or list."""
+        if not isinstance(gen, (tuple, list)):
+            raise InvalidInput(f"a generator of {self.name} is a sequence, not {gen!r}")
+        return tuple(gen)
+
     def normalize(self, gen):
         """The normal form of a generator the library built, or None when it
         is degenerate; never raises."""
@@ -339,9 +345,13 @@ def _tensor_terms(parts):
 
 
 def tensor_elements(target, *xs):
-    """Tensor elements x_1 (x) ... (x) x_k into the given TensorComplex."""
+    """x_1 (x) ... (x) x_k in the TensorComplex target, one element per factor in order."""
+    if len(xs) != len(target.factors):
+        raise InvalidInput(f"{target.name} has {len(target.factors)} factors, not {len(xs)}")
     ring = xs[0].ring
-    for x in xs:
+    for f, x in zip(target.factors, xs):
+        if x.complex is not f and x.complex != f:
+            raise InvalidInput(f"an element of {x.complex} is not in the factor {f}")
         if x.ring != ring:
             raise InvalidInput("tensoring elements over different rings")
     degree = sum(x.degree for x in xs)

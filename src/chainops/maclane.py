@@ -22,7 +22,7 @@ class MacLaneComplex(VertexSequenceComplex):
 
     def validate(self, gen):
         """Each entry decoded as an element of the group."""
-        return tuple(map(self.group.decode, gen))
+        return tuple(map(self.group.decode, self.entries(gen)))
 
     def format_gen(self, gen):
         return "(" + "; ".join(self.group.format(g) for g in gen) + ")"

@@ -24,6 +24,13 @@ class MinimalComplex(ChainComplex):
         self.group = CyclicGroup(n)
         self.name = f"M({n})"
 
+    def validate(self, gen):
+        """(i, k) with integer i and k; normalize reads k < 0 as degenerate."""
+        gen = self.entries(gen)
+        if len(gen) != 2 or any(type(v) is not int for v in gen):
+            raise InvalidInput(f"a generator of {self.name} is a pair of integers, not {gen!r}")
+        return gen
+
     def normalize(self, gen):
         i, k = gen
         if k < 0:

@@ -7,12 +7,18 @@ operad) are tested against the recursive twisted-equivariant engine,
 procedure.TwistedOperadMap, which be_engine and surj_engine build and
 engine_compose evaluates.  The ms and aj surjection structure maps are
 obtained by conjugating with the flavor isomorphisms.
+
+Every composite, closed or recursive, takes its inputs through one step,
+_tensor_input, which only checks them: it reads the arities from the
+inputs, holds them to the ring asked for (an engine's own), and tensors
+them into the composite's domain, where tensor_elements refuses an input
+of another family or flavor.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product as _product
 
-from .complexes import TensorComplex
+from .complexes import TensorComplex, tensor_elements
 from .errors import InvalidInput
 from .perms import Perm, block_perm, koszul_sign
 from .rings import ZZ
@@ -39,21 +45,46 @@ def oplus(vs):
     return sigma_compose(Perm.identity(len(vs)), vs)
 
 
-def engine_compose(engine, outer, inners):
-    """Evaluate a TwistedOperadMap on elements (outer; inner_1, ..., inner_r)."""
+# -- the one input step of the composites ---------------------------------------------
 
-    def arity_of(e):
-        c = e.complex
-        return c.group.n
+# The closed composites' domains, memoized within a bound: building a
+# TensorComplex costs about as much as a small composite, and three rounds
+# of the operad benchmark make 2,376 lookups over 6 (family, arities) keys.
+DOMAIN_MEMO = 64
 
-    r = arity_of(outer)
-    if r != len(inners):
+
+@lru_cache(maxsize=DOMAIN_MEMO)
+def _domain(family, arities):
+    """N(ESigma_r) (x) N(ESigma_s1) (x) ... for family "be", else
+    S^family(r) (x) S^family(s1) (x) ...: a closed composite's domain."""
+    if family == "be":
+        from .maclane import sym_eg as component
+    else:
+        component = partial(surjection_complex, family)
+    return TensorComplex(tuple(map(component, arities)))
+
+
+def _arity(x):
+    """The r of the Sigma_r acting on an input's complex."""
+    try:
+        return x.complex.group.n
+    except AttributeError:
+        raise InvalidInput("an input is not in a component of an operad") from None
+
+
+def _tensor_input(domain, outer, inners, ring=None):
+    """(arities, outer (x) inner_1 (x) ... (x) inner_r in domain(arities))."""
+    if ring is not None and ring != outer.ring:
+        raise InvalidInput(f"inputs are over {outer.ring}, not {ring}")
+    arities = (_arity(outer),) + tuple(map(_arity, inners))
+    if arities[0] != len(inners):
         raise InvalidInput("outer arity does not match the number of inner inputs")
-    arities = (r,) + tuple(arity_of(y) for y in inners)
-    dom = engine.domain(arities)
-    from .complexes import tensor_elements
+    return arities, tensor_elements(domain(arities), outer, *inners)
 
-    x = tensor_elements(dom, outer, *inners)
+
+def engine_compose(engine, outer, inners):
+    """A TwistedOperadMap over its ring on elements (outer; inner_1, ..., inner_r)."""
+    arities, x = _tensor_input(engine.domain, outer, inners, engine.ring)
     return engine.apply(arities, x)
 
 
@@ -70,33 +101,15 @@ def be_compose_terms(gen, arities):
     ]
 
 
-def _inputs_ring(outer, ring):
-    """The ring of the inputs, which a composite is over; a ring passed
-    explicitly must be that ring."""
-    if ring is not None and ring != outer.ring:
-        raise InvalidInput(f"inputs are over {outer.ring}, not {ring}")
-    return outer.ring
-
-
 def be_compose(outer, inners, ring=None):
     """O_E: N(ESigma_r) (x) N(ESigma_s1) (x) ... -> N(ESigma_s), closed form,
     over the inputs' ring."""
     from .maclane import sym_eg
 
-    _inputs_ring(outer, ring)
-    r = outer.complex.group.n
-    if r != len(inners):
-        raise InvalidInput("outer arity does not match the number of inner inputs")
-    sizes = tuple(y.complex.group.n for y in inners)
-    s = sum(sizes)
-    target = sym_eg(s)
-    dom = TensorComplex((outer.complex,) + tuple(y.complex for y in inners))
-    from .complexes import tensor_elements
-
-    x = tensor_elements(dom, outer, *inners)
-    arities = (r,) + sizes
+    arities, x = _tensor_input(partial(_domain, "be"), outer, inners, ring)
     return x.map_terms(
-        lambda gen: be_compose_terms(gen, arities), codomain=target
+        lambda gen: be_compose_terms(gen, arities),
+        codomain=sym_eg(sum(arities[1:])),
     )
 
 
@@ -202,35 +215,24 @@ def surj_compose_terms(gen, arities):
 def surj_compose(flavor, outer, inners, ring=None):
     """O_S on S^flavor over the inputs' ring; bf natively, ms/aj by
     conjugating the isomorphisms."""
-    _inputs_ring(outer, ring)
+    arities, x = _tensor_input(partial(_domain, flavor), outer, inners, ring)
     if flavor != "bf":
         outer_bf = iso(flavor, "bf", outer)
         inners_bf = [iso(flavor, "bf", y) for y in inners]
         return iso("bf", flavor, surj_compose("bf", outer_bf, inners_bf))
-    r = outer.complex.n
-    if r != len(inners):
-        raise InvalidInput("outer arity does not match the number of inner inputs")
-    sizes = tuple(y.complex.n for y in inners)
-    s = sum(sizes)
-    target = surjection_complex("bf", s)
-    dom = TensorComplex((outer.complex,) + tuple(y.complex for y in inners))
-    from .complexes import tensor_elements
-
-    x = tensor_elements(dom, outer, *inners)
-    arities = (r,) + sizes
     return x.map_terms(
-        lambda gen: surj_compose_terms(gen, arities), codomain=target
+        lambda gen: surj_compose_terms(gen, arities),
+        codomain=surjection_complex("bf", sum(arities[1:])),
     )
 
 
 def partial_compose(flavor, i, x, y, ring=None):
     """O_i(x; y): the structure map with all inner inputs trivial except the
     i-th, over the inputs' ring."""
-    ring = _inputs_ring(x, ring)
-    r = x.complex.n
+    r = _arity(x)
     if not 1 <= i <= r:
         raise InvalidInput(f"slot {i} outside 1..{r}")
-    unit = surjection_complex(flavor, 1).el(ring, (1,))
+    unit = surjection_complex(flavor, 1).el(x.ring if ring is None else ring, (1,))
     inners = [unit] * r
     inners[i - 1] = y
     return surj_compose(flavor, x, inners, ring)

@@ -26,7 +26,7 @@ class Perm(tuple):
 
     def __init__(self, images):
         n = len(self)
-        if sorted(self) != list(range(1, n + 1)):
+        if any(type(v) is not int for v in self) or sorted(self) != list(range(1, n + 1)):
             raise InvalidInput(f"{tuple(self)} is not a permutation of 1..{n}")
 
     @classmethod

@@ -49,7 +49,7 @@ class SimplexComplex(VertexSequenceComplex):
         self.name = f"N(Delta^{m})"
 
     def validate(self, gen):
-        gen = tuple(gen)
+        gen = self.entries(gen)
         if not _ordered_vertices(gen, self.m):
             raise InvalidInput(f"vertices {gen} out of order")
         return gen
@@ -90,7 +90,7 @@ class ProductSimplexComplex(ChainComplex):
         self.name = "N(" + " x ".join(f"Delta^{m}" for m in self.ambients) + ")"
 
     def validate(self, gen):
-        rows = tuple(tuple(r) for r in gen)
+        rows = tuple(map(self.entries, self.entries(gen)))
         if len(rows) != len(self.ambients):
             raise InvalidInput(f"a generator of {self.name} has {len(self.ambients)} rows")
         width = len(rows[0])

@@ -102,10 +102,10 @@ class SurjectionComplex(ChainComplex):
         self.name = f"S^{flavor}({n})"
 
     def validate(self, gen):
-        gen = tuple(gen)
+        gen = self.entries(gen)
         for v in gen:
-            if not 1 <= v <= self.n:
-                raise InvalidInput(f"entry {v} outside 1..{self.n}")
+            if type(v) is not int or not 1 <= v <= self.n:
+                raise InvalidInput(f"entry {v!r} outside 1..{self.n}")
         return gen
 
     def normalize(self, gen):

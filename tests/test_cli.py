@@ -508,6 +508,10 @@ NOT_LOADED = {
         ("compose", "--arities", "2,1,1", "(1,2,1)", "(1)", "(1)"),
         {"action", "maclane", "minimal", "morphisms", "procedure", "simplex", "suites"},
     ),
+    "compose-be": (
+        ("compose", "--be", "--arities", "2,1,1", "(1 2; 2 1)", "(1)", "(1)"),
+        {"action", "minimal", "morphisms", "procedure", "suites", "witnesses"},
+    ),
     "partial-compose": (
         ("partial-compose", "--i", "2", "--r", "3", "--s", "2", "(1,2,1,3,2)", "(1,2,1)"),
         {"action", "maclane", "minimal", "morphisms", "procedure", "simplex", "suites"},

@@ -235,6 +235,24 @@ def test_act_identity_and_koszul_swap():
     assert swapped == -1 * tensor_elements(T, b, a)
 
 
+def test_tensor_elements_takes_one_element_of_each_factor():
+    from chainops.simplex import SimplexComplex, tensor_pair
+
+    T = tensor_pair(1, 1)
+    a = simplex_complex(1).el(ZZ, (0, 1))
+    # an equal factor is accepted, not only the same object
+    b = SimplexComplex(1).el(ZZ, (0,))
+    assert dict(tensor_elements(T, a, b).terms) == {((0, 1), (0,)): 1}
+    for xs in (
+        (a,),
+        (a, a, a),
+        (a, surjection_complex("bf", 2).el(ZZ, (1, 2))),
+        (simplex_complex(2).el(ZZ, (0, 1)), a),
+    ):
+        with pytest.raises(InvalidInput):
+            tensor_elements(T, *xs)
+
+
 def test_act_on_maclane_identity():
     E = sym_eg(3)
     g = Perm((2, 1, 3))
@@ -304,15 +322,19 @@ def _edge_cases():
 
 
 def _truncated_cases():
+    from chainops.minimal import minimal_complex
     from chainops.simplex import product_complex, tensor_pair
 
     T, P = tensor_pair(1, 1), product_complex(1, 1)
+    S2, E2, M3 = surjection_complex("bf", 2), sym_eg(2), minimal_complex(3)
     tensors = "a generator of N(Delta^1) (x) N(Delta^1) has 2 factors"
     rows = "a generator of N(Delta^1 x Delta^1) has 2 rows"
+    pair = "a generator of M(3) is a pair of integers, not "
     return [
         # (complex, raw generator, message): a generator is refused whole,
-        # never cut to fit the factors or rows, and so is a vertex that is
-        # not an integer in range
+        # never cut to fit the factors or rows, and so is a generator that
+        # is not a sequence and an entry that is not an integer in range
+        # (a bool is not one, though it compares equal to 0 or 1)
         (T, ((0, 1),), tensors),
         (T, ((0, 1), (0,), (1,)), tensors),
         (P, ((0, 1),), rows),
@@ -322,6 +344,18 @@ def _truncated_cases():
         (simplex_complex(2), (0, 1.5), "vertex 1.5 outside Delta^2"),
         (simplex_complex(2), ("a",), "vertex 'a' outside Delta^2"),
         (simplex_complex(2), (0, True), "vertex True outside Delta^2"),
+        (T, (0, 1), "a generator of N(Delta^1) is a sequence, not 0"),
+        (P, 5, "a generator of N(Delta^1 x Delta^1) is a sequence, not 5"),
+        (S2, 5, "a generator of S^bf(2) is a sequence, not 5"),
+        (S2, (1, 2.0, 1), "entry 2.0 outside 1..2"),
+        (S2, (True, 2, 1), "entry True outside 1..2"),
+        (E2, 5, "a generator of N(ESigma_2) is a sequence, not 5"),
+        (E2, ((1.0, 2.0), (2, 1)), "(1.0, 2.0) is not a permutation of 1..2"),
+        (E2, ((2, True),), "(2, True) is not a permutation of 1..2"),
+        (M3, 5, "a generator of M(3) is a sequence, not 5"),
+        (M3, (1.5, 2), pair + "(1.5, 2)"),
+        (M3, (1, 2, 3), pair + "(1, 2, 3)"),
+        (M3, (0, False), pair + "(0, False)"),
     ]
 
 
@@ -350,6 +384,12 @@ def test_bad_generators_are_refused_with_their_message(cplx, gen, argv, message,
     assert exit_.value.code == 2
     cli_message = "aw needs rows of equal length" if argv[0] == "aw" else message
     assert capsys.readouterr().err == f"error: {cli_message}\n"
+
+
+@pytest.mark.parametrize("images", [(1.0, 2.0), (2, True), (1, "2")])
+def test_permutation_images_are_integers(images):
+    with pytest.raises(InvalidInput):
+        Perm(images)
 
 
 def test_non_permutations_are_refused_with_their_message(capsys):

@@ -37,6 +37,13 @@ def test_m_contraction_golden():
     assert contract(M3.el(ZZ, (1, 1))).is_zero()
 
 
+def test_m_generators_are_integer_pairs():
+    # validate asks for a pair of integers only; normalize reduces i mod n
+    # and reads k < 0 as degenerate (malformed pairs: test_kernel.py)
+    assert M3.el(ZZ, [4, 1]) == M3.el(ZZ, (1, 1))
+    assert M3.el(ZZ, (0, -1)).is_zero()
+
+
 def test_m_contraction_identities():
     assert verify_contracted(M3, 6).ok
     assert verify_contracted(M5, 4).ok

@@ -222,6 +222,71 @@ def test_surj_recursive_equals_k_division():
             )
 
 
+@st.composite
+def surjection_tensors(draw):
+    """Basis generators (x; y_1, ..., y_r) of S^bf: r <= 3, inner arities
+    <= 3 and total degree <= 3, one arity and one degree past the
+    exhaustive check above."""
+    r = draw(st.integers(1, 3))
+    arities = [r] + draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+    left, gens = 3, []
+    for n in arities:
+        # S(1) has its identity only
+        k = draw(st.integers(0, left if n > 1 else 0))
+        gens.append(draw(st.sampled_from(list(S(n).basis(k)))))
+        left -= k
+    return arities, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(surjection_tensors())
+def test_surj_compose_equals_engine_past_the_exhaustive_check(case):
+    arities, gens = case
+    els = [S(n).el(ZZ, g) for n, g in zip(arities, gens)]
+    assert surj_compose("bf", els[0], els[1:]) == engine_compose(
+        surj_engine("bf"), els[0], els[1:]
+    )
+
+
+def _foreign_inputs():
+    """Composites handed inputs of another family, flavor or ring."""
+    from chainops.maclane import cyc_eg
+    from chainops.simplex import simplex_complex
+
+    ms = surjection_complex("ms", 2).el(ZZ, (1, 2, 1))
+    x, one = S(2).el(ZZ, (1, 2, 1)), S(1).basepoint(ZZ)
+    ms_one = surjection_complex("ms", 1).basepoint(ZZ)
+    c2 = cyc_eg(2).el(ZZ, (0, 1))
+    return {
+        "bf-on-ms": lambda: surj_compose("bf", ms, [ms, ms]),
+        "bf-on-an-ms-inner": lambda: surj_compose("bf", x, [one, ms_one]),
+        "bf-engine-on-ms": lambda: engine_compose(surj_engine("bf"), ms, [ms, ms]),
+        "partial-bf-on-ms": lambda: partial_compose("bf", 1, ms, ms),
+        "partial-on-N(ESigma)": lambda: partial_compose("bf", 1, E(2).basepoint(ZZ), one),
+        "partial-on-a-simplex": lambda: partial_compose(
+            "bf", 1, simplex_complex(1).el(ZZ, (0, 1)), one
+        ),
+        "be-on-bf": lambda: be_compose(x, [one, one]),
+        "be-on-N(EC_2)": lambda: be_compose(c2, [c2, c2]),
+        "be-engine-on-bf": lambda: engine_compose(be_engine(), x, [one, one]),
+        "engine-over-F3-on-Z": lambda: engine_compose(surj_engine("bf", GF(3)), x, [one, one]),
+    }
+
+
+@pytest.mark.parametrize("compose", _foreign_inputs().values(), ids=_foreign_inputs().keys())
+def test_composites_refuse_foreign_inputs(compose):
+    with pytest.raises(InvalidInput):
+        compose()
+
+
+def test_ms_composite_is_conjugated_not_read_as_bf():
+    # the bf formula on these S^ms inputs reads - on the last term
+    x = surjection_complex("ms", 2).el(ZZ, (1, 2, 1))
+    assert repr(surj_compose("ms", x, [x, x])) == (
+        "- (1,2,1,3,4,3,1) - (1,2,3,4,3,2,1) + (1,3,4,3,1,2,1)"
+    )
+
+
 def test_structure_maps_are_chain_maps():
     for kind in ("be", "bf"):
         comps = (
