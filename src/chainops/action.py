@@ -177,12 +177,16 @@ def steenrod_constant(m, p):
 
 class Space:
     """What cochain operations read of a simplicial set.  A subclass gives
-    dims, a map from simplex id to dimension, and walk(): a deletion walk
-    is the model vertices to delete, highest first, and walk() the one face
-    read on the evaluation path (a coboundary takes the one-step walks).
+    dims, a map from simplex id to dimension, and face(sid, j), the face d_j
+    of a nondegenerate simplex: (id, None) when it is the nondegenerate id,
+    (id, epi) when it is a degeneracy of the nondegenerate id, with epi the
+    weakly increasing map of its vertices onto those of id, or None when it
+    is degenerate but not known which.
+
     The rest derives here, on first use and never in __init__, and is kept
-    with the space: the simplex order, a walk map per (dimension, walk), and
-    from a walk map the mask index of masks() (over F_2)."""
+    with the space: the simplex order, walk() from face(), a walk map per
+    (dimension, walk), and from a walk map the mask index of masks() (over
+    F_2)."""
 
     def __init__(self, dims):
         self.dims = dims
@@ -200,9 +204,47 @@ class Space:
             self._by_dim = {e: tuple(sids) for e, sids in by_dim.items()}
         return self._by_dim.get(d, ())
 
-    def walk(self, sid, walk):
-        """The face a deletion walk reaches from sid, or None if degenerate."""
+    def face(self, sid, j):
+        """The face d_j of the nondegenerate simplex sid, as above."""
         raise NotImplementedError
+
+    def walk(self, sid, walk):
+        """The face a deletion walk reaches from sid, or None.  A walk is a
+        tuple of model vertices to delete, highest first, and walk() the one
+        face read on the evaluation path (a coboundary takes the one-step
+        walks).
+
+        The simplex on the way is a nondegenerate id and the epi of its
+        vertices onto id's (None while that is the identity).  A deletion
+        drops one vertex of the epi, and reads a face only where no other
+        vertex lies over the same vertex of id; while the simplex stays
+        nondegenerate, each step is one face.  None where the walk ends on a
+        degenerate simplex, on which cochains vanish, or meets a null face."""
+        face = self.face
+        epi = None
+        for v in walk:
+            if epi is None:
+                step = face(sid, v)
+                if step is None:
+                    return None
+                sid, epi = step
+                continue
+            w = epi[v]
+            epi = epi[:v] + epi[v + 1 :]
+            if w in epi:
+                # another vertex lies over w: no face, and the identity again
+                # once the epi is as long as it is onto
+                if epi[-1] == len(epi) - 1:
+                    epi = None
+                continue
+            step = face(sid, w)
+            if step is None:
+                return None
+            sid, inner = step
+            epi = tuple(u - (u > w) for u in epi)
+            if inner is not None:
+                epi = tuple(map(inner.__getitem__, epi))
+        return sid if epi is None else None
 
     def walk_map(self, d, walk):
         """walk() from every d-simplex: the list of the faces it reaches, in
@@ -233,14 +275,16 @@ class Space:
 
 class FaceTable(Space):
     """A finite simplicial-set fragment: nondegenerate simplices with ids,
-    dimensions, and ordered face ids (null marks a degenerate face, so no
-    simplex may have a null id).
+    dimensions and ordered face lists.  A face is the id of a simplex one
+    dimension lower; or a degeneracy record {"of": id, "s": [k_1, ..., k_m]},
+    the degenerate simplex s_{k_1}...s_{k_m}(id) with k_1 > ... > k_m, the
+    one form it has; or null, a face that is degenerate but not known which
+    (so no simplex may have a null id).
 
-    walk() follows the face lists; subface() is a separate walk, the one
-    the oracle of the tests takes.  A null face says only that a face is
-    degenerate, not which degenerate simplex it is, so a walk ends there:
-    the table is exact for cochain operations only where no walk needs a
-    face of a null face (BG's walk is vertex selection instead)."""
+    face() reads the face lists; subface() is a separate walk, the one the
+    oracle of the tests takes.  A table whose degenerate faces are records
+    is exact for cochain operations.  A walk ends at a null face, so one
+    with null faces is exact only where no walk needs a face of a null face."""
 
     def __init__(self, data):
         try:
@@ -279,36 +323,63 @@ class FaceTable(Space):
         for sid, faces in self.faces.items():
             want = dims[sid] - 1
             for f in faces:
+                dim = want
+                if type(f) is dict:
+                    ks = f.get("s")
+                    if not (isinstance(ks, list) and all(type(k) is int for k in ks)):
+                        raise InvalidInput(f"record {f!r} of simplex {sid!r} needs a list 's' of ints")
+                    if not (ks and all(a > b for a, b in zip([want, *ks], [*ks, -1]))):
+                        raise InvalidInput(
+                            f"record {f!r} of simplex {sid!r} needs 's' strictly "
+                            f"decreasing in 0..{want - 1}"
+                        )
+                    dim -= len(ks)
+                    f = f.get("of")
+                elif f is None:
+                    continue
                 try:
-                    ok = f is None or dims.get(f) == want
+                    # no simplex has a null id, so a record without 'of' fails
+                    ok = dims.get(f) == dim
                 except TypeError:
                     raise InvalidInput(
                         f"face {f!r} of simplex {sid!r} is a list or an object"
                     ) from None
                 if not ok:
                     raise InvalidInput(
-                        f"face {f!r} of simplex {sid!r} is not a simplex of dimension {want}"
+                        f"face {f!r} of simplex {sid!r} is not a simplex of dimension {dim}"
                     )
         super().__init__(dims)
 
-    def walk(self, sid, walk):
-        faces = self.faces
-        for v in walk:
-            sid = faces[sid][v]
-            if sid is None:
-                return None
-        return sid
+    def face(self, sid, j):
+        f = self.faces[sid][j]
+        if type(f) is not dict:
+            return None if f is None else (f, None)
+        ks = f["s"]
+        return f["of"], tuple(i - sum(k < i for k in ks) for i in range(self.dims[sid]))
 
     def subface(self, sid, vertices):
-        """The iterated face of sid spanned by a vertex subset of its model."""
+        """The iterated face of sid spanned by a vertex subset of its model,
+        or None where it is degenerate or meets a null face.  The face on
+        the way is s_{k_1}...s_{k_m}(id), and a deletion d_j moves past each
+        s_i by the simplicial identities: d_j s_i is s_(i-1) d_j for j < i,
+        the identity for j = i or i + 1, and s_i d_(j-1) for j > i + 1."""
         d = self.dims[sid]
         keep = set(vertices)
-        missing = [v for v in range(d + 1) if v not in keep]
-        for v in reversed(missing):
-            if sid is None:
-                return None
-            sid = self.faces[sid][v]
-        return sid
+        ks = []
+        for j in reversed([v for v in range(d + 1) if v not in keep]):
+            kept = []
+            for n, i in enumerate(ks):
+                if j in (i, i + 1):
+                    ks = kept + ks[n + 1 :]
+                    break
+                kept.append(i - 1 if j < i else i)
+                j -= j > i + 1
+            else:
+                f = self.faces[sid][j]
+                if f is None:
+                    return None
+                sid, ks = (f["of"], kept + f["s"]) if type(f) is dict else (f, kept)
+        return None if ks else sid
 
 
 class BG(Space):
@@ -317,11 +388,9 @@ class BG(Space):
     non-identity elements, each a tuple of residues mod n_1, ..., n_k, with
     the partial sums 0, g_1, g_1 + g_2, ... as its vertices.
 
-    A deletion walk is vertex selection: the face keeps the other vertices,
-    its bar is their successive differences, and it is degenerate (None)
-    where two consecutive kept vertices coincide.  So a walk goes on where
-    a face table's null face would end it.  No face lists are built, and
-    there is no subface()."""
+    face() is the bar formula: d_0 drops g_1, d_d drops g_d, and d_i merges
+    g_i + g_(i+1); a merge to the identity is s_(i-1) of the shorter bar.
+    No face lists are built, and there is no subface()."""
 
     def __init__(self, orders, top):
         orders = tuple(orders)
@@ -333,18 +402,14 @@ class BG(Space):
         elements = [g for g in product(*map(range, orders)) if any(g)]
         super().__init__({bar: d for d in range(top + 1) for bar in product(elements, repeat=d)})
 
-    def walk(self, sid, walk):
-        orders = self.orders
-        vertex = (0,) * len(orders)
-        vertices = [vertex]
-        for g in sid:
-            vertex = tuple((a + b) % n for a, b, n in zip(vertex, g, orders))
-            vertices.append(vertex)
-        kept = [p for v, p in enumerate(vertices) if v not in walk]
-        steps = list(zip(kept, kept[1:]))
-        if any(p == q for p, q in steps):
-            return None
-        return tuple(tuple((b - a) % n for a, b, n in zip(p, q, orders)) for p, q in steps)
+    def face(self, bar, i):
+        d = len(bar)
+        if i in (0, d):
+            return (bar[1:] if i == 0 else bar[:-1]), None
+        g = tuple((a + b) % n for a, b, n in zip(bar[i - 1], bar[i], self.orders))
+        if any(g):
+            return bar[: i - 1] + (g,) + bar[i + 1 :], None
+        return bar[: i - 1] + bar[i + 1 :], tuple(p - (p >= i) for p in range(d))
 
 
 def is_integral(degree, values):
@@ -568,7 +633,7 @@ def cochain_coboundary(alpha, table, ring=ZZ):
     """< d(alpha), c > = (-1)^{|c|} < alpha, dc > with |c| the new degree.
 
     The plan of d(alpha) has one one-factor term (-1)^j alpha per face j
-    of c, reached by the one-step deletion walk (j,) (a null face gives 0),
+    of c, reached by the one-step deletion walk (j,) (a degenerate face gives 0),
     and goes the way of dual_operation: over F_2 through the bitmasks,
     otherwise through the column sum over every d-simplex.
     """

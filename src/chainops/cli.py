@@ -35,42 +35,56 @@ class ExprError(InvalidInput):
         super().__init__(f"syntax error at line {line}, column {col}: {msg}")
 
 
-def tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*();,":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        raise ExprError(text, i, f"unexpected character {ch!r}")
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
 class ElementParser:
-    """expr := term (('+'|'-') term)*;  term := [int '*'] generator;
-    generator := '(' items ')' with comma values or semicolon groups."""
+    """expr := '0' | term (('+'|'-') term)*;  term := [int '*'] generator;
+    generator := '(' items ')' with comma values or semicolon groups, or a
+    minimal generator as it prints, y<k> or T^<i>.y<k>.  So an element's
+    repr parses back to it."""
 
     def __init__(self, complex, ring):
         self.complex = complex
         self.ring = ring
+        self.atom = None
+        if _of_family(complex, "minimal", "MinimalComplex"):
+            import re
+
+            self.atom = re.compile(r"(?:T\^(\d+)\.)?y(\d+)")
+
+    def tokenize(self, text):
+        """The tokens of text; a minimal generator as it prints is one
+        ("gen", (i, k), position) token."""
+        tokens = []
+        i = 0
+        while i < len(text):
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if self.atom is not None and (m := self.atom.match(text, i)):
+                tokens.append(("gen", (int(m[1] or 0), int(m[2])), i))
+                i = m.end()
+                continue
+            if ch in "+-*();,":
+                tokens.append((ch, ch, i))
+                i += 1
+                continue
+            if ch.isdigit():
+                j = i
+                while j < len(text) and text[j].isdigit():
+                    j += 1
+                tokens.append(("int", int(text[i:j]), i))
+                i = j
+                continue
+            raise ExprError(text, i, f"unexpected character {ch!r}")
+        tokens.append(("end", None, len(text)))
+        return tokens
 
     def parse(self, text):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = self.tokenize(text)
         self.pos = 0
+        if [tok[:2] for tok in self.tokens] == [("int", 0), ("end", None)]:
+            return self.complex.zero(self.ring, 0)
         pairs = []
         sign = 1
         kind, _, _ = self.peek()
@@ -105,7 +119,7 @@ class ElementParser:
     def generator_only(self, text):
         """Parse a single generator (no sums), as the aw/ez rows are."""
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = self.tokenize(text)
         self.pos = 0
         gen = self.generator()
         kind, _, at = self.peek()
@@ -134,7 +148,9 @@ class ElementParser:
         return coeff, self.generator()
 
     def generator(self):
-        kind, _, at = self.take()
+        kind, value, at = self.take()
+        if kind == "gen":
+            return value
         if kind != "(":
             raise ExprError(self.text, at, "expected '('")
         groups = [[]]

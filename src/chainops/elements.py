@@ -9,9 +9,10 @@ Sums of (coeff, raw generator) pairs are collected by one loop,
 complex, which may declare it degenerate (dropped) but never rescales
 it; pairs already in normal form skip that step (normalize None).
 `Element(...)` with raw pairs and `single` take input from outside
-and use the complex's `canonical` (validate, then normalise); `collect`,
-`built`, `map_terms` and the library's own constructions use its
-`normalize`, which never raises.
+and use the complex's `canonical` (validate, then normalise); they and
+`__rmul__` take int coefficients only, and raw pairs must have the given
+degree.  `collect`, `built`, `map_terms` and the library's own
+constructions use its `normalize`, which never raises, and check nothing.
 """
 
 from .errors import InvalidInput, check_guard
@@ -34,7 +35,13 @@ class Element:
                 if isinstance(terms, dict)
                 else terms
             )
+            pairs = ((integer(c), g) for c, g in pairs)
             self.terms = reduce_terms(add_terms({}, pairs, complex.canonical), ring)
+            for g in self.terms:
+                if complex.degree_of(g) != degree:
+                    raise InvalidInput(
+                        f"{complex.format_gen(g)} has degree {complex.degree_of(g)}, not {degree}"
+                    )
         check_guard(len(self.terms))
 
     # -- basic queries ----------------------------------------------------
@@ -90,6 +97,7 @@ class Element:
         return (-1) * self
 
     def __rmul__(self, scalar):
+        integer(scalar)
         ring = self.ring
         terms = {}
         for gen, coeff in self.terms.items():
@@ -197,7 +205,15 @@ def built(complex, ring, gen, coeff=1):
     return collect(complex, ring, complex.degree_of(gen), [(coeff, gen)])
 
 
+def integer(c):
+    """c, a coefficient from outside, or InvalidInput when it is not an int."""
+    if type(c) is not int:
+        raise InvalidInput(f"a coefficient must be an int, not {c!r}")
+    return c
+
+
 def single(complex, ring, gen, coeff=1):
+    integer(coeff)
     gen_c = complex.canonical(gen)
     degree = complex.degree_of(gen_c if gen_c is not None else gen)
     terms = {} if gen_c is None else reduce_terms({gen_c: coeff}, ring)

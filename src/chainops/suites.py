@@ -26,6 +26,9 @@ closed-versus-recursive TR, `action`'s vanishing of Phi and `signs`'s
 delta count); a lower `--n` or `--max-degree` cuts them there too.  The
 `trpr` check's name always states its n bound, and the other two names
 state theirs when it is below 3, so default output reads as before.
+`contraction_tasks` stops at arity 4 whatever `--n` says: it sweeps the
+surjection complexes, N(ESigma_n) and Delta^m to min(max_n, 4), and the
+check names list what was swept.
 """
 
 from itertools import product as _product

@@ -352,9 +352,9 @@ def dual_operation_oracle(x, cochains, tab, ring):
 def test_dual_operation_against_per_simplex_oracle():
     """Over ZZ, GF(3) and GF(2) (on bitmasks), with integer values that are
     negative, even and odd, through SIMPLEX3's null face, and over GF(2)
-    through B(Z/2)'s inner null faces, in table order."""
+    through the null-face B(Z/2)'s inner null faces, in table order."""
     rng = random.Random(5)
-    for data, rings in ((SIMPLEX3, (ZZ, GF(3), GF(2))), (b_z2(3), (GF(2),))):
+    for data, rings in ((SIMPLEX3, (ZZ, GF(3), GF(2))), (b_z2_null(3), (GF(2),))):
         tab = FaceTable(data)
         assert any(None in f for f in tab.faces.values())
         by_dim = {d: [sid for sid in tab.dims if tab.dims[sid] == d] for d in range(4)}
@@ -437,20 +437,18 @@ def test_dense_operand_scans_and_builds_no_index():
     assert tab._masks == {}
 
 
-def b_z2(m):
+def b_z2(m, inner=lambda k, j: {"of": f"s{k - 2}", "s": [j - 1]}):
     """B(Z/2) as a one-vertex face table up to dimension m: one simplex sN
-    per dimension N, whose faces d_0 and d_N are s(N-1) and whose inner
-    faces are null.  It is a null-face fragment, not B(Z/2): a walk stops at
-    an inner null face where a face of that degenerate face is s(k), so
-    cochain operations that need such a face come out 0 on it (BG((2,), m)
-    is the space itself).  The tests keep it as a table with null faces."""
+    per dimension N, whose faces d_0 and d_N are s(N-1) and whose inner face
+    d_j is s_(j-1) s(N-2), as a degeneracy record (the bar formula merges
+    the 1s at j into the identity)."""
     return {
         "dim": m,
         "simplices": [
             {
                 "id": f"s{k}",
                 "dim": k,
-                "faces": [f"s{k - 1}" if j in (0, k) else None for j in range(k + 1)]
+                "faces": [f"s{k - 1}" if j in (0, k) else inner(k, j) for j in range(k + 1)]
                 if k
                 else [],
             }
@@ -459,15 +457,24 @@ def b_z2(m):
     }
 
 
+def b_z2_null(m):
+    """b_z2 with null inner faces.  It is a null-face fragment, not B(Z/2):
+    a walk stops at an inner null face where a face of that degenerate face
+    is s(k), so cochain operations that need such a face come out 0 on it."""
+    return b_z2(m, lambda k, j: None)
+
+
 def coboundary_oracle(alpha, tab, ring):
     """cochain_coboundary recomputed simplex by simplex from the face lists
-    themselves, independently of walks, walk maps and mask indexes."""
+    themselves, independently of walks, walk maps and mask indexes: a null
+    face and a degeneracy record are degenerate, so they give 0."""
     d = alpha.degree + 1
     values = {}
     for sid in sorted(tab.dims, key=str):
         if d <= 0 or tab.dims[sid] != d:
             continue
-        total = sum((-1) ** j * alpha(f) for j, f in enumerate(tab.faces[sid]) if f is not None)
+        faces = enumerate(tab.faces[sid])
+        total = sum((-1) ** j * alpha(f) for j, f in faces if f is not None and type(f) is not dict)
         v = ring.normalize((-1) ** d * total)
         if v:
             values[sid] = v
@@ -476,11 +483,12 @@ def coboundary_oracle(alpha, tab, ring):
 
 def test_cochain_coboundary_against_per_simplex_oracle():
     """The coboundary's one-step walks give the oracle's values in table
-    order, through null faces (SIMPLEX3's c, B(Z/2)'s inner faces), for
-    dense and sparse cochains of every degree; over GF(2) they take the
-    mask indexes of the one-step walks, over ZZ and GF(3) none."""
+    order, through null faces (SIMPLEX3's c, the null-face B(Z/2)'s inner
+    faces) and degeneracy records (B(Z/2)'s inner faces), for dense and
+    sparse cochains of every degree; over GF(2) they take the mask indexes
+    of the one-step walks, over ZZ and GF(3) none."""
     rng = random.Random(41)
-    for data in (SIMPLEX3, simplex_with_null(5), b_z2(5)):
+    for data in (SIMPLEX3, simplex_with_null(5), b_z2_null(5), b_z2(5)):
         tab = FaceTable(data)
         nonzero = 0
         for ring in (ZZ, GF(3), GF(2)):
@@ -505,15 +513,33 @@ def test_cochain_coboundary_against_per_simplex_oracle():
         assert set(tab._masks) == ({(2, (j,)) for j in range(3)} if ring == GF(2) else set())
 
 
+def bar_table(orders, top):
+    """BG(orders, top) as a face table with degeneracy records, its faces
+    written out by the bar formula."""
+    simplices = []
+    for bar, d in BG(orders, top).dims.items():
+        faces = []
+        for i in range(1, d):
+            g = tuple((a + b) % n for a, b, n in zip(bar[i - 1], bar[i], orders))
+            rest = bar[: i - 1] + bar[i + 1 :]
+            faces.append({"of": rest, "s": [i - 1]} if not any(g) else rest[: i - 1] + (g,) + rest[i - 1 :])
+        faces = [bar[1:], *faces, bar[:-1]] if d else []
+        simplices.append({"id": bar, "dim": d, "faces": faces})
+    return {"dim": top, "simplices": simplices}
+
+
 def test_walk_map_agrees_with_subface():
     """The walk map and the oracle's subface reach the same face from every
     d-simplex, on every walk a plan uses and on every other vertex subset,
-    also through null faces.  On the null-face fragment b_z2 both stop at
-    an inner null face; a subface that goes on through a null face must take
-    the walk along.  BG walks on through such faces, but it builds no face
-    lists and has no subface, so its tests check known answers only, until
-    face tables with degeneracy records give it an independent oracle."""
-    for data in (SIMPLEX3, simplex_with_null(5), b_z2(5)):
+    also through null faces and degeneracy records.  On the null-face
+    fragment b_z2_null both stop at an inner null face; on b_z2, S^4 and
+    the bar-formula tables of B(Z/3) and B(Z/2 x Z/2) both go on through
+    the records, by the epi walk and by the simplicial identities, and on
+    the bar-formula tables subface reaches what vertex selection does."""
+    fixtures = (SIMPLEX3, simplex_with_null(5), b_z2_null(5), b_z2(7), sphere(4), SQUASHED)
+    tables = [(data, None) for data in fixtures]
+    tables += [(bar_table(orders, top), BG(orders, 0)) for orders, top in (((3,), 5), ((2, 2), 4))]
+    for data, bg in tables:
         tab = FaceTable(data)
         for d in range(data["dim"] + 1):
             walks = {
@@ -531,25 +557,27 @@ def test_walk_map_agrees_with_subface():
                 faces = tab.walk_map(d, walk)
                 assert len(faces) == len(tab.simplices(d))
                 for sid, face in zip(tab.simplices(d), faces):
-                    assert face == tab.subface(sid, kept) == tab.walk(sid, walk)
+                    assert face == tab.subface(sid, kept)
+                if bg is not None:
+                    assert faces == [vertex_selection(bg, bar, walk) for bar in tab.simplices(d)]
 
 
 class OrderedComplex(Space):
     """An ordered simplicial complex from its top simplices: every vertex
-    subset of one is a simplex, whose id is its vertex tuple, and a walk
-    deletes the listed positions, so a subface is a vertex selection."""
+    subset of one is a simplex, whose id is its vertex tuple, and face j
+    deletes entry j, so no face is degenerate."""
 
     def __init__(self, tops):
         subsets = (s for top in tops for k in range(1, len(top) + 1) for s in combinations(top, k))
         super().__init__({s: len(s) - 1 for s in subsets})
 
-    def walk(self, sid, walk):
-        return tuple(v for i, v in enumerate(sid) if i not in walk)
+    def face(self, sid, j):
+        return sid[:j] + sid[j + 1 :], None
 
 
 def test_a_space_is_dims_and_walk():
     """dual_operation and cochain_coboundary on a Space that gives only dims
-    and walk (Delta^3 and the boundary of Delta^4 as ordered complexes), over
+    and face (Delta^3 and the boundary of Delta^4 as ordered complexes), over
     ZZ, GF(3) and GF(2), equal the oracles run on the face tables of the same
     complexes with each vertex tuple relabelled as its string of digits, in
     table order."""
@@ -559,7 +587,9 @@ def test_a_space_is_dims_and_walk():
     for tops in ([tuple(range(4))], list(combinations(range(5), 4))):
         space = OrderedComplex(tops)
         assert set(vars(space)) == {"dims", "_by_dim", "_walks", "_masks"}
-        assert {a for a in dir(space) if a[0] != "_"} == {"dims", "simplices", "walk", "walk_map", "masks"}
+        assert {a for a in dir(space) if a[0] != "_"} == {
+            "dims", "simplices", "face", "walk", "walk_map", "masks"
+        }
         records = []
         for s, d in space.dims.items():
             faces = [name(s[:j] + s[j + 1 :]) for j in range(d + 1)] if d else []
@@ -616,20 +646,23 @@ def squares_wrong(space):
 
 
 def test_steenrod_squares_on_bz2_against_known_answers():
-    """All 27 cases Sq^k(x^n) = C(n, k) x^(n+k), n <= 6, hold on BG((2,)).
-    On the null-face fragment b_z2 the cup squares Sq^n(x^n) for n = 2, 3
-    and 4 come out 0."""
-    assert squares_wrong(BG((2,), 12)) == []
-    assert {(2, 2), (3, 3), (4, 4)} <= set(squares_wrong(FaceTable(b_z2(12))))
+    """All 27 cases Sq^k(x^n) = C(n, k) x^(n+k), n <= 6, hold on BG((2,))
+    and on the one-vertex face table with degeneracy records.  On the
+    null-face fragment b_z2_null the cup squares Sq^n(x^n) for n = 2, 3 and
+    4 come out 0."""
+    assert squares_wrong(BG((2,), 12)) == [] == squares_wrong(FaceTable(b_z2(12)))
+    assert {(2, 2), (3, 3), (4, 4)} <= set(squares_wrong(FaceTable(b_z2_null(12))))
 
 
 def test_cup_products_on_classifying_spaces():
     """On B(Z/2), B(Z/3) and B(Z/2 x Z/2), over ZZ, GF(3) and GF(2), the cup
-    product of random cochains is the bar formula and associative.  On the
-    null-face fragment b_z2, (x cup x) cup x = 0 while x cup (x cup x) = x^3."""
+    product of random cochains is the bar formula and associative, and on
+    the one-vertex B(Z/2) face table with degeneracy records associative.
+    On the null-face fragment b_z2_null, (x cup x) cup x = 0 while
+    x cup (x cup x) = x^3."""
     rng = random.Random(7)
     nonzero = 0
-    for space in (BG((2,), 5), BG((3,), 4), BG((2, 2), 4)):
+    for space in (BG((2,), 5), BG((3,), 4), BG((2, 2), 4), FaceTable(b_z2(5))):
         for ring in (ZZ, GF(3), GF(2)):
             cup = S(2).el(ring, (1, 2))
             for degrees in ((1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2)):
@@ -638,21 +671,26 @@ def test_cup_products_on_classifying_spaces():
                     for d in degrees
                 )
                 ab = dual_operation(cup, [a, b], space, ring)
-                assert list(ab.values.items()) == list(cup_on_bars(a, b, space, ring).items())
+                if isinstance(space, BG):
+                    assert list(ab.values.items()) == list(cup_on_bars(a, b, space, ring).items())
                 left = dual_operation(cup, [ab, c], space, ring)
                 right = dual_operation(cup, [a, dual_operation(cup, [b, c], space, ring)], space, ring)
                 assert left.values == right.values
                 nonzero += bool(left.values)
-    # not vacuous: most of the 36 cases have a nonzero triple product
-    assert nonzero >= 18
+    # not vacuous: most of the 48 cases have a nonzero triple product
+    assert nonzero >= 24
     cup = S(2).el(GF(2), (1, 2))
-    for space, want in ((BG((2,), 3), {((1,),) * 3: 1}), (FaceTable(b_z2(3)), {"s3": 1})):
+    for space, want, associative in (
+        (BG((2,), 3), {((1,),) * 3: 1}, True),
+        (FaceTable(b_z2(3)), {"s3": 1}, True),
+        (FaceTable(b_z2_null(3)), {"s3": 1}, False),
+    ):
         x = Cochain(1, {space.simplices(1)[0]: 1})
         xx = dual_operation(cup, [x, x], space, GF(2))
         right = dual_operation(cup, [x, xx], space, GF(2)).values
         left = dual_operation(cup, [xx, x], space, GF(2)).values
         assert right == want
-        assert (left == right) == isinstance(space, BG)
+        assert (left == right) == associative
 
 
 def test_bockstein_and_cup_square_on_bz3():
@@ -689,12 +727,110 @@ def test_bg_builds_no_face_lists_and_validates():
             BG(orders, top)
 
 
+def vertex_selection(space, sid, walk):
+    """The face a deletion walk reaches from a bar of BG, by vertex
+    selection: the face keeps the other vertices, its bar is their
+    successive differences, and it is degenerate (None) where two
+    consecutive kept vertices coincide."""
+    orders = space.orders
+    vertex = (0,) * len(orders)
+    vertices = [vertex]
+    for g in sid:
+        vertex = tuple((a + b) % n for a, b, n in zip(vertex, g, orders))
+        vertices.append(vertex)
+    kept = [p for v, p in enumerate(vertices) if v not in walk]
+    steps = list(zip(kept, kept[1:]))
+    if any(p == q for p, q in steps):
+        return None
+    return tuple(tuple((b - a) % n for a, b, n in zip(p, q, orders)) for p, q in steps)
+
+
+def test_bg_walk_against_vertex_selection():
+    """The walk over BG's bar-formula faces reaches the face vertex
+    selection reaches, on every walk map of B(Z/2) to d = 8, B(Z/3) to d = 6
+    and B(Z/2 x Z/2) to d = 6: 1,507 maps, among them walks through
+    degenerate faces."""
+    maps = degenerate = 0
+    for orders, top in (((2,), 8), ((3,), 6), ((2, 2), 6)):
+        space = BG(orders, top)
+        for d in range(top + 1):
+            for k in range(1, d + 2):
+                for kept in combinations(range(d + 1), k):
+                    walk = tuple(v for v in range(d, -1, -1) if v not in kept)
+                    want = [vertex_selection(space, bar, walk) for bar in space.simplices(d)]
+                    assert space.walk_map(d, walk) == want, (orders, d, walk)
+                    maps += 1
+                    degenerate += None in want
+    assert maps == 1507 and degenerate > 900
+
+
+def sphere(n):
+    """S^n as one vertex v and one n-simplex t, n >= 2, each of whose faces
+    is the degenerate (n-1)-simplex s_(n-2)...s_0 v."""
+    record = {"of": "v", "s": list(range(n - 2, -1, -1))}
+    return {"dim": n, "simplices": [{"id": "v", "dim": 0}, {"id": "t", "dim": n, "faces": [record] * (n + 1)}]}
+
+
+# Delta^3 with its face 012 squashed onto the edge e = 02 by s_0 (vertices
+# 0, 1 -> a, 2 -> b, 3 -> c): the pushout along sigma_0: Delta^2 -> Delta^1.
+# Its degenerate faces sit below the vertices a walk deletes first.
+SQUASHED = {
+    "dim": 3,
+    "simplices": [
+        {"id": "a", "dim": 0},
+        {"id": "b", "dim": 0},
+        {"id": "c", "dim": 0},
+        {"id": "e", "dim": 1, "faces": ["b", "a"]},
+        {"id": "03", "dim": 1, "faces": ["c", "a"]},
+        {"id": "13", "dim": 1, "faces": ["c", "a"]},
+        {"id": "23", "dim": 1, "faces": ["c", "b"]},
+        {"id": "013", "dim": 2, "faces": ["13", "03", {"of": "a", "s": [0]}]},
+        {"id": "023", "dim": 2, "faces": ["23", "03", "e"]},
+        {"id": "123", "dim": 2, "faces": ["23", "13", "e"]},
+        {"id": "0123", "dim": 3, "faces": ["123", "023", "013", {"of": "e", "s": [0]}]},
+    ],
+}
+
+
+def test_record_tables_against_oracles():
+    """On the one-vertex B(Z/2) with degeneracy records, on S^4 (records of
+    three degeneracies) and on the squashed Delta^3, dual_operation and
+    cochain_coboundary over ZZ, GF(3) and GF(2) give the oracles' values,
+    which walk through the records by subface; the null-face B(Z/2) gives
+    other values on some of the same operands."""
+    rng = random.Random(23)
+    nonzero = differ = 0
+    for data in (b_z2(6), sphere(4), SQUASHED):
+        tab = FaceTable(data)
+        null = FaceTable(b_z2_null(6)) if data["dim"] == 6 else None
+        for ring in (ZZ, GF(3), GF(2)):
+            lifts = {
+                d: Cochain(d, {sid: rng.choice((-3, -1, 1, 2)) for sid in tab.simplices(d)})
+                for d in range(7)
+            }
+            for d in range(6):
+                want = coboundary_oracle(lifts[d], tab, ring)
+                assert cochain_coboundary(lifts[d], tab, ring).values == want
+            for n, k in ((2, 0), (2, 1), (2, 2), (3, 1)):
+                x = Element(S(n), ring, k, [(rng.randint(1, 4), g) for g in S(n).basis(k)])
+                for degrees in product(range(1, 5), repeat=n):
+                    if 0 <= sum(degrees) - k <= data["dim"]:
+                        cochains = [lifts[e] for e in degrees]
+                        want = dual_operation_oracle(x, cochains, tab, ring)
+                        got = dual_operation(x, cochains, tab, ring)
+                        assert list(got.values.items()) == list(want.items())
+                        nonzero += bool(want)
+                        if null is not None:
+                            differ += dual_operation(x, cochains, null, ring).values != want
+    assert nonzero >= 50 and differ >= 10
+
+
 def test_mask_index_partitions_the_landing_simplices():
     """Per (dimension, walk) the masks are disjoint, and together they are
     the positions whose walk does not end at a null face, each under the
     face its walk reaches.  A GF(2) operation builds masks; a ZZ or GF(3)
     operation builds none."""
-    for data in (SIMPLEX3, simplex_with_null(5), b_z2(5)):
+    for data in (SIMPLEX3, simplex_with_null(5), b_z2_null(5), b_z2(5)):
         tab = FaceTable(data)
         for d in range(data["dim"] + 1):
             for k in range(1, d + 2):
@@ -746,19 +882,20 @@ def test_repeated_and_equal_operands():
             want = dual_operation_oracle(x, cochains, tab, ring)
             assert want
             assert list(dual_operation(x, cochains, tab, ring).values.items()) == list(want.items())
-    # on B(Z/2): an odd lift of the generator x in degree 1, and its cup
-    # square passed twice to the cup-0, cup-1 and cup-2 words
-    b = FaceTable(b_z2(5))
-    x1 = Cochain(1, {"s1": -3})
-    square = dual_operation(S(2).el(GF(2), (1, 2)), [x1, x1], b, GF(2))
-    assert square.values == {"s2": 1}
-    lifted = Cochain(2, {"s2": 5})
-    for gen in ((1, 2), (1, 2, 1), (1, 2, 1, 2)):
-        x = S(2).el(GF(2), gen)
-        for cochains in ([square, square], [lifted, lifted], [square, lifted]):
-            want = dual_operation_oracle(x, cochains, b, GF(2))
-            got = dual_operation(x, cochains, b, GF(2))
-            assert list(got.values.items()) == list(want.items())
+    # on B(Z/2), with records and with null faces: an odd lift of the
+    # generator x in degree 1, and its cup square passed twice to the cup-0,
+    # cup-1 and cup-2 words
+    for b in (FaceTable(b_z2(5)), FaceTable(b_z2_null(5))):
+        x1 = Cochain(1, {"s1": -3})
+        square = dual_operation(S(2).el(GF(2), (1, 2)), [x1, x1], b, GF(2))
+        assert square.values == {"s2": 1}
+        lifted = Cochain(2, {"s2": 5})
+        for gen in ((1, 2), (1, 2, 1), (1, 2, 1, 2)):
+            x = S(2).el(GF(2), gen)
+            for cochains in ([square, square], [lifted, lifted], [square, lifted]):
+                want = dual_operation_oracle(x, cochains, b, GF(2))
+                got = dual_operation(x, cochains, b, GF(2))
+                assert list(got.values.items()) == list(want.items())
 
 
 def test_null_key_in_a_cochain_names_no_simplex():
@@ -971,12 +1108,53 @@ def test_face_table_validation():
     ):
         with pytest.raises(InvalidInput):
             FaceTable(data)
+    # a degeneracy record names a simplex of dimension dim - 1 - len(s) under
+    # 's', a list of ints k_1 > ... > k_m in 0..dim - 2
+    for record in MALFORMED_RECORDS:
+        with pytest.raises(InvalidInput, match="record|face"):
+            FaceTable(record_table(record))
+    for record in ({"of": "v", "s": [1, 0]}, {"of": "e", "s": [1]}, {"of": "e", "s": [0]}):
+        FaceTable(record_table(record))
     # a simplex id asked for is hashable: a list is invalid input, not a TypeError
     x = S(2).el(ZZ, (1, 2))
     alpha = Cochain(1, {"e01": 1})
     for sid in (["t"], {}):
         with pytest.raises(InvalidInput, match="no simplex"):
             cochain_evaluate(x, [alpha, alpha], table(), sid)
+
+
+def record_table(record):
+    """A vertex v, a loop e and a 3-simplex t whose faces are the record."""
+    return {
+        "dim": 3,
+        "simplices": [
+            {"id": "v", "dim": 0},
+            {"id": "e", "dim": 1, "faces": ["v", "v"]},
+            {"id": "t", "dim": 3, "faces": [record] * 4},
+        ],
+    }
+
+
+# 'of' missing, null, unhashable, no simplex or of the wrong dimension; 's'
+# missing, not a list of ints, empty, not strictly decreasing or out of range
+MALFORMED_RECORDS = (
+    {"s": [1, 0]},
+    {"of": None, "s": [1, 0]},
+    {"of": ["v"], "s": [1, 0]},
+    {"of": "w", "s": [1, 0]},
+    {"of": "e", "s": [1, 0]},
+    {"of": "v", "s": [1]},
+    {"of": "v"},
+    {"of": "v", "s": 1},
+    {"of": "v", "s": ["1", "0"]},
+    {"of": "v", "s": [True, False]},
+    {"of": "v", "s": [1.0, 0]},
+    {"of": "v", "s": []},
+    {"of": "v", "s": [0, 1]},
+    {"of": "v", "s": [1, 1]},
+    {"of": "v", "s": [2, 0]},
+    {"of": "v", "s": [1, -1]},
+)
 
 
 def test_simplices_order_by_str_id():

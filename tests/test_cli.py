@@ -7,8 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainops.cli import ElementParser, main
+from chainops.elements import Element
 from chainops.errors import InvalidInput
 from chainops.maclane import cyc_eg, sym_eg
 from chainops.minimal import minimal_complex
@@ -87,6 +90,32 @@ def test_parse_serialize_round_trip():
         text = repr(x)
         back = ElementParser(S, ZZ).parse(text)
         assert back == x
+
+
+# the complexes of the parser round trip, each with its bases in degrees 0-3
+ROUND_TRIP = [
+    (cplx, [list(cplx.basis(k)) for k in range(4)])
+    for cplx in [surjection_complex(f, n) for f in ("bf", "aj", "ms") for n in (2, 3, 4)]
+    + [sym_eg(2), sym_eg(3), minimal_complex(3)]
+]
+
+
+@st.composite
+def printed_elements(draw):
+    """A random element of degree <= 3 over ZZ or GF(3), zero included."""
+    cplx, bases = draw(st.sampled_from(ROUND_TRIP))
+    k = draw(st.integers(0, 3))
+    ring = draw(st.sampled_from((ZZ, GF(3))))
+    gens = draw(st.lists(st.sampled_from(bases[k]), max_size=4)) if bases[k] else []
+    return Element(cplx, ring, k, [(draw(st.integers(-5, 5)), g) for g in gens])
+
+
+@settings(max_examples=150, deadline=None)
+@given(printed_elements())
+def test_parse_inverts_repr(x):
+    """Every element's repr parses back to it, in the surjection complexes,
+    N(ESigma_2), N(ESigma_3) and the minimal model (which prints T^i.yk)."""
+    assert ElementParser(x.complex, x.ring).parse(repr(x)) == x
 
 
 def test_cli_golden_boundary_13_1():
@@ -314,6 +343,55 @@ def test_cli_eval_cochain_invalid_input(tmp_path):
     faces["simplices"][-1]["faces"][1] = None
     out = eval_cochain(tmp_path, faces, "--simplex-id", "t")
     assert out.returncode == 0 and out.stdout.strip() == "-1"
+
+
+# B(Z/2) up to dimension 4 with one simplex sN per dimension: d_0 and d_N
+# are s(N-1), and the inner face d_j is the degeneracy record s_(j-1) s(N-2)
+BZ2 = {
+    "dim": 4,
+    "simplices": [
+        {
+            "id": f"s{k}",
+            "dim": k,
+            "faces": [f"s{k - 1}" if j in (0, k) else {"of": f"s{k - 2}", "s": [j - 1]} for j in range(k + 1)]
+            if k
+            else [],
+        }
+        for k in range(5)
+    ],
+}
+
+
+def test_cli_eval_cochain_degeneracy_records(tmp_path, capsys):
+    """eval-cochain reads a face table with degeneracy records: Sq^2(x^2) =
+    x^4 on B(Z/2), the cup square of x^2 through the records.  A malformed
+    record exits 2 with one error line."""
+    ft, x2 = tmp_path / "bz2.json", tmp_path / "x2.json"
+    ft.write_text(json.dumps(BZ2))
+    x2.write_text(json.dumps({"degree": 2, "values": {"s2": 1}}))
+    argv = ["eval-cochain", "--n", "2", "--x", "(1,2)", "--ring", "F2", "--faces", str(ft)]
+    main(argv + ["--cochains", str(x2), str(x2)])
+    assert capsys.readouterr().out == '{"degree": 4, "values": {"s4": 1}}\n'
+    # 'of' missing, null or of the wrong dimension; 's' not a list of ints,
+    # not strictly decreasing or out of range
+    for record in (
+        {"s": [1]},
+        {"of": None, "s": [1]},
+        {"of": "s1", "s": [1]},
+        {"of": "s2", "s": "1"},
+        {"of": "s2", "s": [1.0]},
+        {"of": "s1", "s": [0, 1]},
+        {"of": "s1", "s": [1, 1]},
+        {"of": "s2", "s": [3]},
+    ):
+        bad = json.loads(json.dumps(BZ2))
+        bad["simplices"][4]["faces"][2] = record
+        ft.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cochains", str(x2), str(x2)])
+        assert exc.value.code == 2, record
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and ("record" in line or "face" in line), record
 
 
 def test_cli_eval_cochain_term_guard(tmp_path):

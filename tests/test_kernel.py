@@ -185,6 +185,37 @@ def test_element_degree_mismatch_raises():
         x + y
 
 
+def test_coefficients_from_outside_are_ints():
+    """el/single, raw-pair Element(...) and scalar * x take int
+    coefficients only: a float, a string or a bool is invalid input."""
+    S = surjection_complex("bf", 2)
+    x = S.el(ZZ, (1, 2), 3)
+    for c in (1.5, "2", True, 2.0):
+        with pytest.raises(InvalidInput, match="int"):
+            S.el(ZZ, (1, 2), c)
+        with pytest.raises(InvalidInput, match="int"):
+            Element(S, ZZ, 0, [(c, (1, 2))])
+        with pytest.raises(InvalidInput, match="int"):
+            Element(S, GF(3), 0, {(1, 2): c})
+        with pytest.raises(InvalidInput, match="int"):
+            c * x
+    assert repr(-2 * x) == "- 6*(1,2)" and repr(Element(S, GF(3), 0, {(1, 2): 5})) == "2*(1,2)"
+
+
+def test_raw_pairs_have_the_given_degree():
+    """Raw-pair Element(cplx, ring, degree, pairs) refuses a nonzero
+    generator of another degree; one that cancels, or vanishes in the ring,
+    carries no degree."""
+    S = surjection_complex("bf", 2)
+    with pytest.raises(InvalidInput, match="degree 0, not 5"):
+        Element(S, ZZ, 5, [(1, (1, 2))])
+    with pytest.raises(InvalidInput, match="degree 1, not 0"):
+        Element(S, ZZ, 0, [(1, (1, 2)), (2, (1, 2, 1))])
+    assert Element(S, ZZ, 5, [(1, (1, 2)), (-1, (1, 2))]).is_zero()
+    assert Element(S, GF(3), 5, [(3, (1, 2))]).is_zero()
+    assert Element(S, ZZ, 1, [(2, (1, 2, 1))]).degree == 1
+
+
 def test_element_ring_mismatch_raises():
     S = simplex_complex(3)
     with pytest.raises(InvalidInput):
