@@ -220,31 +220,34 @@ class Space:
         vertex lies over the same vertex of id; while the simplex stays
         nondegenerate, each step is one face.  None where the walk ends on a
         degenerate simplex, on which cochains vanish, or meets a null face."""
-        face = self.face
+        face, face_of = self.face, self._face_of
         epi = None
         for v in walk:
-            if epi is None:
-                step = face(sid, v)
-                if step is None:
-                    return None
-                sid, epi = step
-                continue
-            w = epi[v]
-            epi = epi[:v] + epi[v + 1 :]
-            if w in epi:
-                # another vertex lies over w: no face, and the identity again
-                # once the epi is as long as it is onto
-                if epi[-1] == len(epi) - 1:
-                    epi = None
-                continue
-            step = face(sid, w)
+            step = face(sid, v) if epi is None else face_of(sid, epi, v)
             if step is None:
                 return None
-            sid, inner = step
-            epi = tuple(u - (u > w) for u in epi)
-            if inner is not None:
-                epi = tuple(map(inner.__getitem__, epi))
+            sid, epi = step
         return sid if epi is None else None
+
+    def _face_of(self, sid, epi, j):
+        """The face d_j of the simplex (sid, epi), the nondegenerate sid when
+        epi is None and else its degeneracy that epi describes, as face()
+        gives it.  d_j drops vertex j of the epi, and reads a face of sid
+        only where no other vertex lies over the same vertex of sid."""
+        if epi is None:
+            return self.face(sid, j)
+        w = epi[j]
+        epi = epi[:j] + epi[j + 1 :]
+        if w in epi:
+            # another vertex lies over w: no face, and the identity again
+            # once the epi is as long as it is onto
+            return sid, (None if epi[-1] == len(epi) - 1 else epi)
+        step = self.face(sid, w)
+        if step is None:
+            return None
+        sid, inner = step
+        epi = tuple(u - (u > w) for u in epi)
+        return sid, (epi if inner is None else tuple(map(inner.__getitem__, epi)))
 
     def walk_map(self, d, walk):
         """walk() from every d-simplex: the list of the faces it reaches, in
@@ -349,6 +352,34 @@ class FaceTable(Space):
                         f"face {f!r} of simplex {sid!r} is not a simplex of dimension {dim}"
                     )
         super().__init__(dims)
+        self._check_identities()
+
+    def _check_identities(self):
+        """InvalidInput unless d_i d_j = d_(j-1) d_i for i < j on every
+        simplex of dimension >= 2.  Two plain face ids are compared by their
+        face lists; elsewhere both sides are _face_of values, so records are
+        pushed through.  A side that meets a null face is not compared: null
+        does not say which degenerate simplex it is."""
+        faces = self.faces
+        for sid, fs in faces.items():
+            if self.dims[sid] < 2:
+                continue
+            # the face list of each face with a plain id, else None
+            lists = [None if f is None or type(f) is dict else faces[f] for f in fs]
+            for j in range(1, len(lists)):
+                dj = lists[j]
+                for i in range(j):
+                    di = lists[i]
+                    if dj is not None and di is not None and dj[i] == di[j - 1]:
+                        continue
+                    ji, ij = self.face(sid, j), self.face(sid, i)
+                    ji = ji and self._face_of(*ji, i)
+                    ij = ij and self._face_of(*ij, j - 1)
+                    if ji is not None and ij is not None and ji != ij:
+                        raise InvalidInput(
+                            f"simplex {sid!r} breaks the simplicial identity "
+                            f"d_{i} d_{j} = d_{j - 1} d_{i}"
+                        )
 
     def face(self, sid, j):
         f = self.faces[sid][j]

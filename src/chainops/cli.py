@@ -357,17 +357,19 @@ def cmd_pr(args):
 
 
 def _two_rows(args):
+    """(product, ez, a, b, ring) for the factors that --simplex/--simplex2,
+    --eg/--eg2 or --cyclic/--cyclic2 select: their product complex, the
+    closed EZ into it, and the rows a and b, each parsed in its factor."""
     ring = ring_of(args)
     if args.simplex is not None:
-        from .simplex import simplex_complex
+        from .simplex import ez_element, product_complex, simplex_complex
 
         m1 = args.simplex
         m2 = args.simplex2 if args.simplex2 is not None else m1
-        p1 = ElementParser(simplex_complex(m1), ring)
-        row1 = p1.generator_only(args.a)
+        row1 = ElementParser(simplex_complex(m1), ring).generator_only(args.a)
         row2 = ElementParser(simplex_complex(m2), ring).generator_only(args.b)
-        return ("simplex", (m1, m2), row1, row2, ring)
-    from .maclane import cyc_eg, sym_eg
+        return product_complex(m1, m2), ez_element, row1, row2, ring
+    from .maclane import cyc_eg, ez_maclane, maclane_complex, sym_eg
 
     if args.eg is not None:
         g1 = sym_eg(args.eg)
@@ -379,48 +381,26 @@ def _two_rows(args):
         raise InvalidInput("aw/ez need --simplex or --eg/--cyclic")
     row1 = ElementParser(g1, ring).generator_only(args.a)
     row2 = ElementParser(g2, ring).generator_only(args.b)
-    return ("maclane", (g1, g2), row1, row2, ring)
+    product = maclane_complex(ProductGroup((g1.group, g2.group)))
+    return product, ez_maclane, row1, row2, ring
 
 
 def cmd_aw(args):
-    kind, info, row1, row2, ring = _two_rows(args)
+    product, _, row1, row2, ring = _two_rows(args)
     if len(row1) != len(row2):
         raise InvalidInput("aw needs rows of equal length")
-    if kind == "simplex":
-        from .simplex import aw, product_complex
+    from .simplex import aw
 
-        m1, m2 = info
-        cplx = product_complex(m1, m2)
-        emit(args, aw(cplx.el(ring, (row1, row2))))
-    else:
-        from .maclane import aw_maclane, maclane_complex
-
-        g1, g2 = info
-        prod = maclane_complex(ProductGroup((g1.group, g2.group)))
-        gen = tuple(zip(row1, row2))
-        emit(args, aw_maclane(prod.el(ring, gen)))
+    emit(args, aw(product.el(ring, tuple(zip(row1, row2)))))
 
 
 def cmd_ez(args):
-    kind, info, row1, row2, ring = _two_rows(args)
-    if kind == "simplex":
-        from .simplex import ez_element, simplex_complex, tensor_pair
-
-        m1, m2 = info
-        T = tensor_pair(m1, m2)
-        x = tensor_elements(
-            T,
-            simplex_complex(m1).el(ring, row1),
-            simplex_complex(m2).el(ring, row2),
-        )
-        emit(args, ez_element(x))
-    else:
-        from .maclane import ez_maclane
-
-        g1, g2 = info
-        T = TensorComplex((g1, g2))
-        x = tensor_elements(T, g1.el(ring, row1), g2.el(ring, row2))
-        emit(args, ez_maclane(x))
+    product, ez, row1, row2, ring = _two_rows(args)
+    factors = product.factors
+    x = tensor_elements(
+        TensorComplex(factors), *(f.el(ring, row) for f, row in zip(factors, (row1, row2)))
+    )
+    emit(args, ez(x))
 
 
 def cmd_diagonal(args):

@@ -14,7 +14,10 @@ generators the library builds itself (structure maps, bases, sums): it
 only decides degeneracy or the normal form, and never raises.
 
 Every contraction in the library satisfies h^2 = 0 and h(iota) = 0;
-`verify_contracted` in procedure.py checks this degree by degree.
+`verify_contracted` in procedure.py checks this degree by degree.  The
+complexes whose simplices are their vertex sequences, N(Delta^m), products
+of simplices (a vertex is a column) and N(EG), share one normal form, one
+boundary and one cone contraction in VertexSequenceComplex.
 
 A complex with a group states, next to `act_terms`, the law that makes
 its action a group action (`action_law`): the finite data the action
@@ -123,9 +126,12 @@ class ChainComplex:
 
 class VertexSequenceComplex(ChainComplex):
     """Normalized chains of a simplicial set whose simplices are their
-    vertex sequences, as N(Delta^m) and N(EG) are: face j deletes entry j,
-    and a sequence is degenerate when it is empty or repeats a vertex in
-    two neighbouring entries."""
+    vertex sequences, as N(Delta^m), N(Delta^m x Delta^n) and N(EG) are:
+    face j deletes entry j, and a sequence is degenerate when it is empty
+    or repeats a vertex in two neighbouring entries.
+
+    The cone vertex, which a subclass sets, is the basepoint, and the
+    contraction h(x) = (cone, x) prepends it."""
 
     def normalize(self, gen):
         """None for the empty sequence and for two equal neighbours."""
@@ -146,6 +152,12 @@ class VertexSequenceComplex(ChainComplex):
         if len(gen) <= 1:
             return []
         return [((-1) ** j, gen[:j] + gen[j + 1 :]) for j in range(len(gen))]
+
+    def contraction_terms(self, gen):
+        return [(1, (self.cone,) + gen)]
+
+    def basepoint_gen(self):
+        return (self.cone,)
 
 
 def law_cases(cplx, witnesses):

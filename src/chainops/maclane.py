@@ -1,9 +1,10 @@
 """MacLane models N_*(EG), coinvariants N_*(BG), joins, and induced maps.
 
 Generators are nondegenerate tuples of group elements; the contraction
-prepends the identity.  Coinvariant classes are normalized by left
-translation to first entry e, with an optional parity twist for
-symmetric groups.
+prepends the identity, N(EG)'s cone.  Coinvariant classes are normalized
+by left translation to first entry e, with an optional parity twist for
+symmetric groups.  AW of N(E(H x G)) is simplex.aw, which reads the factors
+N(EH) and N(EG) off the product.
 """
 
 from functools import lru_cache
@@ -16,9 +17,15 @@ from .perms import Perm
 
 
 class MacLaneComplex(VertexSequenceComplex):
+    """N_*(EG), its cone the identity; for a product group H x G, the
+    product of N(EH) and N(EG), each vertex a column (h, g)."""
+
     def __init__(self, group):
         self.group = group
         self.name = f"N(E{group!r})"
+        self.cone = group.identity
+        if isinstance(group, ProductGroup):
+            self.factors = tuple(map(maclane_complex, group.factors))
 
     def validate(self, gen):
         """Each entry decoded as an element of the group."""
@@ -29,12 +36,6 @@ class MacLaneComplex(VertexSequenceComplex):
 
     def encode_gen(self, gen):
         return [self.group.encode(g) for g in gen]
-
-    def contraction_terms(self, gen):
-        return [(1, (self.group.identity,) + gen)]
-
-    def basepoint_gen(self):
-        return (self.group.identity,)
 
     def act_terms(self, g, gen):
         mul = self.group.mul
@@ -221,28 +222,12 @@ def coinvariants(x, twist=False):
     return x.map_terms(target.class_terms, codomain=target)
 
 
-# -- AW / EZ for MacLane models ------------------------------------------------
-
-
-def aw_maclane(x):
-    """AW: N(E(HxG)) -> N(EH) (x) N(EG), front faces tensor back faces."""
-    from .simplex import aw_terms
-
-    src = x.complex
-    if not isinstance(src, MacLaneComplex) or not isinstance(
-        src.group, ProductGroup
-    ):
-        raise InvalidInput("aw_maclane expects an element of N(E(HxG))")
-    factors = tuple(maclane_complex(g) for g in src.group.factors)
-    if len(factors) != 2:
-        raise InvalidInput("aw_maclane expects a two-factor product group")
-    target = TensorComplex(factors)
-    return x.map_terms(lambda gen: aw_terms(tuple(zip(*gen))), codomain=target)
+# -- EZ for MacLane models (AW is simplex.aw) ---------------------------------
 
 
 def ez_maclane(x):
     """EZ: N(EH) (x) N(EG) -> N(E(HxG)), signed lattice paths."""
-    from .simplex import ez_columns
+    from .simplex import ez_terms
 
     src = x.complex
     if not isinstance(src, TensorComplex) or len(src.factors) != 2:
@@ -250,11 +235,7 @@ def ez_maclane(x):
     target = maclane_complex(
         ProductGroup(tuple(f.group for f in src.factors))
     )
-
-    def terms(gen):
-        return [(sign, tuple(cols)) for sign, cols in ez_columns(gen)]
-
-    return x.map_terms(terms, codomain=target)
+    return x.map_terms(ez_terms, codomain=target)
 
 
 # -- joins ------------------------------------------------------------------

@@ -10,6 +10,7 @@ formulas, each with the recursive construction available as an oracle.
 from functools import lru_cache
 
 from .complexes import ChainComplex, TensorComplex, law_cases
+from .elements import built
 from .errors import InvalidInput
 from .groups import CyclicGroup
 from .maclane import cyc_eg
@@ -274,9 +275,7 @@ def multidiagonal_M(arity, x):
 
     def expand(gen):
         head, tail = gen
-        rest = multidiagonal_M(
-            arity - 1, minimal_complex(n).el(x.ring, tail)
-        )
+        rest = multidiagonal_M(arity - 1, built(src, x.ring, tail))
         return [(c, (head,) + g) for g, c in rest.terms.items()]
 
     return two.map_terms(expand, codomain=target)

@@ -247,9 +247,10 @@ class TwistedOperadMap(RecursiveMap):
 
 class EZStandard(RecursiveMap):
     """EZ(Delta^m (x) Delta^n) in N(Delta^m x Delta^n), memoized on (m, n):
-    ((0), (0)) at (0, 0), and otherwise h of EZ(d(Delta^m (x) Delta^n)),
-    whose faces are pushed forward from their models EZ(Delta^(m-1) (x)
-    Delta^n) and EZ(Delta^m (x) Delta^(n-1)), over the integers."""
+    the column (0, 0) at (0, 0), and otherwise h of EZ(d(Delta^m (x)
+    Delta^n)), whose faces are pushed forward from their models
+    EZ(Delta^(m-1) (x) Delta^n) and EZ(Delta^m (x) Delta^(n-1)) along
+    face_vmap, one coordinate of each column, over the integers."""
 
     def __init__(self):
         from . import simplex
@@ -264,18 +265,18 @@ class EZStandard(RecursiveMap):
 
     def defect(self, key):
         m, n = key
-        face_vmap, push = self._simplex.face_vmap, self._simplex.push_face
+        face_vmap = self._simplex.face_vmap
         pairs = []
         if m > 0:
             inner = self.on_basis((m - 1, n)).terms.items()
             for j in range(m + 1):
                 vmap, sign = face_vmap(m, j), (-1) ** j
-                pairs.extend((sign * c, (push(vmap, a), b)) for (a, b), c in inner)
+                pairs.extend((sign * c, tuple((vmap[a], b) for a, b in cols)) for cols, c in inner)
         if n > 0:
             inner = self.on_basis((m, n - 1)).terms.items()
             for j in range(n + 1):
                 vmap, sign = face_vmap(n, j), (-1) ** (m + j)
-                pairs.extend((sign * c, (a, push(vmap, b))) for (a, b), c in inner)
+                pairs.extend((sign * c, tuple((a, vmap[b]) for a, b in cols)) for cols, c in inner)
         return collect(self._simplex.product_complex(m, n), self.ring, m + n - 1, pairs)
 
 

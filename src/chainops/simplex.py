@@ -1,26 +1,28 @@
 """Normalized chains on standard simplices and products of simplices.
 
 Vertices are named 0..m (the Part-III convention).  Faces are strictly
-increasing vertex tuples; a generator of a product of simplices is a
-tuple of equal-length rows, one per factor, individually allowed to
-repeat vertices but jointly nondegenerate.
+increasing vertex tuples; a generator of a product of simplices is its
+sequence of columns, one vertex of each factor per column, each row
+allowed to repeat vertices but no two neighbouring columns equal.  Its
+JSON form is its rows, one per factor.
 
-N(Delta^m) and N(EG) are both a VertexSequenceComplex: their simplices
-are their vertex sequences, so they share their faces and one
-multidiagonal.  The Alexander-Whitney, Eilenberg-Zilber, and
-multidiagonal maps come in two forms: the closed formulas (front/back
-faces, signed lattice paths, overlapping splittings) and the recursive
-standard-procedure constructions, kept separate so the tests can play
-them against each other.  EZ's recursion is procedure.EZStandard, which
-pushes faces forward along push_face and face_vmap; the multidiagonal's
-is the Berger-Fresse action's in degree 0 (action.BFActionStandard on
-the identity surjection).
+N(Delta^m), N(Delta^m x Delta^n) and N(EG) are all a
+VertexSequenceComplex: their simplices are their vertex sequences, so they
+share their faces, the cone contraction and one multidiagonal, and one AW
+serves N(Delta^m x Delta^n) and N(E(H x G)).  The Alexander-Whitney,
+Eilenberg-Zilber, and multidiagonal maps come in two forms: the closed
+formulas (front/back faces, signed lattice paths, overlapping splittings)
+and the recursive standard-procedure constructions, kept separate so the
+tests can play them against each other.  EZ's recursion is
+procedure.EZStandard, which pushes one coordinate of each column forward
+along face_vmap; the multidiagonal's is the Berger-Fresse action's in
+degree 0 (action.BFActionStandard on the identity surjection).
 """
 
 from functools import lru_cache
 from itertools import combinations, product as _product
 
-from .complexes import ChainComplex, TensorComplex, VertexSequenceComplex
+from .complexes import TensorComplex, VertexSequenceComplex
 from .elements import Element
 from .errors import InvalidInput
 from .rings import ZZ
@@ -40,7 +42,9 @@ def _ordered_vertices(row, m):
 
 
 class SimplexComplex(VertexSequenceComplex):
-    """N_*(Delta^m) with the contraction h(x) = (0, x)."""
+    """N_*(Delta^m), its cone the vertex 0."""
+
+    cone = 0
 
     def __init__(self, m):
         if m < 0:
@@ -57,12 +61,6 @@ class SimplexComplex(VertexSequenceComplex):
     def format_gen(self, gen):
         return "(" + ",".join(str(v) for v in gen) + ")"
 
-    def contraction_terms(self, gen):
-        return [(1, (0,) + gen)]
-
-    def basepoint_gen(self):
-        return (0,)
-
     def basis(self, degree):
         if degree < 0 or degree > self.m:
             return
@@ -76,11 +74,13 @@ class SimplexComplex(VertexSequenceComplex):
         return hash(("simplex", self.m))
 
 
-class ProductSimplexComplex(ChainComplex):
-    """N_*(Delta^{m_1} x ... x Delta^{m_r}) with h = prepend the zero column.
+class ProductSimplexComplex(VertexSequenceComplex):
+    """N_*(Delta^{m_1} x ... x Delta^{m_r}), its cone the zero column.
 
-    A pair of rows can be jointly nondegenerate even when each row
-    repeats vertices, so normalisation only kills repeated columns.
+    A simplex is its sequence of columns, one vertex of each factor per
+    column, with every coordinate nondecreasing.  A row may repeat a
+    vertex, so only two equal neighbouring columns are degenerate.  The
+    JSON form of a generator is its rows, one per factor.
     """
 
     def __init__(self, ambients):
@@ -88,66 +88,36 @@ class ProductSimplexComplex(ChainComplex):
         if not self.ambients:
             raise InvalidInput("empty product of simplices")
         self.name = "N(" + " x ".join(f"Delta^{m}" for m in self.ambients) + ")"
+        self.factors = tuple(map(simplex_complex, self.ambients))
+        self.cone = (0,) * len(self.ambients)
 
     def validate(self, gen):
-        rows = tuple(map(self.entries, self.entries(gen)))
-        if len(rows) != len(self.ambients):
-            raise InvalidInput(f"a generator of {self.name} has {len(self.ambients)} rows")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows) or width == 0:
+        """The columns, each with one entry per row, checked row by row as
+        the CLI's rows are."""
+        cols = tuple(map(self.entries, self.entries(gen)))
+        if not cols:
             raise InvalidInput("product generator rows must share a length >= 1")
-        for r, m in zip(rows, self.ambients):
-            if not _ordered_vertices(r, m):
-                raise InvalidInput(f"row {r} out of order")
-        return rows
-
-    def normalize(self, gen):
-        """None when two neighbouring columns are equal."""
-        for j in range(len(gen[0]) - 1):
-            if all(r[j] == r[j + 1] for r in gen):
-                return None
-        return gen
-
-    def degree_of(self, gen):
-        return len(gen[0]) - 1
+        if any(len(c) != len(self.ambients) for c in cols):
+            raise InvalidInput(f"a generator of {self.name} has {len(self.ambients)} rows")
+        for row, m in zip(zip(*cols), self.ambients):
+            if not _ordered_vertices(row, m):
+                raise InvalidInput(f"row {row} out of order")
+        return cols
 
     def format_gen(self, gen):
-        cols = list(zip(*gen))
-        return "(" + ",".join("(" + ",".join(str(v) for v in col) + ")" for col in cols) + ")"
+        return "(" + ",".join("(" + ",".join(str(v) for v in col) + ")" for col in gen) + ")"
 
     def encode_gen(self, gen):
-        return [list(r) for r in gen]
-
-    def boundary_terms(self, gen):
-        width = len(gen[0])
-        if width <= 1:
-            return []
-        out = []
-        for j in range(width):
-            out.append(
-                ((-1) ** j, tuple(r[:j] + r[j + 1 :] for r in gen))
-            )
-        return out
-
-    def contraction_terms(self, gen):
-        return [(1, tuple((0,) + r for r in gen))]
-
-    def basepoint_gen(self):
-        return tuple((0,) for _ in self.ambients)
+        return [list(row) for row in zip(*gen)]
 
     def basis(self, degree):
-        width = degree + 1
-
-        def rows_for(m):
-            return [
-                c
-                for c in _product(range(m + 1), repeat=width)
-                if all(c[i] <= c[i + 1] for i in range(width - 1))
-            ]
-
-        for combo in _product(*(rows_for(m) for m in self.ambients)):
-            gen = self.normalize(combo)
-            if gen is not None:
+        """Chains of degree + 1 columns, increasing in every coordinate
+        and so in lexicographic order."""
+        if degree < 0:
+            return
+        columns = _product(*(range(m + 1) for m in self.ambients))
+        for gen in combinations(columns, degree + 1):
+            if all(u <= v for a, b in zip(gen, gen[1:]) for u, v in zip(a, b)):
                 yield gen
 
     def __eq__(self, other):
@@ -187,22 +157,21 @@ def fundamental(m):
 # -- closed formulas ---------------------------------------------------------
 
 
-def aw_terms(rows):
-    """Front face (x) back face terms for a pair of equal-length rows: a
-    generator of a product of two simplices, or of N(E(H x G)) split into
-    its H and G rows."""
-    sigma, tau = rows
-    width = len(sigma)
-    return [(1, (sigma[: j + 1], tau[j:])) for j in range(width)]
+def aw_terms(gen):
+    """Front face (x) back face terms of a sequence of two-entry columns: a
+    generator of N(Delta^m x Delta^n) or of N(E(H x G))."""
+    first, second = zip(*gen)
+    return [(1, (first[: j + 1], second[j:])) for j in range(len(gen))]
 
 
 def aw(x):
-    """AW: N(Delta^m x Delta^n) -> N(Delta^m) (x) N(Delta^n), linear."""
+    """AW: N(Delta^m x Delta^n) -> N(Delta^m) (x) N(Delta^n), and
+    N(E(H x G)) -> N(EH) (x) N(EG), linear; the factors are the product's."""
     src = x.complex
-    if not isinstance(src, ProductSimplexComplex) or len(src.ambients) != 2:
-        raise InvalidInput("aw expects a two-factor product of simplices")
-    target = tensor_pair(*src.ambients)
-    return x.map_terms(aw_terms, codomain=target)
+    factors = getattr(src, "factors", ())
+    if not isinstance(src, VertexSequenceComplex) or len(factors) != 2:
+        raise InvalidInput("aw expects an element of N(Delta^m x Delta^n) or N(E(H x G))")
+    return x.map_terms(aw_terms, codomain=TensorComplex(factors))
 
 
 def shuffle_words(counts):
@@ -241,8 +210,9 @@ def ez_columns(rows):
 
 
 def ez_terms(faces):
-    """Signed lattice-path terms for EZ on a tuple of simplex faces."""
-    return [(sign, tuple(zip(*cols))) for sign, cols in ez_columns(faces)]
+    """Signed lattice-path terms for EZ on a tuple of sequences, each term
+    the sequence of columns its path visits."""
+    return [(sign, tuple(cols)) for sign, cols in ez_columns(faces)]
 
 
 def ez(a, b, m=None, n=None):
@@ -261,7 +231,7 @@ def ez_element(x):
     if not isinstance(src, TensorComplex) or len(src.factors) != 2:
         raise InvalidInput("ez expects a two-factor tensor of simplex chains")
     target = product_complex(*(f.m for f in src.factors))
-    return x.map_terms(lambda gen: ez_terms(gen), codomain=target)
+    return x.map_terms(ez_terms, codomain=target)
 
 
 def multidiagonal_terms(n, face):
@@ -283,7 +253,8 @@ def multidiagonal_terms(n, face):
 
 def multidiagonal(n, x):
     """The n-fold Alexander-Whitney multidiagonal, linear on elements of
-    N(Delta^m), N(EG) or any other complex of vertex sequences."""
+    N(Delta^m), N(Delta^m x Delta^n), N(EG) or any other complex of vertex
+    sequences."""
     if n < 1:
         raise InvalidInput("multidiagonal arity must be >= 1")
     src = x.complex

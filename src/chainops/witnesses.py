@@ -15,6 +15,7 @@ the EZ.AW route against EZ.(phi x phi).Delta.pi.
 """
 
 from .complexes import TensorComplex, act, boundary
+from .elements import built
 from .errors import InvalidInput
 from .groups import CyclicGroup, ProductGroup
 from .maclane import (
@@ -89,7 +90,7 @@ class PowerWitness:
         def cases():
             for k in range(max_degree + 1):
                 for b in self.EC.basis(k):
-                    x = self.EC.el(self.ring, b)
+                    x = built(self.EC, self.ring, b)
                     yield b, self.homotopy_defect_J(x) == self.phi_lambda_pi(x) - self.iota_ell(x)
 
         return first_fail("dJ+Jd = phi.lambda.pi - iota_ell", cases())
@@ -157,15 +158,12 @@ def diagonal_homotopy_report(p, max_degree, ring=ZZ):
     def phi1(x):
         two = delta_M(pi_from_EC(x))
         T = TensorComplex((EC, EC))
+        M = minimal_complex(p)
         lifted = two.map_terms(
             lambda gen: [
                 (ca * cb, (ga, gb))
-                for ga, ca in phi_to_EC(
-                    minimal_complex(p).el(ring, gen[0])
-                ).terms.items()
-                for gb, cb in phi_to_EC(
-                    minimal_complex(p).el(ring, gen[1])
-                ).terms.items()
+                for ga, ca in phi_to_EC(built(M, ring, gen[0])).terms.items()
+                for gb, cb in phi_to_EC(built(M, ring, gen[1])).terms.items()
             ],
             codomain=T,
         )
@@ -176,7 +174,7 @@ def diagonal_homotopy_report(p, max_degree, ring=ZZ):
     def cases():
         for k in range(max_degree + 1):
             for b in EC.basis(k):
-                x = EC.el(ring, b)
+                x = built(EC, ring, b)
                 yield b, boundary(J(x)) + J(boundary(x)) == phi1(x) - phi0(x)
 
     name = f"dJ+Jd = EZ.(phi x phi).Delta.pi - EZ.Delta_AW (deg<={max_degree})"

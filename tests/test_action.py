@@ -1113,8 +1113,15 @@ def test_face_table_validation():
     for record in MALFORMED_RECORDS:
         with pytest.raises(InvalidInput, match="record|face"):
             FaceTable(record_table(record))
-    for record in ({"of": "v", "s": [1, 0]}, {"of": "e", "s": [1]}, {"of": "e", "s": [0]}):
-        FaceTable(record_table(record))
+    # well-formed records in simplicial sets: the one degeneracy of v as all
+    # four faces of a 3-simplex, and s_0 and s_1 of the loop s1 of B(Z/2)
+    FaceTable(record_table({"of": "v", "s": [1, 0]}))
+    FaceTable(b_z2(3))
+    # one degeneracy of the loop e as all four faces is no simplicial set:
+    # d_0 d_3 t and d_2 d_0 t are e and s_0 v, in some order
+    for record in ({"of": "e", "s": [1]}, {"of": "e", "s": [0]}):
+        with pytest.raises(InvalidInput, match="simplicial identity"):
+            FaceTable(record_table(record))
     # a simplex id asked for is hashable: a list is invalid input, not a TypeError
     x = S(2).el(ZZ, (1, 2))
     alpha = Cochain(1, {"e01": 1})

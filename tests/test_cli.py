@@ -288,6 +288,31 @@ def test_cli_eval_cochain(tmp_path):
     assert out.returncode == 0 and out.stdout.strip() == "-1"
 
 
+# Two edges e and f from a to b, and a triangle t with faces e, e, f: every
+# face has the right dimension, but d_0 d_2 t = b and d_1 d_0 t = a.
+NOT_SIMPLICIAL = {
+    "dim": 2,
+    "simplices": [
+        {"id": "a", "dim": 0},
+        {"id": "b", "dim": 0},
+        {"id": "e", "dim": 1, "faces": ["b", "a"]},
+        {"id": "f", "dim": 1, "faces": ["b", "a"]},
+        {"id": "t", "dim": 2, "faces": ["e", "e", "f"]},
+    ],
+}
+
+
+def test_cli_eval_cochain_refuses_a_table_that_is_not_simplicial(tmp_path):
+    from chainops.action import FaceTable
+
+    with pytest.raises(InvalidInput, match="simplicial identity d_0 d_2 = d_1 d_0"):
+        FaceTable(NOT_SIMPLICIAL)
+    out = eval_cochain(tmp_path, NOT_SIMPLICIAL, alpha={"degree": 0, "values": {"a": 1}})
+    assert out.returncode == 2 and out.stdout == ""
+    [line] = out.stderr.splitlines()
+    assert line == "error: simplex 't' breaks the simplicial identity d_0 d_2 = d_1 d_0"
+
+
 def test_cli_eval_cochain_invalid_input(tmp_path):
     out = eval_cochain(tmp_path, TRIANGLE, "--simplex-id", "nowhere")
     assert out.returncode == 2
@@ -511,6 +536,30 @@ ZERO = {
 
 @pytest.mark.parametrize("argv,message", ZERO.values(), ids=ZERO.keys())
 def test_cli_zero_is_a_given_value(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# The invalid twins of the aw and ez --simplex golden cases.  aw reads the
+# two rows as one product generator: it refuses rows of unequal length
+# first, then checks the first row whole and then the second.
+INVALID_ROWS = {
+    "aw-empty": (("aw", "--simplex", "2", "()", "()"), "product generator rows must share a length >= 1"),
+    "aw-vertex": (("aw", "--simplex", "1", "--simplex2", "2", "(0,5)", "(0,1)"), "vertex 5 outside Delta^1"),
+    "aw-vertex-2": (("aw", "--simplex", "1", "--simplex2", "2", "(0,1)", "(0,3)"), "vertex 3 outside Delta^2"),
+    "aw-order": (("aw", "--simplex", "2", "(1,0,2)", "(0,1,2)"), "row (1, 0, 2) out of order"),
+    "aw-order-first": (("aw", "--simplex", "1", "(1,0,5)", "(0,1,1)"), "row (1, 0, 5) out of order"),
+    "aw-row-1-first": (("aw", "--simplex", "1", "(0,9)", "(1,0)"), "vertex 9 outside Delta^1"),
+    "aw-unequal": (("aw", "--simplex", "1", "--simplex2", "2", "(0,1,1)", "(0,1)"), "aw needs rows of equal length"),
+    "ez-vertex": (("ez", "--simplex", "1", "--simplex2", "2", "(0,5)", "(0,1,2)"), "vertex 5 outside Delta^1"),
+    "ez-order": (("ez", "--simplex", "2", "(0,2)", "(2,1)"), "vertices (2, 1) out of order"),
+}
+
+
+@pytest.mark.parametrize("argv,message", INVALID_ROWS.values(), ids=INVALID_ROWS.keys())
+def test_cli_invalid_product_rows(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2

@@ -17,7 +17,7 @@ from chainops.complexes import (
 )
 from chainops.errors import InvalidInput
 from chainops.groups import ProductGroup, SymmetricGroup
-from chainops.maclane import MacLaneComplex, aw_maclane, ez_maclane, maclane_complex, sym_eg
+from chainops.maclane import MacLaneComplex, ez_maclane, maclane_complex, sym_eg
 from chainops.procedure import (
     StandardHomotopy,
     StandardMap,
@@ -26,7 +26,7 @@ from chainops.procedure import (
 )
 from chainops.perms import Perm
 from chainops.rings import ZZ
-from chainops.simplex import SimplexComplex, simplex_complex, tensor_power
+from chainops.simplex import SimplexComplex, aw, simplex_complex, tensor_power
 from chainops.surjections import SurjectionComplex, surjection_complex
 
 
@@ -90,7 +90,7 @@ def test_standard_map_reproduces_aw_closed_formula():
     check = first_fail(
         "standard map = AW",
         (
-            (b, std(EP.el(ZZ, b)) == aw_maclane(EP.el(ZZ, b)))
+            (b, std(EP.el(ZZ, b)) == aw(EP.el(ZZ, b)))
             for k in range(0, 4)
             for b in EP.basis(k)
         ),
@@ -803,3 +803,25 @@ def test_oracles_share_no_code_with_the_formulas():
     # the check sees a formula where it is named
     assert _names("from .simplex import ez_terms as t\nt(x)") & FORMULAS
     assert _names("self._simplex.ez_columns(rows)") & FORMULAS
+
+
+def test_vertex_sequence_complexes_share_the_cone_and_one_aw():
+    from chainops import maclane, simplex
+    from chainops.complexes import VertexSequenceComplex
+
+    # every complex of vertex sequences takes the cone contraction and its
+    # basepoint from the base class, and a product of simplices its normal
+    # form, degree and faces too
+    subclasses, todo = set(), [VertexSequenceComplex]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            # the library's families, not the broken ones these tests build
+            if cls.__module__.startswith("chainops."):
+                subclasses.add(cls)
+    assert {SimplexComplex, MacLaneComplex, simplex.ProductSimplexComplex} <= subclasses
+    for cls in subclasses:
+        assert not {"contraction_terms", "basepoint_gen"} & set(vars(cls)), cls
+    assert not {"normalize", "degree_of", "boundary_terms"} & set(vars(simplex.ProductSimplexComplex))
+    # one closed AW serves both two-factor products
+    assert not hasattr(maclane, "aw_maclane")

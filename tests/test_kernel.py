@@ -344,7 +344,7 @@ def _edge_cases():
             "vertices (2, 1) out of order",
         ),
         (
-            product_complex(1, 1), ((0, 1), (0,)),
+            product_complex(1, 1), (),
             # the CLI takes product rows only through aw, which checks them first
             ["aw", "--simplex", "1", "(0,1)", "(0)"],
             "product generator rows must share a length >= 1",
@@ -368,10 +368,11 @@ def _truncated_cases():
         # (a bool is not one, though it compares equal to 0 or 1)
         (T, ((0, 1),), tensors),
         (T, ((0, 1), (0,), (1,)), tensors),
-        (P, ((0, 1),), rows),
-        (P, ((0, 1), (0, 1), (0, 1)), rows),
-        (P, (), rows),
-        (P, ((0, 1.5), (0, 1)), "vertex 1.5 outside Delta^1"),
+        # a product generator is its columns, each with one entry per row
+        (P, ((0,),), rows),
+        (P, ((0, 0), (0, 1, 1)), rows),
+        (P, ((0, 1, 1),), rows),
+        (P, ((0, 0), (1.5, 1)), "vertex 1.5 outside Delta^1"),
         (simplex_complex(2), (0, 1.5), "vertex 1.5 outside Delta^2"),
         (simplex_complex(2), ("a",), "vertex 'a' outside Delta^2"),
         (simplex_complex(2), (0, True), "vertex True outside Delta^2"),
@@ -387,6 +388,7 @@ def _truncated_cases():
         (M3, (1.5, 2), pair + "(1.5, 2)"),
         (M3, (1, 2, 3), pair + "(1, 2, 3)"),
         (M3, (0, False), pair + "(0, False)"),
+        (P, (), "product generator rows must share a length >= 1"),
     ]
 
 
@@ -503,7 +505,8 @@ def test_canonical_raises_or_equals_normalize(data):
         gen = data.draw(ints(m))
     elif kind == "product":
         cplx = product_complex(1, 2)
-        gen = (data.draw(ints(1, 1)), data.draw(ints(2, 1)))
+        column = st.tuples(st.integers(-1, 2), st.integers(-1, 3))
+        gen = tuple(data.draw(st.lists(column, min_size=1, max_size=5)))
     else:
         cplx = tensor_power(2, 2)
         gen = (data.draw(ints(2)), data.draw(ints(2)))

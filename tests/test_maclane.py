@@ -19,7 +19,6 @@ from chainops.groups import CyclicGroup, ProductGroup, SymmetricGroup
 from chainops.maclane import (
     InducedMap,
     JoinHomotopy,
-    aw_maclane,
     coinvariants,
     coinvariant_complex,
     cyc_eg,
@@ -33,7 +32,7 @@ from chainops.maclane import (
 from chainops.perms import Perm, all_perms
 from chainops.procedure import verify_contracted
 from chainops.rings import GF, ZZ
-from chainops.simplex import multidiagonal
+from chainops.simplex import aw, multidiagonal
 
 E3 = sym_eg(3)
 S3 = SymmetricGroup(3)
@@ -100,11 +99,11 @@ def test_aw_maclane_golden():
     EP = maclane_complex(ProductGroup((H, H)))
     e, s = Perm.identity(2), Perm((2, 1))
     x0 = EP.el(ZZ, ((e, s),))
-    val = aw_maclane(x0)
+    val = aw(x0)
     assert len(val.terms) == 1
     # a degree-2 pair with all 3 front/back terms nondegenerate
     x2 = EP.el(ZZ, ((e, e), (s, s), (e, e)))
-    assert len(aw_maclane(x2).terms) == 3
+    assert len(aw(x2).terms) == 3
 
 
 def test_ez_maclane_golden():
@@ -128,7 +127,7 @@ def test_aw_ez_maclane_identity_and_equivariance():
     for k in range(0, 4):
         for gen in T.basis(k):
             x = T.el(ZZ, gen)
-            assert aw_maclane(ez_maclane(x)) == x
+            assert aw(ez_maclane(x)) == x
     rng = random.Random(1)
     gens = list(T.basis(2))
     for gen in rng.sample(gens, 8):

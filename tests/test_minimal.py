@@ -190,3 +190,19 @@ def test_canonical_class_cycles_mod_p():
 def test_contraction_identities_depth_eight():
     for n in (3, 5, 7):
         assert verify_contracted(minimal_complex(n), 8).ok, n
+
+
+def test_multidiagonal_m_does_not_revalidate_its_own_generators(monkeypatch):
+    from chainops.minimal import MinimalComplex
+
+    y = M3.el(ZZ, (0, 3))
+    calls = []
+    real = MinimalComplex.validate
+
+    def counted(self, gen):
+        calls.append(gen)
+        return real(self, gen)
+
+    monkeypatch.setattr(MinimalComplex, "validate", counted)
+    assert len(multidiagonal_M(3, y).terms) > 0
+    assert calls == []
