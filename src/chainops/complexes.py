@@ -165,11 +165,13 @@ def law_cases(cplx, witnesses):
     evaluated through cplx.act_terms over the integers: act(e) x = x, and
     act(s.h) x = act(s) act(h) x for every generator s and every h.  By
     induction on a word for g, the law gives act(g.h) = act(g) act(h) for
-    all g and h on the generators whose action the witnesses determine."""
+    all g and h on the generators whose action the witnesses determine.
+    The products (h, s, s.h) are computed once per law, h-major, and
+    serve every witness; act(g) x is computed once per g and witness."""
     group = cplx.group
     act_terms, normalize = cplx.act_terms, cplx.normalize
-    gens = group.generators()
     elements = tuple(group.elements())
+    products = [(h, s, group.mul(s, h)) for h in elements for s in group.generators()]
 
     def where(x, s=None, h=None):
         at = "e" if s is None else f"s = {group.format(s)}, h = {group.format(h)}"
@@ -182,15 +184,11 @@ def law_cases(cplx, witnesses):
     for x in witnesses:
         ok = not add_terms(image(group.identity, x), [(1, x)], normalize, -1)
         yield (None if ok else where(x)), ok
-        # act(g) x for every g, each computed once: act(s.h) x is one of them
         images = {g: image(g, x) for g in elements}
-        for h in elements:
-            hx = images[h].items()
-            for s in gens:
-                then_s = [(c * c2, y) for g, c in hx for c2, y in act_terms(s, g)]
-                lhs = dict(images[group.mul(s, h)])
-                ok = not add_terms(lhs, then_s, normalize, -1)
-                yield (None if ok else where(x, s, h)), ok
+        for h, s, sh in products:
+            then_s = [(c * c2, y) for g, c in images[h].items() for c2, y in act_terms(s, g)]
+            ok = not add_terms(dict(images[sh]), then_s, normalize, -1)
+            yield (None if ok else where(x, s, h)), ok
 
 
 def boundary(x):

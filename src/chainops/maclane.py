@@ -28,8 +28,11 @@ class MacLaneComplex(VertexSequenceComplex):
             self.factors = tuple(map(maclane_complex, group.factors))
 
     def validate(self, gen):
-        """Each entry decoded as an element of the group."""
-        return tuple(map(self.group.decode, self.entries(gen)))
+        """Each entry decoded as an element of the group; at least one."""
+        gen = self.entries(gen)
+        if not gen:
+            raise InvalidInput(f"a generator of {self.name} has at least one vertex")
+        return tuple(map(self.group.decode, gen))
 
     def format_gen(self, gen):
         return "(" + "; ".join(self.group.format(g) for g in gen) + ")"

@@ -15,8 +15,11 @@ dh + hd = Id - rho, h^2 = 0, h iota = 0, equivariance of d) in one pass
 per degree k: each generator of degree k runs every identity that has
 not failed yet.  normal(d(g)), normal(h(g)) and normal(s.g) for each
 generator s of the group are computed once per normal generator g and
-kept in tables local to the call; this is exact because the structure
-maps are functions of the normal generator.  Degree k looks up
+kept in tables local to the call, which read their terms through one
+normal-form memo: each raw generator is normalised once, and equal raw
+generators share one normal object.  This is exact because the structure
+maps are functions of the normal generator and normalize is a pure
+function of the raw one that never raises.  Degree k looks up
 generators of degrees k - 1, k and k + 1 only, so after degree k the
 entries of degree < k are dropped and the tables span three degrees.
 
@@ -63,7 +66,7 @@ holds at x exactly when it holds at every tuple of x's class:
 from functools import partial
 
 from .complexes import TensorComplex, act, augment, boundary, contract
-from .elements import Element, built, collect
+from .elements import Element, add_terms, built, collect
 from .errors import InvalidInput
 from .perms import koszul_permute, permute_by
 from .rings import ZZ
@@ -345,26 +348,20 @@ def _gen_stream(cplx, degree):
         yield g, 1
 
 
-def _normal(pairs, normalize):
-    """The (coeff, gen) pairs with nondegenerate generators, normalised."""
-    return tuple([(c, n) for c, g in pairs if (n := normalize(g)) is not None])
+class _Table(dict):
+    """fn(key) by key, computed on the first lookup."""
 
-
-class _Terms(dict):
-    """normal(fn(gen)) by normal generator, computed on the first lookup."""
-
-    def __init__(self, fn, normalize):
+    def __init__(self, fn):
         super().__init__()
         self.fn = fn
-        self.normalize = normalize
 
-    def __missing__(self, gen):
-        value = self[gen] = _normal(self.fn(gen), self.normalize)
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
         return value
 
     def forget_below(self, degree, degree_of):
-        for gen in [g for g in self if degree_of(g) < degree]:
-            del self[gen]
+        for key in [k for k in self if degree_of(k) < degree]:
+            del self[key]
 
 
 def verify_contracted(cplx, max_degree, ring=ZZ):
@@ -378,59 +375,60 @@ def verify_contracted(cplx, max_degree, ring=ZZ):
 
     One pass per degree k visits each generator of _gen_stream(cplx, k)
     once and runs on it every identity that has not failed yet.  The
-    pass works on (coeff, generator) pairs, not Elements: normal(d(g)),
-    normal(h(g)) and normal(s.g) for each generator s of the group are
-    computed once per normal generator g and kept in tables that live
-    for this call only.  That is exact because the structure maps are
-    functions of the normal generator.  Degree k looks up generators of
-    degrees k - 1, k and k + 1 only, so after it the entries of degree
-    < k are dropped.  The tables hold normal terms, so an identity reads
-    them straight into one dict of coefficients, never normalising a
-    generator again, and reduces only those coefficients in the ring."""
+    pass works on (coeff, generator) pairs, not Elements, in tables that
+    live for this call only: normal(d(g)), normal(h(g)) and normal(s.g)
+    for each generator s of the group, once per normal generator g, all
+    read through one memo of normalize, once per raw generator.  That is
+    exact because the structure maps are functions of the normal
+    generator and normalize is a pure function of the raw one that never
+    raises; equal raw generators get the memo's one normal object, so the
+    tables share generators instead of holding equal copies.  Degree k
+    looks up generators of degrees k - 1, k and k + 1 only, so after it
+    the entries of degree < k are dropped from the tables and the memo.
+    An identity pushes normal pairs through a table straight into one
+    dict of coefficients and reduces only those in the ring."""
     if max_degree < 0:
         raise InvalidInput(f"max_degree must be >= 0, got {max_degree}")
-    normalize, degree_of = cplx.normalize, cplx.degree_of
-    d = _Terms(cplx.boundary_terms, normalize)
-    h = _Terms(cplx.contraction_terms, normalize)
-    tables = [d, h]
+    degree_of = cplx.degree_of
+    normal = _Table(cplx.normalize)
 
-    def vanishes(*parts):
-        """Whether the sum over the (scale, pairs, table) parts is 0 in the
-        ring, a part being scale * c * table[g] for every normal pair
-        (c, g), or scale * c * g when table is None.  The sum is collected
-        in one dict; it is 0 when ring.normalize sends every coefficient
-        to 0, and the test stops at the first one it does not.  An integer
-        0 stays 0 in every ring, so only the nonzero ones are reduced."""
-        acc = {}
+    def terms(fn):
+        """normal(fn(gen)) by normal generator: its nondegenerate terms."""
+        return _Table(
+            lambda gen: tuple([(c, n) for c, g in fn(gen) if (n := normal[g]) is not None])
+        )
+
+    d, h = terms(cplx.boundary_terms), terms(cplx.contraction_terms)
+    tables = [normal, d, h]
+
+    def push(acc, pairs, table, scale=1):
+        """acc plus scale * c * table[g] for every normal pair (c, g)."""
         get = acc.get
-        for scale, pairs, table in parts:
-            if table is None:
-                for c, g in pairs:
-                    acc[g] = get(g, 0) + scale * c
-                continue
-            for c, g in pairs:
-                c *= scale
-                for c2, g2 in table[g]:
-                    acc[g2] = get(g2, 0) + c * c2
+        for c, g in pairs:
+            c *= scale
+            for c2, g2 in table[g]:
+                acc[g2] = get(g2, 0) + c * c2
+        return acc
+
+    def zero(acc):
+        """Whether ring.normalize sends every coefficient of acc to 0; an
+        integer 0 stays 0 in every ring, so only the nonzero ones are
+        reduced, up to the first that does not vanish."""
         return not any(map(ring.normalize, filter(None, acc.values())))
 
     def homotopy(gen):
-        return vanishes(
-            (1, h[gen], d),
-            (1, d[gen], h),
-            (-1, ((1, gen),), None),
-            (1, _normal(cplx.rho_terms(gen), normalize), None),
-        )
+        acc = add_terms({gen: -1}, cplx.rho_terms(gen), normal.__getitem__)
+        return zero(push(push(acc, h[gen], d), d[gen], h))
 
     identities = [
-        ("d.d = 0", lambda gen: vanishes((1, d[gen], d))),
+        ("d.d = 0", lambda gen: zero(push({}, d[gen], d))),
         ("dh + hd = Id - rho", homotopy),
-        ("h.h = 0", lambda gen: vanishes((1, h[gen], h))),
+        ("h.h = 0", lambda gen: zero(push({}, h[gen], h))),
     ]
     checks = {}
 
-    base = normalize(cplx.basepoint_gen())
-    iota_ok = base is None or vanishes((1, h[base], None))
+    base = normal[cplx.basepoint_gen()]
+    iota_ok = base is None or zero(push({}, ((1, base),), h))
     checks["h.iota = 0"] = Check("h.iota = 0", iota_ok, None, 1)
 
     if cplx.group is not None:
@@ -438,10 +436,7 @@ def verify_contracted(cplx, max_degree, ring=ZZ):
         # see the module docstring
         law = first_fail("action law", cplx.action_law())
         if law.ok:
-            acts = [
-                _Terms(partial(cplx.act_terms, s), normalize)
-                for s in cplx.group.generators()
-            ]
+            acts = [terms(partial(cplx.act_terms, s)) for s in cplx.group.generators()]
             tables += acts
 
             def equivariant(gen):
@@ -451,7 +446,7 @@ def verify_contracted(cplx, max_degree, ring=ZZ):
                     sx = act_s[gen]
                     if any(degree_of(y) != k for _, y in sx):
                         return False
-                    if not vanishes((1, sx, d), (-1, dx, act_s)):
+                    if not zero(push(push({}, sx, d), dx, act_s, -1)):
                         return False
                 return True
 

@@ -54,6 +54,8 @@ class SimplexComplex(VertexSequenceComplex):
 
     def validate(self, gen):
         gen = self.entries(gen)
+        if not gen:
+            raise InvalidInput(f"a generator of {self.name} has at least one vertex")
         if not _ordered_vertices(gen, self.m):
             raise InvalidInput(f"vertices {gen} out of order")
         return gen
@@ -143,11 +145,6 @@ def product_complex(*ambients):
 @lru_cache(maxsize=None)
 def tensor_power(m, n):
     return TensorComplex((simplex_complex(m),) * n)
-
-
-@lru_cache(maxsize=None)
-def tensor_pair(m, n):
-    return TensorComplex((simplex_complex(m), simplex_complex(n)))
 
 
 def fundamental(m):

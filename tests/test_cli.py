@@ -555,6 +555,10 @@ INVALID_ROWS = {
     "aw-unequal": (("aw", "--simplex", "1", "--simplex2", "2", "(0,1,1)", "(0,1)"), "aw needs rows of equal length"),
     "ez-vertex": (("ez", "--simplex", "1", "--simplex2", "2", "(0,5)", "(0,1,2)"), "vertex 5 outside Delta^1"),
     "ez-order": (("ez", "--simplex", "2", "(0,2)", "(2,1)"), "vertices (2, 1) out of order"),
+    "boundary-simplex-empty": (
+        ("boundary", "--simplex", "2", "()"), "a generator of N(Delta^2) has at least one vertex"
+    ),
+    "ez-empty": (("ez", "--simplex", "2", "()", "(0,1)"), "a generator of N(Delta^2) has at least one vertex"),
 }
 
 

@@ -697,9 +697,9 @@ def test_one_pass_reduces_each_sum_in_the_ring():
 
 def counting(family):
     """A subclass of `family` that counts its boundary_terms,
-    contraction_terms and act_terms calls per generator.  The action law
-    runs once per complex on its own witnesses, outside the sweep, so its
-    calls are not counted."""
+    contraction_terms, act_terms and normalize calls per generator.  The
+    action law runs once per complex on its own witnesses, outside the
+    sweep, so its calls are not counted."""
 
     class Counting(family):
         def __init__(self, *args):
@@ -723,6 +723,10 @@ def counting(family):
             self.count(("act", g, gen))
             return super().act_terms(g, gen)
 
+        def normalize(self, gen):
+            self.count(("normalize", gen))
+            return super().normalize(gen)
+
         def action_law(self):
             self.counting = False
             try:
@@ -739,9 +743,29 @@ def test_each_structure_map_runs_once_per_generator():
         counting(MacLaneComplex)(SymmetricGroup(3)),
     ):
         assert verify_contracted(cplx, 3).ok
-        assert {key[0] for key in cplx.calls} == {"d", "h", "act"}
+        # no structure map runs twice on a generator, and no raw generator
+        # is normalised twice
+        assert {key[0] for key in cplx.calls} == {"d", "h", "act", "normalize"}
         repeated = [key for key, n in cplx.calls.items() if n > 1]
         assert repeated == [], (cplx, repeated[:3])
+
+
+def test_action_law_case_counts():
+    # one case act(e) = Id and |S|.|G| cases act(s.h) = act(s) act(h) per
+    # witness: the products s.h, computed once per law, drop no case
+    from chainops.maclane import cyc_eg
+    from chainops.minimal import minimal_complex
+
+    counts = [
+        (surjection_complex("ms", 4), 784),  # 16 witnesses, |S| = 2, |G| = 24
+        (sym_eg(4), 1176),  # 24 vertices
+        (surjection_complex("bf", 3), 104),  # 8 witnesses, |G| = 6
+        (cyc_eg(5), 30),  # 5 vertices, |S| = 1, |G| = 5
+        (minimal_complex(7), 56),  # 7 degree-0 generators
+    ]
+    for cplx, count in counts:
+        law = first_fail(lambda n: f"action law ({n} cases)", cplx.action_law())
+        assert law.ok and law.name == f"action law ({count} cases)", cplx
 
 
 def test_sweeps_reject_a_negative_degree_and_no_workers():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainops.complexes import act, boundary
+from chainops.complexes import TensorComplex, act, boundary
 from chainops.elements import Element
 from chainops.errors import GuardExceeded, InvalidInput, set_term_guard, term_guard
 from chainops.groups import CyclicGroup, SymmetricGroup
@@ -267,9 +267,9 @@ def test_act_identity_and_koszul_swap():
 
 
 def test_tensor_elements_takes_one_element_of_each_factor():
-    from chainops.simplex import SimplexComplex, tensor_pair
+    from chainops.simplex import SimplexComplex
 
-    T = tensor_pair(1, 1)
+    T = TensorComplex((simplex_complex(1), simplex_complex(1)))
     a = simplex_complex(1).el(ZZ, (0, 1))
     # an equal factor is accepted, not only the same object
     b = SimplexComplex(1).el(ZZ, (0,))
@@ -354,9 +354,9 @@ def _edge_cases():
 
 def _truncated_cases():
     from chainops.minimal import minimal_complex
-    from chainops.simplex import product_complex, tensor_pair
+    from chainops.simplex import product_complex
 
-    T, P = tensor_pair(1, 1), product_complex(1, 1)
+    T, P = TensorComplex((simplex_complex(1), simplex_complex(1))), product_complex(1, 1)
     S2, E2, M3 = surjection_complex("bf", 2), sym_eg(2), minimal_complex(3)
     tensors = "a generator of N(Delta^1) (x) N(Delta^1) has 2 factors"
     rows = "a generator of N(Delta^1 x Delta^1) has 2 rows"
@@ -389,6 +389,9 @@ def _truncated_cases():
         (M3, (1, 2, 3), pair + "(1, 2, 3)"),
         (M3, (0, False), pair + "(0, False)"),
         (P, (), "product generator rows must share a length >= 1"),
+        # the empty sequence is no simplex
+        (simplex_complex(2), (), "a generator of N(Delta^2) has at least one vertex"),
+        (E2, [], "a generator of N(ESigma_2) has at least one vertex"),
     ]
 
 

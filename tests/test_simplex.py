@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainops.action import BFActionStandard
-from chainops.complexes import boundary, contract, tensor_elements
+from chainops.complexes import TensorComplex, boundary, contract, tensor_elements
 from chainops.errors import InvalidInput
 from chainops.groups import CyclicGroup
 from chainops.maclane import coinvariant_complex
@@ -23,7 +23,6 @@ from chainops.simplex import (
     multidiagonal,
     product_complex,
     simplex_complex,
-    tensor_pair,
     tensor_power,
 )
 
@@ -41,7 +40,7 @@ def test_aw_golden():
     P = product_complex(1, 1)
     x = P.el(ZZ, ((0, 0), (1, 1)))
     val = aw(x)
-    T = tensor_pair(1, 1)
+    T = TensorComplex((simplex_complex(1), simplex_complex(1)))
     expected = tensor_elements(T, simplex_complex(1).el(ZZ, (0,)), simplex_complex(1).el(ZZ, (0, 1))) + tensor_elements(
         T, simplex_complex(1).el(ZZ, (0, 1)), simplex_complex(1).el(ZZ, (1,))
     )
@@ -116,7 +115,7 @@ def test_ez_closed_equals_recursive_on_faces(case):
 
 
 def test_ez_is_chain_map():
-    T = tensor_pair(2, 2)
+    T = TensorComplex((simplex_complex(2), simplex_complex(2)))
     for k in range(0, 4):
         for gen in T.basis(k):
             x = T.el(ZZ, gen)
@@ -132,7 +131,7 @@ def test_aw_is_chain_map():
 
 
 def test_aw_ez_is_identity():
-    T = tensor_pair(2, 1)
+    T = TensorComplex((simplex_complex(2), simplex_complex(1)))
     for k in range(0, 4):
         for gen in T.basis(k):
             x = T.el(ZZ, gen)
