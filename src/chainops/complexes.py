@@ -24,6 +24,7 @@ its action a group action (`action_law`): the finite data the action
 depends on, checked through `act_terms` by `law_cases`.
 """
 
+from itertools import chain as _chain
 from itertools import product as _product
 
 from .elements import Element, add_terms, built, collect, single
@@ -158,6 +159,58 @@ class VertexSequenceComplex(ChainComplex):
 
     def basepoint_gen(self):
         return (self.cone,)
+
+
+def nondegenerate_words(letters, length, need):
+    """The words of `length` entries from `letters` with no two equal
+    neighbours and at least `need` distinct letters, in lexicographic order
+    of the letters' positions: the bases of N(EG) (need 0) and of the
+    surjection complexes (need every letter); none when length < 1 or
+    length < need.  The words come lazily, one block per prefix, so memory
+    does not grow with their number."""
+    return _chain.from_iterable(_word_blocks(letters, length, need))
+
+
+def _word_blocks(letters, length, need):
+    """The words of nondegenerate_words, one lazy block per prefix of
+    length - 1 entries.  One odometer over the prefix's positions: a
+    position moves on to its next letter that differs from its left
+    neighbour and leaves room for the letters still missing, and the
+    positions after it start again from the first letter."""
+    m = len(letters)
+    if length < max(need, 1):
+        return
+    tails = [(g,) for g in letters]
+    # the last entries after letter k; after no letter (k = -1) every one
+    after = [tails[:k] + tails[k + 1 :] for k in range(m)] + [tails]
+    count = [0] * m
+    at = []  # the prefix, as positions in `letters`
+    missing = need
+    j = 0  # the next letter to try at position len(at)
+    while True:
+        prev = at[-1] if at else -1
+        room = length - len(at) - 1
+        if room:
+            while j < m and (j == prev or (missing > room and count[j])):
+                j += 1
+            if j < m:
+                at.append(j)
+                count[j] += 1
+                if count[j] == 1:
+                    missing -= 1
+                j = 0
+                continue
+        else:
+            head = tuple(map(letters.__getitem__, at))
+            ends = after[prev] if missing <= 0 else [tails[k] for k in range(m) if not count[k]]
+            yield map(head.__add__, ends)
+        if not at:
+            return
+        j = at.pop()
+        count[j] -= 1
+        if not count[j]:
+            missing += 1
+        j += 1
 
 
 def law_cases(cplx, witnesses):

@@ -9,7 +9,14 @@ N(EH) and N(EG) off the product.
 
 from functools import lru_cache
 
-from .complexes import ChainComplex, TensorComplex, VertexSequenceComplex, augment, law_cases
+from .complexes import (
+    ChainComplex,
+    TensorComplex,
+    VertexSequenceComplex,
+    augment,
+    law_cases,
+    nondegenerate_words,
+)
 from .elements import Element, built, collect
 from .errors import InvalidInput
 from .groups import CyclicGroup, ProductGroup, SymmetricGroup
@@ -58,20 +65,10 @@ class MacLaneComplex(VertexSequenceComplex):
         return g0, 1, tuple(mul(inv, x) for x in gen)
 
     def basis(self, degree):
-        elements = list(self.group.elements())
-
-        def rec(prefix, last, remaining):
-            if remaining == 0:
-                yield tuple(prefix)
-                return
-            for i, g in enumerate(elements):
-                if i == last:
-                    continue
-                prefix.append(g)
-                yield from rec(prefix, i, remaining - 1)
-                prefix.pop()
-
-        yield from rec([], None, degree + 1)
+        """The tuples of degree + 1 group elements with no two equal
+        neighbours, lazily and in lexicographic order of the elements'
+        positions in group.elements(); none in negative degree."""
+        return nondegenerate_words(tuple(self.group.elements()), degree + 1, 0)
 
     def gbasis(self, degree):
         for gen in self.basis(degree):
@@ -79,6 +76,8 @@ class MacLaneComplex(VertexSequenceComplex):
                 yield gen
 
     def basis_size(self, degree):
+        if degree < 0:
+            return 0
         n = self.group.order()
         return n * (n - 1) ** degree
 
@@ -89,7 +88,10 @@ class MacLaneComplex(VertexSequenceComplex):
         depends only on which entries coincide and which equal e, so
         one representative per (partition, e-slot) class suffices; the
         class size is a falling factorial on the non-identity elements.
+        None in negative degree.
         """
+        if degree < 0:
+            return
         order = self.group.order()
         pool = []
         for g in self.group.elements():

@@ -9,9 +9,8 @@ via the diagonal sign maps c(x), p(x), and their product.
 """
 
 from functools import lru_cache
-from operator import eq
 
-from .complexes import ChainComplex, law_cases
+from .complexes import ChainComplex, law_cases, nondegenerate_words
 from .errors import InvalidInput
 from .perms import Perm, perm_of_word
 
@@ -19,11 +18,17 @@ FLAVORS = ("aj", "bf", "ms")
 
 
 def caesuras(x):
-    """1-based positions of entries that recur later (the caesuras)."""
+    """1-based positions of entries that recur later (the caesuras), in one
+    pass from the right: an entry is a caesura when its value was met."""
+    met = set()
     out = []
-    for j, v in enumerate(x):
-        if v in x[j + 1 :]:
-            out.append(j + 1)
+    for j in range(len(x), 0, -1):
+        v = x[j - 1]
+        if v in met:
+            out.append(j)
+        else:
+            met.add(v)
+    out.reverse()
     return out
 
 
@@ -44,33 +49,35 @@ def aj_signs(x):
 
 def bf_signs(x):
     """Berger-Fresse sign table: alternate on caesuras from +1, final
-    occurrences get the opposite of their preceding caesura, singletons 0."""
+    occurrences get the opposite of their preceding caesura, singletons 0.
+
+    One pass from the right.  With C caesuras the rightmost has sign
+    (-1)^(C - 1); the first caesura of a value met from the right is the
+    one that precedes its final occurrence, which was met before it."""
     signs = [0] * len(x)
-    last_caesura_sign = {}
-    toggle = 1
-    recur = caesuras(x)
-    recur_set = set(recur)
-    for j, v in enumerate(x, start=1):
-        if j in recur_set:
-            signs[j - 1] = toggle
-            last_caesura_sign[v] = toggle
-            toggle = -toggle
-        elif v in last_caesura_sign:
-            signs[j - 1] = -last_caesura_sign[v]
+    sign = 1 if (len(x) - len(set(x))) % 2 else -1
+    final = {}
+    for j in range(len(x) - 1, -1, -1):
+        v = x[j]
+        if v not in final:
+            final[v] = j
+            continue
+        signs[j] = sign
+        if not signs[final[v]]:
+            signs[final[v]] = -sign
+        sign = -sign
     return signs
 
 
 def ms_signs(x):
     """Prism-face signs: delete 1s, then 2s, ... with blockwise alternation;
-    each block starts where the previous one ended."""
-    n = max(x)
-    pos = value_positions(x, n)
+    each block starts where the previous one ended.  So the k-th entry in
+    value order (0-based, stable) with value v has sign (-1)^(k + v - 1):
+    k alternates, and each of the v - 1 steps to the next value repeats a
+    sign."""
     signs = [0] * len(x)
-    current = 1
-    for v in range(1, n + 1):
-        for t, j in enumerate(pos[v]):
-            signs[j - 1] = current * (-1) ** t
-        current = current * (-1) ** (len(pos[v]) - 1)
+    for k, j in enumerate(sorted(range(len(x)), key=x.__getitem__)):
+        signs[j] = 1 if (k + x[j]) % 2 else -1
     return signs
 
 
@@ -110,7 +117,12 @@ class SurjectionComplex(ChainComplex):
 
     def normalize(self, gen):
         """None unless gen is surjective with no equal neighbours."""
-        if any(map(eq, gen, gen[1:])) or len(set(gen)) < self.n:
+        prev = None
+        for v in gen:
+            if v == prev:
+                return None
+            prev = v
+        if len(set(gen)) < self.n:
             return None
         return gen
 
@@ -173,53 +185,32 @@ class SurjectionComplex(ChainComplex):
         return law_cases(self, witnesses)
 
     def contraction_terms(self, gen):
-        """h = sum_q (+-1)^q i^q s r^q, the telescoping contraction."""
-        out = []
-        for q in range(self.n - 1):
-            seq = list(gen)
-            sign = 1
-            dead = False
-            for t in range(1, q + 1):
-                if seq.count(t) != 1:
-                    dead = True
-                    break
-                j = seq.index(t) + 1
-                if self.flavor == "aj":
-                    sign *= (-1) ** (j - 1)
-                seq.remove(t)
-            if dead:
-                continue
-            if self.flavor == "aj":
-                sign *= (-1) ** q
-            out.append((sign, tuple(range(1, q + 2)) + tuple(seq)))
+        """h = sum_q (+-1)^q i^q s r^q, the telescoping contraction.
+
+        r^q deletes the values 1..q and vanishes unless each occurs exactly
+        once, so the sum stops at the first value q that occurs more often:
+        every larger q deletes it too.  r^q is r^(q-1) without q, and for
+        aj each step multiplies the sign by (-1)^j, j the 1-based position
+        of q in r^(q-1)."""
+        if self.n == 1:
+            return []
+        aj = self.flavor == "aj"
+        sign = 1
+        rest = gen
+        out = [(1, (1,) + gen)]
+        for q in range(1, self.n - 1):
+            if gen.count(q) != 1:
+                break
+            if aj and not rest.index(q) % 2:
+                sign = -sign
+            rest = tuple([v for v in rest if v > q])
+            out.append((sign, tuple(range(1, q + 2)) + rest))
         return out
 
     def basis(self, degree):
-        length = self.n + degree
-        if degree < 0:
-            return
-
-        def rec(prefix, seen):
-            if len(prefix) == length:
-                if len(seen) == self.n:
-                    yield tuple(prefix)
-                return
-            # prune: must still be able to reach all n values
-            if self.n - len(seen) > length - len(prefix):
-                return
-            for v in range(1, self.n + 1):
-                if prefix and prefix[-1] == v:
-                    continue
-                prefix.append(v)
-                added = v not in seen
-                if added:
-                    seen.add(v)
-                yield from rec(prefix, seen)
-                if added:
-                    seen.discard(v)
-                prefix.pop()
-
-        yield from rec([], set())
+        """The nondegenerate surjections of length n + degree, lazily and in
+        lexicographic order; none in negative degree."""
+        return nondegenerate_words(range(1, self.n + 1), self.n + degree, self.n)
 
     def gbasis(self, degree):
         for gen in self.basis(degree):
