@@ -8,7 +8,7 @@ recursion phi(b (x) Delta^m) = h(phi(d(b (x) Delta^m))) with faces
 pushed forward from their models is kept alongside as the oracle.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, compress, product, repeat
 from operator import add, and_, mul, neg
 
@@ -70,15 +70,16 @@ def bf_action(x, m):
     )
 
 
+def perm_terms(target, g, gen):
+    """g . gen in the tensor power target: the factors permuted, with their
+    Koszul sign, as one (sign, generator) pair."""
+    degrees = [f.degree_of(a) for f, a in zip(target.factors, gen)]
+    return (koszul_permute(g, gen, degrees),)
+
+
 def perm_act(g, x):
     """Left Sigma_n action on a tensor power with Koszul signs."""
-    factors = x.complex.factors
-
-    def terms(gen):
-        degrees = [f.degree_of(a) for f, a in zip(factors, gen)]
-        return [koszul_permute(g, gen, degrees)]
-
-    return x.map_terms(terms)
+    return x.map_terms(partial(perm_terms, x.complex, g))
 
 
 class BFActionStandard(RecursiveMap):
@@ -86,9 +87,10 @@ class BFActionStandard(RecursiveMap):
     generator, ambient dimension).  The seed is Phi(b (x) Delta^0): the
     basepoint (0) (x) ... (x) (0) in degree 0 and zero above; every m > 0
     is h(defect).  In degree 0 Phi(id (x) Delta^m) is the multidiagonal,
-    so this recursion is also the oracle of simplex.multidiagonal."""
+    so this recursion is also the oracle of simplex.multidiagonal.  A
+    twist permutes the tensor factors, as perm_act does."""
 
-    _act = staticmethod(perm_act)
+    _act_terms = staticmethod(perm_terms)
 
     def __init__(self, n, ring=ZZ):
         super().__init__(ring)

@@ -27,7 +27,7 @@ depends on, checked through `act_terms` by `law_cases`.
 from itertools import chain as _chain
 from itertools import product as _product
 
-from .elements import Element, add_terms, built, collect, single
+from .elements import Element, add_terms, built, single
 from .errors import InvalidInput
 
 
@@ -408,7 +408,12 @@ def _tensor_terms(parts):
 
 
 def tensor_elements(target, *xs):
-    """x_1 (x) ... (x) x_k in the TensorComplex target, one element per factor in order."""
+    """x_1 (x) ... (x) x_k in the TensorComplex target, one element per factor in order.
+
+    The factors' generators are normal and the target normalises factor by
+    factor, so every tensor of them is normal and no two are equal: the
+    terms are built as they are, and only the coefficient products are
+    reduced in the ring."""
     if len(xs) != len(target.factors):
         raise InvalidInput(f"{target.name} has {len(target.factors)} factors, not {len(xs)}")
     ring = xs[0].ring
@@ -419,4 +424,5 @@ def tensor_elements(target, *xs):
             raise InvalidInput("tensoring elements over different rings")
     degree = sum(x.degree for x in xs)
     parts = [[(c, g) for g, c in x.terms.items()] for x in xs]
-    return collect(target, ring, degree, _tensor_terms(parts))
+    terms = {g: nc for c, g in _tensor_terms(parts) if (nc := ring.normalize(c))}
+    return Element(target, ring, degree, terms, _clean=True)

@@ -12,7 +12,9 @@ it; pairs already in normal form skip that step (normalize None).
 and use the complex's `canonical` (validate, then normalise); they and
 `__rmul__` take int coefficients only, and raw pairs must have the given
 degree.  `collect`, `built`, `map_terms` and the library's own
-constructions use its `normalize`, which never raises, and check nothing.
+constructions use its `normalize`, which never raises, and check nothing;
+`map_terms` adds an image that is already an Element of its codomain as
+it is, since an Element's generators are normal.
 """
 
 from .errors import InvalidInput, check_guard
@@ -133,7 +135,9 @@ class Element:
 
         fn(gen) returns either an Element or an iterable of (coeff, raw
         generator) pairs in `codomain` (default: this complex); the library
-        builds those generators, so they are normalised, not validated.
+        builds those generators, so they are normalised, not validated.  An
+        Element of the codomain itself holds normal generators and is added
+        as it is.
         """
         target = codomain if codomain is not None else self.complex
         ring, normalize = self.ring, target.normalize
@@ -145,9 +149,9 @@ class Element:
                 if not image.is_zero():
                     out_degree = image.degree
                 pairs = ((c, g) for g, c in image.terms.items())
+                add_terms(acc, pairs, None if image.complex is target else normalize, coeff)
             else:
-                pairs = image
-            add_terms(acc, pairs, normalize, coeff)
+                add_terms(acc, image, normalize, coeff)
             check_guard(len(acc))
         return Element(target, ring, out_degree, reduce_terms(acc, ring), _clean=True)
 

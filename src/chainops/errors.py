@@ -48,7 +48,8 @@ def set_term_guard(limit):
 
 
 def check_guard(n_terms):
-    if n_terms > term_guard():
+    # the cached guard once it is set; term_guard() reads the variable once
+    if n_terms > (_term_guard or term_guard()):
         raise GuardExceeded(
             f"formal sum holds {n_terms} terms, above the guard {_term_guard}"
         )

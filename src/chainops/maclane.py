@@ -8,6 +8,7 @@ N(EH) and N(EG) off the product.
 """
 
 from functools import lru_cache
+from itertools import takewhile
 
 from .complexes import (
     ChainComplex,
@@ -71,9 +72,10 @@ class MacLaneComplex(VertexSequenceComplex):
         return nondegenerate_words(tuple(self.group.elements()), degree + 1, 0)
 
     def gbasis(self, degree):
-        for gen in self.basis(degree):
-            if self.group.is_identity(gen[0]):
-                yield gen
+        """The basis generators with first entry e: the first block of
+        basis(degree), since group.elements() starts at e."""
+        is_identity = self.group.is_identity
+        return takewhile(lambda gen: is_identity(gen[0]), self.basis(degree))
 
     def basis_size(self, degree):
         if degree < 0:

@@ -69,7 +69,14 @@ class Perm(tuple):
         return -1 if odd else 1
 
     def is_identity(self):
-        return self == tuple(range(1, len(self) + 1))
+        """Whether g(i) = i for every i, read off in one pass that stops at
+        the first moved point (true on the empty permutation)."""
+        i = 0
+        for v in self:
+            i += 1
+            if v != i:
+                return False
+        return True
 
     def __repr__(self):
         return "(" + " ".join(str(v) for v in self) + ")"

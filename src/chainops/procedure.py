@@ -3,7 +3,9 @@
 RecursiveMap is the one engine behind every standard-procedure
 construction: memoized on basis keys, a value is seed(key) in the base
 case and h(defect(key)) otherwise, and a generator is split into a basis
-key, a coefficient and a twist it acts by.  StandardMap builds the
+key, a coefficient and a twist it acts by.  The twist acts on the value
+term by term, through a per-generator hook, and each term goes straight
+into the sum of the element being mapped.  StandardMap builds the
 equivariant chain map phi(b) = h_C(phi(d b)) from a degree-0 seed;
 StandardHomotopy builds H(b) = h_C(phi1(b) - phi0(b) - H(db)); the
 operad structure maps (TwistedOperadMap), EZ (EZStandard) and the
@@ -65,7 +67,7 @@ holds at x exactly when it holds at every tuple of x's class:
 
 from functools import partial
 
-from .complexes import TensorComplex, act, augment, boundary, contract
+from .complexes import TensorComplex, augment, boundary, contract
 from .elements import Element, add_terms, built, collect
 from .errors import InvalidInput
 from .perms import koszul_permute, permute_by
@@ -82,13 +84,19 @@ class RecursiveMap:
 
     The default split, for maps with a fixed `domain`, `codomain` and
     `equivariant` flag, writes a generator as coeff * g.b over the domain's
-    group, g translated by `group_hom` unless that is None.  A twist acts on
-    values through `_act`; `shift` is the degree of the map `__call__` is.
+    group, g translated by `group_hom` unless that is None.  A twist acts
+    on a value term by term through `_act_terms(target, twist, gen)`, the
+    (coeff, raw generator) pairs of twist . gen in the value's complex:
+    target.act_terms by default.  `shift` is the degree of the map
+    `__call__` is.
     """
 
     shift = 0
     group_hom = None
-    _act = staticmethod(act)
+
+    @staticmethod
+    def _act_terms(target, twist, gen):
+        return target.act_terms(twist, gen)
 
     def __init__(self, ring):
         self.ring = ring
@@ -116,20 +124,39 @@ class RecursiveMap:
         self._memo[key] = value
         return value
 
-    def on_gen(self, gen, ctx=None):
+    def _image(self, gen, ctx):
+        """(value, image): the memoised value of gen's basis key, and gen's
+        image, which is that value itself when the split is 1 . key and
+        otherwise (coeff, raw generator) pairs, each term of the value
+        scaled by the split's coefficient and pushed through the twist."""
         key, coeff, twist = self.split(gen, ctx)
         value = self.on_basis(key)
-        if twist is not None:
-            value = self._act(twist, value)
-        return value if coeff == 1 else coeff * value
+        if twist is None:
+            if coeff == 1:
+                return value, value
+            return value, [(coeff * c, g) for g, c in value.terms.items()]
+        target, act_terms = value.complex, self._act_terms
+        return value, [
+            (coeff * c * c2, y)
+            for g, c in value.terms.items()
+            for c2, y in act_terms(target, twist, g)
+        ]
+
+    def on_gen(self, gen, ctx=None):
+        value, image = self._image(gen, ctx)
+        if image is value:
+            return value
+        return collect(value.complex, self.ring, value.degree, image)
 
     def _map(self, x, target, shift, ctx=None):
+        """x's image in target, each term of x feeding its image straight
+        into one map_terms sum."""
         if not isinstance(x, Element):
             return self.on_gen(x, ctx)
         if x.is_zero():
             return target.zero(self.ring, x.degree + shift)
         return x.map_terms(
-            lambda gen: self.on_gen(gen, ctx), codomain=target, degree_shift=shift
+            lambda gen: self._image(gen, ctx)[1], codomain=target, degree_shift=shift
         )
 
     def __call__(self, x):

@@ -49,7 +49,7 @@ class PrimeField:
         return f"GF({self.p})"
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return other is self or (isinstance(other, PrimeField) and other.p == self.p)
 
     def __hash__(self):
         return hash(("Fp", self.p))

@@ -213,9 +213,29 @@ class SurjectionComplex(ChainComplex):
         return nondegenerate_words(range(1, self.n + 1), self.n + degree, self.n)
 
     def gbasis(self, degree):
-        for gen in self.basis(degree):
-            if is_basis_gen(gen):
-                yield gen
+        """The basis generators whose first occurrences come in the order
+        1, 2, ..., n, in the order of basis(degree), built entry by entry:
+        an entry is the least value not met yet, or a value met before
+        other than its left neighbour when the entries after it can still
+        hold every value not met yet."""
+        n, length = self.n, self.n + degree
+        if degree < 0:
+            return
+
+        def words(prefix, top):
+            left = length - len(prefix)
+            if not left:
+                yield prefix
+                return
+            if n - top < left:
+                prev = prefix[-1] if prefix else 0
+                for v in range(1, top + 1):
+                    if v != prev:
+                        yield from words(prefix + (v,), top)
+            if top < n:
+                yield from words(prefix + (top + 1,), top + 1)
+
+        yield from words((), 0)
 
     def first_occurrence_perm(self, gen):
         seen = []

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from chainops.complexes import TensorComplex, act, boundary
 from chainops.elements import Element
-from chainops.errors import GuardExceeded, InvalidInput, set_term_guard, term_guard
+from chainops import errors
+from chainops.errors import GuardExceeded, InvalidInput, check_guard, set_term_guard, term_guard
 from chainops.groups import CyclicGroup, SymmetricGroup
 from chainops.maclane import sym_eg
 from chainops.perms import (
@@ -24,7 +25,7 @@ from chainops.perms import (
 )
 from chainops.rings import GF, ZZ
 from chainops.simplex import simplex_complex, tensor_power
-from chainops.surjections import surjection_complex
+from chainops.surjections import SurjectionComplex, surjection_complex
 from chainops.complexes import tensor_elements
 
 
@@ -165,6 +166,21 @@ def test_prime_field_validation():
     assert GF(7).normalize(-1) == 6
 
 
+def test_prime_fields_compare_by_modulus():
+    a, b = GF(7), GF(7)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == a and len({a, b}) == 1
+    assert GF(7) != GF(11) and GF(7) != ZZ and ZZ != GF(7)
+
+
+def test_is_identity_on_every_small_permutation():
+    assert Perm(()).is_identity() and Perm((1,)).is_identity()
+    assert not Perm((1, 3, 2)).is_identity()
+    for n in range(5):
+        for g in all_perms(n):
+            assert g.is_identity() == (g == tuple(range(1, n + 1)))
+
+
 def test_element_cancellation_and_zero():
     S = simplex_complex(3)
     x = S.el(ZZ, (0, 1, 2))
@@ -284,6 +300,38 @@ def test_tensor_elements_takes_one_element_of_each_factor():
             tensor_elements(T, *xs)
 
 
+def test_tensor_elements_normalises_no_factor(monkeypatch):
+    # factor elements hold normal generators, so their tensors are built
+    # as they are and only the coefficient products are reduced
+    S2, S3 = surjection_complex("bf", 2), surjection_complex("bf", 3)
+    T = TensorComplex((S2, S3))
+    xs = {
+        R: (
+            S2.el(R, (1, 2, 1), 2) + S2.el(R, (2, 1, 2)),
+            S3.el(R, (1, 2, 3), -1) + S3.el(R, (3, 1, 2), 3),
+        )
+        for R in (ZZ, GF(3))
+    }
+    calls = []
+    normalize = SurjectionComplex.normalize
+    monkeypatch.setattr(
+        SurjectionComplex, "normalize", lambda self, gen: calls.append(gen) or normalize(self, gen)
+    )
+    want = {
+        ZZ: {
+            ((1, 2, 1), (1, 2, 3)): -2,
+            ((1, 2, 1), (3, 1, 2)): 6,
+            ((2, 1, 2), (1, 2, 3)): -1,
+            ((2, 1, 2), (3, 1, 2)): 3,
+        },
+        GF(3): {((1, 2, 1), (1, 2, 3)): 1, ((2, 1, 2), (1, 2, 3)): 2},
+    }
+    for R, (a, b) in xs.items():
+        x = tensor_elements(T, a, b)
+        assert (x.complex, x.ring, x.degree, x.terms) == (T, R, 1, want[R])
+    assert calls == []
+
+
 def test_act_on_maclane_identity():
     E = sym_eg(3)
     g = Perm((2, 1, 3))
@@ -300,6 +348,28 @@ def test_term_guard_trips():
             Element(S, ZZ, 0, [(1, (v,)) for v in range(5)])
     finally:
         set_term_guard(old)
+
+
+def test_term_guard_set_after_first_use_takes_effect(monkeypatch):
+    monkeypatch.delenv("CHAINOPS_TERM_GUARD", raising=False)
+    monkeypatch.setattr(errors, "_term_guard", None)
+    check_guard(5)
+    assert term_guard() == errors.DEFAULT_TERM_GUARD
+    set_term_guard(4)
+    check_guard(4)
+    with pytest.raises(GuardExceeded) as err:
+        check_guard(5)
+    assert str(err.value) == "formal sum holds 5 terms, above the guard 4"
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "ten"])
+def test_bad_term_guard_variable_raises_on_first_use(monkeypatch, raw):
+    monkeypatch.setenv("CHAINOPS_TERM_GUARD", raw)
+    monkeypatch.setattr(errors, "_term_guard", None)
+    for _ in range(2):
+        with pytest.raises(InvalidInput) as err:
+            check_guard(1)
+        assert str(err.value) == f"CHAINOPS_TERM_GUARD={raw!r} is not a positive integer"
 
 
 def test_element_repr_sorted_deterministic():

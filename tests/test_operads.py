@@ -2,7 +2,9 @@
 surjection operad, partial compositions, axioms, and morphism squares."""
 
 import gc
+import sys
 import weakref
+from functools import partial
 from itertools import product as _product
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainops.complexes import TensorComplex, boundary, tensor_elements
-from chainops.errors import InvalidInput
+from chainops.errors import GuardExceeded, InvalidInput, set_term_guard, term_guard
 from chainops.maclane import sym_eg
 from chainops.morphisms import fundamental_simplex, table_reduction
 from chainops.operads import (
@@ -330,6 +332,122 @@ def test_twisted_equivariance_of_engine():
     kos = koszul_sign(g.inverse(), [y1.degree, y2.degree])
     rhs = kos * act(osig, engine_compose(engine, x, [y2, y1]))
     assert lhs == rhs
+
+
+# the shapes the operad benchmark sweeps: (kind, parameters, max degree);
+# for "bf" the parameters are the arity and the largest ambient dimension
+WORKLOAD_SHAPES = (
+    ("surj", (2, 2, 2), 3),
+    ("surj", (2, 1, 3), 2),
+    ("surj", (3, 1, 2, 1), 2),
+    ("be", (2, 2, 2), 2),
+    ("be", (2, 1, 3), 1),
+    ("be", (3, 2, 1, 1), 1),
+    ("tr", ("bf", 3), 2),
+    ("tr", ("ms", 3), 2),
+    ("tr", ("aj", 3), 2),
+    ("bf", (2, 3), 3),
+    ("bf", (3, 2), 2),
+)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(1009)], ids=str)
+def test_closed_equals_recursive_on_the_workload_shapes(ring):
+    from chainops.action import BFActionStandard, bf_action
+    from chainops.morphisms import table_reduction_standard
+
+    engines = {"surj": surj_engine("bf", ring), "be": be_engine(ring)}
+    closed = {"surj": partial(surj_compose, "bf"), "be": be_compose}
+    for kind, params, max_degree in WORKLOAD_SHAPES:
+        for k in range(max_degree + 1):
+            if kind in engines:
+                comp = S if kind == "surj" else E
+                dom = TensorComplex(tuple(map(comp, params)))
+                for gen in dom.basis(k):
+                    xs = [f.el(ring, g) for f, g in zip(dom.factors, gen)]
+                    want = closed[kind](xs[0], xs[1:], ring)
+                    assert engine_compose(engines[kind], xs[0], xs[1:]) == want, gen
+            elif kind == "tr":
+                std = table_reduction_standard(*params, ring)
+                for gen in E(params[1]).basis(k):
+                    x = E(params[1]).el(ring, gen)
+                    assert std(x) == table_reduction(params[0], x), (params, gen)
+            else:
+                n, max_m = params
+                std = BFActionStandard(n, ring)
+                for m in range(max_m + 1):
+                    for gen in S(n).basis(k):
+                        x = S(n).el(ring, gen)
+                        assert std.apply(x, m) == bf_action(x, m), (gen, m)
+
+
+def _calls_to(fns, run):
+    """run()'s value and the number of calls it made to the functions fns."""
+    codes = {f.__code__ for f in fns}
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        value = run()
+    finally:
+        sys.setprofile(old)
+    return value, count
+
+
+def _twisted_cases(ring):
+    """(engine, twisted generator, context, recursive run, closed run)."""
+    from chainops.action import BFActionStandard, bf_action
+
+    x, ys = S(2).el(ring, (2, 1, 2)), [S(2).el(ring, (1, 2, 1)), S(3).el(ring, (2, 1, 3, 1))]
+    t, e = Perm((2, 1)), Perm((1, 2))
+    u = E(2).el(ring, (t, e))
+    vs = [E(2).el(ring, (e, t)), E(3).el(ring, (Perm((2, 1, 3)), Perm((1, 3, 2))))]
+    z = S(3).el(ring, (2, 1, 3, 1))
+    surj, be, bf = surj_engine("bf", ring), be_engine(ring), BFActionStandard(3, ring)
+    return [
+        (surj, ((2, 1, 2), (1, 2, 1), (2, 1, 3, 1)), (2, 2, 3),
+         lambda: engine_compose(surj, x, ys), lambda: surj_compose("bf", x, ys)),
+        (be, ((t, e), (e, t), (Perm((2, 1, 3)), Perm((1, 3, 2)))), (2, 2, 3),
+         lambda: engine_compose(be, u, vs), lambda: be_compose(u, vs)),
+        (bf, (2, 1, 3, 1), 2, lambda: bf.apply(z, 2), lambda: bf_action(z, 2)),
+    ]
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(5)], ids=str)
+def test_engines_twist_values_term_by_term(ring):
+    # a twisted generator's value is pushed through the twist term by
+    # term into the caller's sum: no Element-level action runs
+    from chainops import action, complexes
+
+    for engine, gen, ctx, recursive, closed in _twisted_cases(ring):
+        assert engine.split(gen, ctx)[2] is not None
+        value, calls = _calls_to((complexes.act, action.perm_act), recursive)
+        assert calls == 0
+        assert value == closed()
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(5)], ids=str)
+def test_engines_trip_the_term_guard_on_twisted_inputs(ring):
+    # cold engines under a fixed guard trip where the recursion first
+    # builds a sum above it (the surjection, Barratt-Eccles and action
+    # cases in turn); one more term and they pass
+    old = term_guard()
+    try:
+        for i, limit in enumerate((15, 11, 12)):
+            set_term_guard(limit)
+            with pytest.raises(GuardExceeded) as err:
+                _twisted_cases(ring)[i][3]()
+            assert str(err.value) == f"formal sum holds {limit + 1} terms, above the guard {limit}"
+            set_term_guard(limit + 1)
+            _twisted_cases(ring)[i][3]()
+    finally:
+        set_term_guard(old)
 
 
 def test_engine_outputs_in_image_of_contraction():

@@ -1,7 +1,8 @@
 """The per-generator structure kernels of the surjection complexes and the
 basis enumerators against the straightforward versions they replaced: the
 caesura scan, the sign tables and the contraction rebuilt from scratch for
-every q, and the recursive enumerators.  The oracles are kept here, apart
+every q, the recursive enumerators, and the F[G]-bases filtered out of the
+whole basis.  The oracles are kept here, apart
 from the library, and must agree term by term and in order.  Also: no
 family has generators (or relabelling classes) in negative degree, and
 enumeration is lazy."""
@@ -19,6 +20,7 @@ from chainops.minimal import minimal_complex
 from chainops.simplex import product_complex, simplex_complex
 from chainops.surjections import (
     FLAVORS,
+    SurjectionComplex,
     bf_signs,
     caesuras,
     ms_signs,
@@ -131,6 +133,18 @@ def maclane_basis_oracle(group, degree):
     yield from rec([], None, degree + 1)
 
 
+def gbasis_oracle(cplx, degree):
+    """The F[G]-basis generators by filtering the whole basis: first entry
+    e in N(EG), first occurrences in the order 1, ..., n in S(n)."""
+    for gen in cplx.basis(degree):
+        if isinstance(cplx, SurjectionComplex):
+            firsts = [v for j, v in enumerate(gen) if v not in gen[:j]]
+            if firsts == sorted(firsts):
+                yield gen
+        elif gen[0] == cplx.group.identity:
+            yield gen
+
+
 def same_stream(xs, ys):
     """Equal, in order, without holding either stream."""
     return all(x == y for x, y in zip_longest(xs, ys, fillvalue=object()))
@@ -164,6 +178,32 @@ def test_maclane_bases_match_oracle():
         E = maclane_complex(group)
         for degree in range(4):
             assert same_stream(E.basis(degree), maclane_basis_oracle(group, degree))
+
+
+def test_gbases_match_the_filtered_basis():
+    cases = [(sym_eg(3), 4), (sym_eg(4), 3), (cyc_eg(5), 4)]
+    cases.append((maclane_complex(ProductGroup((CyclicGroup(2), SymmetricGroup(3)))), 3))
+    cases += [(surjection_complex(f, n), 4) for f in FLAVORS for n in range(1, 5)]
+    for cplx, max_degree in cases:
+        for degree in range(max_degree + 1):
+            assert same_stream(cplx.gbasis(degree), gbasis_oracle(cplx, degree)), (cplx, degree)
+    # the coinvariant basis is the N(ESigma_4) gbasis
+    for degree in range(4):
+        got = coinvariant_complex(SymmetricGroup(4)).basis(degree)
+        assert same_stream(got, gbasis_oracle(sym_eg(4), degree)), degree
+
+
+def test_group_elements_start_at_the_identity():
+    # MacLaneComplex.gbasis is the first block of the basis, whose
+    # tuples come in the order of group.elements()
+    groups = [SymmetricGroup(n) for n in (1, 2, 4)] + [CyclicGroup(n) for n in (1, 5)]
+    groups += [
+        ProductGroup((CyclicGroup(2), SymmetricGroup(3))),
+        ProductGroup((SymmetricGroup(2), CyclicGroup(3), CyclicGroup(1))),
+    ]
+    for group in groups:
+        first = next(iter(group.elements()))
+        assert first == group.identity and group.is_identity(first), group
 
 
 @settings(max_examples=150, deadline=None)

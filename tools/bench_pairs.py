@@ -21,6 +21,12 @@ the number of pairs the change won (ties count for neither), each run's
 correct/attempted/failed counts, the seeds, the run length and the
 machine, with the PYTHONDONTWRITEBYTECODE setting the runs inherit.
 
+    python3 tools/bench_pairs.py --pr 30 --base HEAD~1 --workloads operad sweep
+
+runs only the named workloads of BENCHMARK.json, in its order, for quick
+looks while a change is being made; the file it writes then holds those
+workloads alone, so a file that supports a claim comes from a run of all.
+
     python3 tools/bench_pairs.py --pr 11 --base HEAD~1 --tests NODEID ...
 
 times the given pytest node ids instead, each alone in its own pytest
@@ -183,7 +189,10 @@ def main(argv=None):
     ap.add_argument("--pr", required=True, type=int, help="the N of BENCH_N.json")
     ap.add_argument("--base", required=True, help="git revision of the parent side")
     ap.add_argument("--tests", nargs="+", metavar="NODEID", help="time these pytest node ids instead of the benchmark")
+    ap.add_argument("--workloads", nargs="+", metavar="W", help="run only these workloads (default: all of BENCHMARK.json)")
     args = ap.parse_args(argv)
+    if args.tests and args.workloads:
+        ap.error("--workloads selects benchmark workloads, not tests")
 
     path = ROOT / f"BENCH_{args.pr}.json"
     previous = json.loads(path.read_text()) if path.exists() else {}
@@ -197,6 +206,11 @@ def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
+    if args.workloads:
+        unknown = sorted(set(args.workloads) - set(workloads))
+        if unknown:
+            ap.error(f"no workload {', '.join(unknown)} in BENCHMARK.json: {', '.join(workloads)}")
+        workloads = [w for w in workloads if w in args.workloads]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = {w: {"parent": [], "change": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
