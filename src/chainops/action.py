@@ -14,7 +14,7 @@ from operator import add, and_, mul, neg
 
 from .complexes import boundary
 from .elements import Element, add_terms, built, collect
-from .errors import InvalidInput, check_guard
+from .errors import InvalidInput, check_guard, term_guard
 from .perms import koszul_permute
 from .procedure import RecursiveMap
 from .rings import GF, ZZ, _is_prime
@@ -480,28 +480,41 @@ def _check_operands(x, cochains, table):
 # memoized within a bound.  Callers evaluate a few generators on many
 # cochains: a round of the cochain benchmark makes 17 lookups over the same
 # 9 (generator, dimension) keys, 3,391 hits and 9 misses in 200 rounds.  A
-# plan holds about 0.7 KB per term, and its terms grow with the dimension
-# (20 for (1,2,1,3) at d = 4, 1,287 for the cup-4 word at d = 12).
+# plan holds about 0.6 KB per term (558 bytes for the cup-4 word at d = 12
+# under tracemalloc), and its terms grow with the dimension (20 for
+# (1,2,1,3) at d = 4, 1,287 for the cup-4 word at d = 12, of which 225 have
+# the factor dimensions (8, 8)).
 PLAN_MEMO = 64
 
 
 @lru_cache(maxsize=PLAN_MEMO)
 def _generator_plan(gen, d):
     """Phi(gen (x) Delta^d) for a bf generator, collected over the integers
-    as bf_action collects it, so the memo serves every ring: per tensor
-    term, its faces, integer coefficient, factor dimensions, the pairing
-    sign (-1)^(l(l-1)/2) with l the number of odd-dimensional factors, and
-    per factor the model vertices to delete, highest first.  No term guard
-    is checked here; _pairing_plan checks it on its own sums."""
+    as bf_action collects it, so the memo serves every ring: its term count,
+    and its terms grouped by factor dimensions, each group in plan order.  A
+    term is its faces, its integer coefficient (never 0), the pairing sign
+    (-1)^(l(l-1)/2) with l the number of odd-dimensional factors, and per
+    factor the model vertices to delete, highest first.  No term guard is
+    checked here; _pairing_plan checks it on the counts."""
     acc = add_terms({}, bf_action_terms(gen, d), tensor_power(d, max(gen)).normalize)
-    plan = []
+    groups = {}
     for faces, c in acc.items():
         dims = tuple(len(f) - 1 for f in faces)
         odd = sum(t % 2 for t in dims)
         pair_sign = -1 if (odd * (odd - 1) // 2) % 2 else 1
         deletions = tuple(tuple(v for v in range(d, -1, -1) if v not in f) for f in faces)
-        plan.append((faces, c, (dims, pair_sign, deletions)))
-    return tuple(plan)
+        groups.setdefault(dims, []).append((faces, c, pair_sign, deletions))
+    return len(acc), {dims: tuple(group) for dims, group in groups.items()}
+
+
+def _check_plan_sums(x, d):
+    """Check the term guard where bf_action(x, d) checks it: on the size of
+    the integer sum of x's scaled generator plans after each generator."""
+    acc = {}
+    for gen, coeff in x.terms.items():
+        for group in _generator_plan(gen, d)[1].values():
+            add_terms(acc, ((c, faces) for faces, c, _, _ in group), None, coeff)
+        check_guard(len(acc))
 
 
 def _pairing_plan(x, cochains, d):
@@ -511,28 +524,33 @@ def _pairing_plan(x, cochains, d):
     coefficient times the pairing sign with, per factor, the cochain's
     values and the model vertices to delete, highest first.
 
-    The terms are x's generator plans, scaled by x's coefficients and
-    summed over the integers; the term guard sees the sum after each
-    generator, the counts bf_action(x, d) checks, so it trips where
-    bf_action would, with the same message."""
-    acc = {}
-    shapes = {}
-    for gen, coeff in x.terms.items():
-        for faces, c, shape in _generator_plan(gen, d):
-            v = acc.get(faces, 0) + coeff * c
-            if v:
-                acc[faces] = v
-            else:
-                acc.pop(faces, None)
-            shapes[faces] = shape
-        check_guard(len(acc))
+    Only the plan groups of the cochain degrees are summed.  The term guard
+    sees the counts bf_action(x, d) checks, the sizes of the integer sum of
+    x's scaled generator plans, which never pass the plans' counts added
+    up.  So while those counts, added as the plans are fetched, stay within
+    the guard, nothing is checked; the generator whose plan takes them past
+    it has the whole plans summed (_check_plan_sums), so the guard trips
+    where bf_action would, with the same message, before any later plan is
+    built."""
     degrees = tuple(a.degree for a in cochains)
+    guard = term_guard()
+    total = 0
+    acc = {}
+    paired = {}
+    for gen, coeff in x.terms.items():
+        count, groups = _generator_plan(gen, d)
+        total += count
+        if total - count <= guard < total:
+            _check_plan_sums(x, d)
+        group = groups.get(degrees, ())
+        add_terms(acc, ((c, faces) for faces, c, _, _ in group), None, coeff)
+        paired.update((term[0], term) for term in group)
     values = [a.values for a in cochains]
     normalize = x.ring.normalize
     terms = []
     for faces, c in acc.items():
-        dims, pair_sign, deletions = shapes[faces]
-        if dims == degrees and (c := normalize(c)):
+        if c := normalize(c):
+            _, _, pair_sign, deletions = paired[faces]
             terms.append((c * pair_sign, tuple(zip(values, deletions))))
     outer = -1 if (x.degree * (1 + d)) % 2 else 1
     return outer, terms
@@ -544,10 +562,11 @@ def cochain_evaluate(x, cochains, table, sid, ring=ZZ):
     Signs follow the preferred hom-complex convention: the outer factor
     (-1)^(|x|(1+|c|)) and the duality pairing sign (-1)^(l(l-1)/2) with l
     the number of odd-degree tensor factors.  This is dual_operation's
-    value at sid, planned at |c|: each call sums the memoized plans of x's
-    generators for |c| anew and evaluates the plan on every simplex of
-    dimension |c|, so to evaluate on many simplices use dual_operation,
-    which does that once.
+    value at sid, planned at |c|: each call sums the memoized plan groups
+    of x's generators for |c| and the cochain degrees anew (see
+    _pairing_plan) and evaluates the plan on every simplex of dimension
+    |c|, so to evaluate on many simplices use dual_operation, which does
+    that once.
     """
     _check_operands(x, cochains, table)
     try:
@@ -651,9 +670,11 @@ def dual_operation(x, cochains, table, ring=ZZ):
     """The cochain Phi(x (x) alpha_1 ... alpha_n) as a Cochain on the table.
 
     The bulk path: the pairing plan of x for the output dimension d is
-    summed once from the memoized plans of x's generators and evaluated on
-    every d-simplex: over F_2 on the bitmasks of the operands' odd-valued
-    supports (see _mod2_on_table), over Z and F_p, p odd, by the column sum.
+    summed once from the groups of the memoized plans of x's generators
+    whose factor dimensions are the cochain degrees (see _pairing_plan),
+    and evaluated on every d-simplex: over F_2 on the bitmasks of the
+    operands' odd-valued supports (see _mod2_on_table), over Z and F_p, p
+    odd, by the column sum.
     """
     _check_operands(x, cochains, table)
     d = sum(a.degree for a in cochains) - x.degree

@@ -6,6 +6,8 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainops.action import (
     BG,
@@ -74,6 +76,29 @@ def test_closed_equals_recursive():
                 for m in range(0, 4):
                     x = S(n).el(ZZ, gen)
                     assert bf_action(x, m) == std.apply(x, m)
+
+
+# one step past action_suite's exhaustive bounds (n <= 3, k <= 2, m <= 3):
+# (arity, degrees, ambient dimensions)
+PAST_THE_SUITE = ((4, (0, 1, 2), (0, 1, 2, 3)), (3, (3,), (0, 1, 2, 3)), (3, (0, 1, 2), (4,)))
+
+
+@st.composite
+def action_cases(draw):
+    n, ks, ms = draw(st.sampled_from(PAST_THE_SUITE))
+    k = draw(st.sampled_from(ks))
+    gens = draw(st.lists(st.sampled_from(list(S(n).basis(k))), min_size=1, max_size=3, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(gens), max_size=len(gens)))
+    return Element(S(n), ZZ, k, list(zip(coeffs, gens))), draw(st.sampled_from(ms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(action_cases())
+def test_closed_equals_recursive_past_the_suite(case):
+    """bf_action against a fresh BFActionStandard at arity 4 (k <= 2,
+    m <= 3), at k = 3 and at m = 4 (arity 3)."""
+    x, m = case
+    assert bf_action(x, m) == BFActionStandard(x.complex.n).apply(x, m)
 
 
 def test_chain_map_identity():
@@ -550,8 +575,9 @@ def test_walk_map_agrees_with_subface():
             # every walk of a plan for this dimension is among them
             for n, k in ((2, 0), (2, 1), (2, 2), (3, 1)):
                 for gen in S(n).basis(k):
-                    for _, _, (_, _, deletions) in _generator_plan(gen, d):
-                        assert set(deletions) <= walks
+                    for group in _generator_plan(gen, d)[1].values():
+                        for *_, deletions in group:
+                            assert set(deletions) <= walks
             for walk in walks:
                 kept = [v for v in range(d + 1) if v not in walk]
                 faces = tab.walk_map(d, walk)
@@ -911,42 +937,164 @@ def test_null_key_in_a_cochain_names_no_simplex():
         assert cochain_evaluate(x, cochains, tab, "c") == want.get("c", 0)
 
 
-def test_term_guard_trips_where_bf_action_does():
+def guard_peak(x, d):
+    """The largest integer sum bf_action(x, d) meets: the sizes of the sums
+    of x's scaled generator images after each generator, their maximum."""
+    peak, acc = 0, {}
+    for gen, coeff in x.terms.items():
+        for g, c in bf_action(S(x.complex.n).el(ZZ, gen, coeff), d).terms.items():
+            if v := acc.get(g, 0) + c:
+                acc[g] = v
+            else:
+                del acc[g]
+        peak = max(peak, len(acc))
+    return peak
+
+
+def test_term_guard_trips_where_bf_action_does(monkeypatch):
     """dual_operation and cochain_evaluate check the term guard on the
-    counts bf_action(x, d) checks: one below its term count they raise its
-    message, at that count they pass, with the plan memo cold or warm."""
+    counts bf_action(x, d) checks: one below its peak they raise its
+    message, at the peak and at the plans' counts added up they pass, with
+    the plan memo cold or warm, on both paths of the pairing plan, for one
+    generator and for several: where the plans' counts add up to at most
+    the guard and only the paired groups are summed, and where they pass it
+    and the whole plans are summed for the guard.  The cases include plans
+    that share terms, so that the counts add up to more than the peak, and
+    two generators whose shared term cancels, so that the sum shrinks."""
+    import chainops.action
+
+    checked = []
+    check_plan_sums = chainops.action._check_plan_sums
+
+    def counted(x, d):
+        checked.append(True)
+        check_plan_sums(x, d)
+
+    monkeypatch.setattr(chainops.action, "_check_plan_sums", counted)
+    rng = random.Random(31)
     tab = FaceTable(simplex_with_null(5))
     cases = (
         (S(2).el(ZZ, (1, 2, 1)), (2, 2)),
         (boundary(S(3).el(ZZ, (1, 2, 1, 3), 2)), (1, 1, 2)),
+        # (1, 2, 3) and (1, 3, 2) share one of their 6 terms at d = 2
+        (Element(S(3), ZZ, 0, [(1, (1, 2, 3)), (1, (1, 3, 2))]), (1, 1, 0)),
+        (Element(S(3), ZZ, 0, [(1, (1, 2, 3)), (-1, (1, 3, 2))]), (0, 1, 1)),
+        # the one term of each, shared with opposite signs
+        (Element(S(2), ZZ, 1, [(1, (1, 2, 1)), (1, (2, 1, 2))]), (1, 1)),
     )
     old = term_guard()
+    paths = set()
     try:
         for x, degrees in cases:
             d = sum(degrees) - x.degree
-            cochains = [Cochain(k, {sid: 1 for sid in tab.simplices(k)}) for k in degrees]
+            cochains = [
+                Cochain(k, {sid: rng.randint(-3, 3) for sid in tab.simplices(k)})
+                for k in degrees
+            ]
             sid = tab.simplices(d)[0]
             set_term_guard(old)
-            count = len(bf_action(x, d).terms)
-            set_term_guard(count - 1)
-            with pytest.raises(GuardExceeded) as want:
-                bf_action(x, d)
-            for call in (
-                lambda: dual_operation(x, cochains, tab),
-                lambda: cochain_evaluate(x, cochains, tab, sid),
-            ):
-                # the cold pass at the full count leaves x's plans in the memo
-                for warm in (False, True):
-                    if not warm:
-                        _generator_plan.cache_clear()
-                    set_term_guard(count - 1)
-                    with pytest.raises(GuardExceeded) as got:
-                        call()
-                    assert str(got.value) == str(want.value)
-                    if not warm:
-                        _generator_plan.cache_clear()
-                    set_term_guard(count)
-                    call()
+            peak = guard_peak(x, d)
+            counts = sum(_generator_plan(gen, d)[0] for gen in x.terms)
+            values = dual_operation_oracle(x, cochains, tab, ZZ)
+            assert counts >= peak >= len(bf_action(x, d).terms)
+            for guard in sorted({peak - 1, peak, counts} - {0}):
+                set_term_guard(guard)
+                if guard < peak:
+                    with pytest.raises(GuardExceeded) as want:
+                        bf_action(x, d)
+                else:
+                    bf_action(x, d)
+                for call, value in (
+                    (lambda: dual_operation(x, cochains, tab).values, values),
+                    (lambda: cochain_evaluate(x, cochains, tab, sid), values.get(sid, 0)),
+                ):
+                    # the cold pass leaves x's plans in the memo
+                    for warm in (False, True):
+                        if not warm:
+                            _generator_plan.cache_clear()
+                        checked.clear()
+                        if guard < peak:
+                            with pytest.raises(GuardExceeded) as got:
+                                call()
+                            assert str(got.value) == str(want.value)
+                        else:
+                            assert call() == value
+                        assert checked == [True] * (counts > guard)
+                        paths.add((len(x.terms) > 1, counts > guard))
+    finally:
+        set_term_guard(old)
+    assert paths == set(product((False, True), repeat=2))
+
+
+def test_term_guard_trips_before_later_plans_are_built():
+    """When the plan of x's first generator alone passes the guard, the
+    guard trips on it, as in bf_action, and the plans of x's other
+    generators are never built."""
+    tab = FaceTable(simplex_with_null(5))
+    x = Element(S(3), ZZ, 0, [(1, (1, 2, 3)), (1, (1, 3, 2)), (1, (2, 1, 3))])
+    degrees = (1, 1, 0)
+    d = sum(degrees) - x.degree
+    cochains = [Cochain(k, {sid: 1 for sid in tab.simplices(k)}) for k in degrees]
+    sid = tab.simplices(d)[0]
+    count = _generator_plan((1, 2, 3), d)[0]
+    assert next(iter(x.terms)) == (1, 2, 3) and count > 1
+    old = term_guard()
+    try:
+        set_term_guard(count - 1)
+        with pytest.raises(GuardExceeded) as want:
+            bf_action(x, d)
+        for call in (
+            lambda: dual_operation(x, cochains, tab),
+            lambda: cochain_evaluate(x, cochains, tab, sid),
+        ):
+            _generator_plan.cache_clear()
+            with pytest.raises(GuardExceeded) as got:
+                call()
+            assert str(got.value) == str(want.value)
+            assert _generator_plan.cache_info().misses == 1
+    finally:
+        set_term_guard(old)
+
+
+PLAN_TABLE = FaceTable(simplex_with_null(4))
+
+
+@st.composite
+def plan_cases(draw):
+    """An S^bf element of 1-3 generators of arity 2 or 3 and degree <= 2,
+    with coefficients that may vanish mod 2 or mod 3, and operand degrees
+    of output dimension <= 4, also where no term of the plans has them as
+    factor dimensions."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(0, 2))
+    gens = draw(st.lists(st.sampled_from(list(S(n).basis(k))), min_size=1, max_size=3, unique=True))
+    coeff = st.sampled_from((1, -1, 2, 3, -2, -3, 4, 6, -6))
+    coeffs = draw(st.lists(coeff, min_size=len(gens), max_size=len(gens)))
+    degree = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    degrees = draw(degree.filter(lambda ds: 0 <= sum(ds) - k <= 4))
+    return k, list(zip(coeffs, gens)), tuple(degrees), draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan_cases())
+def test_pairing_plan_paths_against_oracle(case):
+    """dual_operation gives the oracle's values over ZZ, GF(2) and GF(3),
+    under the default term guard and under a guard at bf_action's peak,
+    where the counts of several generators' plans that share terms add up
+    to more than the guard."""
+    k, pairs, degrees, rng = case
+    tab = PLAN_TABLE
+    cochains = [Cochain(e, {sid: rng.randint(-3, 3) for sid in tab.simplices(e)}) for e in degrees]
+    d = sum(degrees) - k
+    old = term_guard()
+    try:
+        for ring in (ZZ, GF(2), GF(3)):
+            set_term_guard(old)
+            x = Element(S(len(degrees)), ring, k, pairs)
+            want = list(dual_operation_oracle(x, cochains, tab, ring).items())
+            for guard in {old, guard_peak(x, d) or old}:
+                set_term_guard(guard)
+                assert list(dual_operation(x, cochains, tab, ring).values.items()) == want
     finally:
         set_term_guard(old)
 

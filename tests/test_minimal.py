@@ -4,7 +4,7 @@ lambda, diagonals."""
 import pytest
 
 from chainops.complexes import act, boundary, contract
-from chainops.maclane import cyc_eg
+from chainops.maclane import InducedMap, cyc_eg, cyclic_into_symmetric, sym_eg
 from chainops.minimal import (
     canonical_class,
     delta_M,
@@ -15,8 +15,10 @@ from chainops.minimal import (
     phi_to_EC,
     pi_from_EC,
 )
+from chainops.morphisms import table_reduction
 from chainops.procedure import StandardMap, verify_contracted
 from chainops.rings import GF, ZZ
+from chainops.surjections import surjection_complex
 
 M3 = minimal_complex(3)
 M5 = minimal_complex(5)
@@ -175,6 +177,23 @@ def test_triple_diagonal_agreement_and_failure():
         if not contract(T3.el(ZZ, gen)).is_zero()
     ]
     assert bad == [((1, 0), (1, 1), (2, 1))]  # T y_0 (x) T y_1 (x) T^2 y_1
+
+
+def test_composite_into_bf_is_the_standard_map():
+    """The composite W(p) -> S^bf(p) that action_for applies, table
+    reduction after the inclusion C_p -> Sigma_p after phi, is the standard
+    map along that inclusion, term for term: p = 2 and 3 to degree 6, p = 5
+    to degree 4."""
+    for p, top in ((2, 6), (3, 6), (5, 4)):
+        W = minimal_complex(p)
+        incl = InducedMap(cyclic_into_symmetric(p), cyc_eg(p), sym_eg(p), ZZ)
+        std = StandardMap(W, surjection_complex("bf", p), group_hom=cyclic_into_symmetric(p))
+        for k in range(top + 1):
+            for b in W.basis(k):
+                x = W.el(ZZ, b)
+                composite = table_reduction("bf", incl(phi_to_EC(x)))
+                assert composite.terms == std(x).terms, (p, b)
+                assert composite.terms
 
 
 def test_canonical_class_cycles_mod_p():
