@@ -21,7 +21,8 @@ boundary and one cone contraction in VertexSequenceComplex.
 
 A complex with a group states, next to `act_terms`, the law that makes
 its action a group action (`action_law`): the finite data the action
-depends on, checked through `act_terms` by `law_cases`.
+depends on, checked through `act_terms` by `law_cases`.  `act` has the
+complex validate a group element from outside (`validate_acting`).
 """
 
 from itertools import chain as _chain
@@ -96,14 +97,19 @@ class ChainComplex:
 
     # -- group action ----------------------------------------------------------
 
+    def validate_acting(self, g):
+        """g from outside as act_terms takes it, or InvalidInput."""
+        return g
+
     def act_terms(self, g, gen):
         raise NotImplementedError
 
-    def action_law(self):
+    def action_law(self, normal=None, acts=None):
         """(case, ok) pairs that prove act_terms is a group action:
         act(e) = Id and act(s.h) = act(s) act(h) for every generator s and
         every h.  A family evaluates them with `law_cases` on witnesses
-        that carry all the data its action formula depends on."""
+        that carry all the data its action formula depends on, and the
+        sweep's tables `normal` and `acts` when it is given them."""
         raise NotImplementedError(f"{self.name} states no action law")
 
     def decompose(self, gen):
@@ -213,16 +219,23 @@ def _word_blocks(letters, length, need):
         j += 1
 
 
-def law_cases(cplx, witnesses):
+def law_cases(cplx, witnesses, normal=None, acts=None):
     """(case, ok) pairs of the action law on each witness generator x,
-    evaluated through cplx.act_terms over the integers: act(e) x = x, and
-    act(s.h) x = act(s) act(h) x for every generator s and every h.  By
-    induction on a word for g, the law gives act(g.h) = act(g) act(h) for
-    all g and h on the generators whose action the witnesses determine.
-    The products (h, s, s.h) are computed once per law, h-major, and
-    serve every witness; act(g) x is computed once per g and witness."""
+    over the integers: act(e) x = x, and act(s.h) x = act(s) act(h) x for
+    every generator s and every h.  By induction on a word for g, the law
+    gives act(g.h) = act(g) act(h) for all g and h on the generators whose
+    action the witnesses determine.  act(g) x is computed once per g and
+    witness, act(s) is read from the tables `acts` and every generator is
+    normalised through the memo `normal`: verify_contracted's own, or new
+    ones.  A witness that normalises to zero has no case, and the products
+    (h, s, s.h) are computed once per law, h-major."""
     group = cplx.group
-    act_terms, normalize = cplx.act_terms, cplx.normalize
+    if normal is None:
+        from .procedure import Table, act_tables
+
+        normal = Table(cplx.normalize)
+        acts = act_tables(cplx, normal)
+    act_terms, normalize = cplx.act_terms, normal.__getitem__
     elements = tuple(group.elements())
     products = [(h, s, group.mul(s, h)) for h in elements for s in group.generators()]
 
@@ -231,16 +244,23 @@ def law_cases(cplx, witnesses):
         return f"action law at {at}, x = {cplx.format_gen(x)}"
 
     def image(g, x):
+        if g in acts:
+            return add_terms({}, acts[g][x], None)
         return add_terms({}, act_terms(g, x), normalize)
 
     # a case is named only when it fails: first_fail reads no other
-    for x in witnesses:
-        ok = not add_terms(image(group.identity, x), [(1, x)], normalize, -1)
-        yield (None if ok else where(x)), ok
+    for x in map(normalize, witnesses):
+        if x is None:
+            continue
         images = {g: image(g, x) for g in elements}
+        ok = images[group.identity] == {x: 1}
+        yield (None if ok else where(x)), ok
         for h, s, sh in products:
-            then_s = [(c * c2, y) for g, c in images[h].items() for c2, y in act_terms(s, g)]
-            ok = not add_terms(dict(images[sh]), then_s, normalize, -1)
+            act_s, acc = acts[s], dict(images[sh])
+            for g, c in images[h].items():
+                for c2, y in act_s[g]:
+                    acc[y] = acc.get(y, 0) - c * c2
+            ok = not any(acc.values())
             yield (None if ok else where(x, s, h)), ok
 
 
@@ -253,7 +273,9 @@ def contract(x):
 
 
 def act(g, x):
-    return x.map_terms(lambda gen: x.complex.act_terms(g, gen))
+    cplx = x.complex
+    g = cplx.validate_acting(g)
+    return x.map_terms(lambda gen: cplx.act_terms(g, gen))
 
 
 def augment(x):
@@ -367,16 +389,20 @@ class TensorComplex(ChainComplex):
 
         return rec(0, degree)
 
+    def validate_acting(self, ghat):
+        return tuple(f.validate_acting(g) for f, g in zip(self.factors, ghat))
+
     def act_terms(self, ghat, gen):
         """Factorwise action of a product-group element (no Koszul signs)."""
         return list(
             _tensor_terms(f.act_terms(g, x) for f, g, x in zip(self.factors, ghat, gen))
         )
 
-    def action_law(self):
-        """The factors' laws: the action is factorwise and the product's
-        generators are the factors', so act(s.h) = act(s) act(h) in the
-        slot of s and act(e) = Id in the others."""
+    def action_law(self, normal=None, acts=None):
+        """The factors' laws, on tables of their own: the action is
+        factorwise and the product's generators are the factors', so
+        act(s.h) = act(s) act(h) in the slot of s and act(e) = Id in the
+        others."""
         for i, f in enumerate(self.factors, start=1):
             for case, ok in f.action_law():
                 yield f"factor {i}: {case}", ok

@@ -52,10 +52,10 @@ class MacLaneComplex(VertexSequenceComplex):
         mul = self.group.mul
         return [(1, tuple([mul(g, x) for x in gen]))]
 
-    def action_law(self):
+    def action_law(self, normal=None, acts=None):
         """Left multiplication entry by entry: the law is the group table,
         seen on the vertices (y,)."""
-        return law_cases(self, self.basis(0))
+        return law_cases(self, self.basis(0), normal, acts)
 
     def decompose(self, gen):
         g0 = gen[0]

@@ -70,10 +70,10 @@ class MinimalComplex(ChainComplex):
         i, k = gen
         return [(1, ((i + a) % self.n, k))]
 
-    def action_law(self):
+    def action_law(self, normal=None, acts=None):
         """The rotation of the exponent i: the law is the group table of
         C_n, seen on the degree-0 generators T^i y_0."""
-        return law_cases(self, self.basis(0))
+        return law_cases(self, self.basis(0), normal, acts)
 
     def decompose(self, gen):
         i, k = gen

@@ -14,10 +14,11 @@ each the oracle of a closed formula that shares no code with it.  An
 engine imports from operads or simplex when it is constructed.
 verify_contracted checks the contraction identities (d^2 = 0,
 dh + hd = Id - rho, h^2 = 0, h iota = 0, equivariance of d) in one pass
-per degree k: each generator of degree k runs every identity that has
-not failed yet.  normal(d(g)), normal(h(g)) and normal(s.g) for each
-generator s of the group are computed once per normal generator g and
-kept in tables local to the call, which read their terms through one
+per degree k: each generator of degree k takes one inline step that
+sums every identity not failed yet.  normal(d(g)), normal(h(g)) and
+normal(s.g) for each generator s of the group are computed once per
+normal generator g and kept in tables local to the call, which that
+step and the action law read; they read their terms through one
 normal-form memo: each raw generator is normalised once, and equal raw
 generators share one normal object.  This is exact because the structure
 maps are functions of the normal generator and normalize is a pure
@@ -45,7 +46,11 @@ is (1 2) and the n-cycle, so |S| = 2 for every n >= 3, where the n - 1
 adjacent transpositions would give 3 at n = 4 and 4 at n = 5.  The law
 is evaluated through act_terms on witnesses that carry every datum the
 family's action formula depends on; an act_terms that departs from that
-formula only away from the witnesses is outside what it sees.
+formula only away from the witnesses is outside what it sees.  It is
+re-proved on every call and reads act(s) of each term of act(h) x from
+the call's act tables, built before it, so the law and the sweep
+compute each s.y once (a tensor product's factor laws use tables of
+their own).
 
 For huge MacLane sweeps the verifier can consume relabeling classes:
 pattern_reps(degree) yields (representative, class size), one
@@ -375,7 +380,7 @@ def _gen_stream(cplx, degree):
         yield g, 1
 
 
-class _Table(dict):
+class Table(dict):
     """fn(key) by key, computed on the first lookup."""
 
     def __init__(self, fn):
@@ -391,6 +396,16 @@ class _Table(dict):
             del self[key]
 
 
+def normal_terms(normal, fn):
+    """normal(fn(gen)) by normal generator: its nondegenerate terms."""
+    return Table(lambda gen: tuple([(c, n) for c, g in fn(gen) if (n := normal[g]) is not None]))
+
+
+def act_tables(cplx, normal):
+    """{s: normal_terms of act(s)} for the generators s of cplx's group."""
+    return {s: normal_terms(normal, partial(cplx.act_terms, s)) for s in cplx.group.generators()}
+
+
 def verify_contracted(cplx, max_degree, ring=ZZ):
     """Check the contraction identities on every basis generator up to
     max_degree: d^2 = 0, dh + hd = Id - rho, h^2 = 0, h iota = 0, and
@@ -401,7 +416,7 @@ def verify_contracted(cplx, max_degree, ring=ZZ):
     the weight swept up to it.
 
     One pass per degree k visits each generator of _gen_stream(cplx, k)
-    once and runs on it every identity that has not failed yet.  The
+    once, in one inline step that sums every identity not failed yet.  The
     pass works on (coeff, generator) pairs, not Elements, in tables that
     live for this call only: normal(d(g)), normal(h(g)) and normal(s.g)
     for each generator s of the group, once per normal generator g, all
@@ -409,92 +424,93 @@ def verify_contracted(cplx, max_degree, ring=ZZ):
     exact because the structure maps are functions of the normal
     generator and normalize is a pure function of the raw one that never
     raises; equal raw generators get the memo's one normal object, so the
-    tables share generators instead of holding equal copies.  Degree k
-    looks up generators of degrees k - 1, k and k + 1 only, so after it
-    the entries of degree < k are dropped from the tables and the memo.
-    An identity pushes normal pairs through a table straight into one
-    dict of coefficients and reduces only those in the ring."""
+    tables share generators instead of holding equal copies.  The action
+    law, run first, reads act(s) and normal forms through the same tables.
+    Degree k looks up generators of degrees k - 1, k and k + 1 only, so
+    after it the entries of degree < k are dropped from the tables and
+    the memo.  An identity sums normal pairs through a table straight
+    into one dict of coefficients and reduces only those in the ring."""
     if max_degree < 0:
         raise InvalidInput(f"max_degree must be >= 0, got {max_degree}")
-    degree_of = cplx.degree_of
-    normal = _Table(cplx.normalize)
-
-    def terms(fn):
-        """normal(fn(gen)) by normal generator: its nondegenerate terms."""
-        return _Table(
-            lambda gen: tuple([(c, n) for c, g in fn(gen) if (n := normal[g]) is not None])
-        )
-
-    d, h = terms(cplx.boundary_terms), terms(cplx.contraction_terms)
-    tables = [normal, d, h]
-
-    def push(acc, pairs, table, scale=1):
-        """acc plus scale * c * table[g] for every normal pair (c, g)."""
-        get = acc.get
-        for c, g in pairs:
-            c *= scale
-            for c2, g2 in table[g]:
-                acc[g2] = get(g2, 0) + c * c2
-        return acc
-
-    def zero(acc):
-        """Whether ring.normalize sends every coefficient of acc to 0; an
-        integer 0 stays 0 in every ring, so only the nonzero ones are
-        reduced, up to the first that does not vanish."""
-        return not any(map(ring.normalize, filter(None, acc.values())))
-
-    def homotopy(gen):
-        acc = add_terms({gen: -1}, cplx.rho_terms(gen), normal.__getitem__)
-        return zero(push(push(acc, h[gen], d), d[gen], h))
-
-    identities = [
-        ("d.d = 0", lambda gen: zero(push({}, d[gen], d))),
-        ("dh + hd = Id - rho", homotopy),
-        ("h.h = 0", lambda gen: zero(push({}, h[gen], h))),
-    ]
+    # an integer 0 is 0 in every ring, so a sum reduces only its nonzero
+    # coefficients, up to the first that does not vanish
+    degree_of, reduce = cplx.degree_of, ring.normalize
+    normal = Table(cplx.normalize)
+    d, h = normal_terms(normal, cplx.boundary_terms), normal_terms(normal, cplx.contraction_terms)
+    tables, acts = [normal, d, h], ()
+    live = ["d.d = 0", "dh + hd = Id - rho", "h.h = 0"]
     checks = {}
 
     base = normal[cplx.basepoint_gen()]
-    iota_ok = base is None or zero(push({}, ((1, base),), h))
+    iota_ok = base is None or not any(map(reduce, add_terms({}, h[base], None).values()))
     checks["h.iota = 0"] = Check("h.iota = 0", iota_ok, None, 1)
 
     if cplx.group is not None:
         # the action law and the group's generators prove it for every g:
         # see the module docstring
-        law = first_fail("action law", cplx.action_law())
+        by_s = act_tables(cplx, normal)
+        law = first_fail("action law", cplx.action_law(normal, by_s))
         if law.ok:
-            acts = [terms(partial(cplx.act_terms, s)) for s in cplx.group.generators()]
+            acts = list(by_s.values())
             tables += acts
-
-            def equivariant(gen):
-                k = degree_of(gen)
-                dx = d[gen]
-                for act_s in acts:
-                    sx = act_s[gen]
-                    if any(degree_of(y) != k for _, y in sx):
-                        return False
-                    if not zero(push(push({}, sx, d), dx, act_s, -1)):
-                        return False
-                return True
-
-            identities.append(("d equivariant", equivariant))
+            live.append("d equivariant")
         else:
             checks["d equivariant"] = Check("d equivariant", False, law.counterexample)
 
     count = 0
     for k in range(max_degree + 1):
         for gen, weight in _gen_stream(cplx, k):
-            if not identities:
+            if not live:
                 break
             count += weight
-            failed = [item for item in identities if not item[1](gen)]
-            if failed:
-                for name, _ in failed:
-                    checks[name] = Check(name, False, cplx.format_gen(gen), count)
-                identities = [item for item in identities if item not in failed]
+            dx, hx, failed = d[gen], h[gen], []
+            if "d.d = 0" in live:
+                acc = {}
+                for c, y in dx:
+                    for c2, z in d[y]:
+                        acc[z] = acc.get(z, 0) + c * c2
+                if any(map(reduce, filter(None, acc.values()))):
+                    failed.append("d.d = 0")
+            if "dh + hd = Id - rho" in live:
+                acc = add_terms({gen: -1}, cplx.rho_terms(gen), normal.__getitem__)
+                for c, y in hx:
+                    for c2, z in d[y]:
+                        acc[z] = acc.get(z, 0) + c * c2
+                for c, y in dx:
+                    for c2, z in h[y]:
+                        acc[z] = acc.get(z, 0) + c * c2
+                if any(map(reduce, filter(None, acc.values()))):
+                    failed.append("dh + hd = Id - rho")
+            if "h.h = 0" in live:
+                acc = {}
+                for c, y in hx:
+                    for c2, z in h[y]:
+                        acc[z] = acc.get(z, 0) + c * c2
+                if any(map(reduce, filter(None, acc.values()))):
+                    failed.append("h.h = 0")
+            if "d equivariant" in live:
+                for act_s in acts:
+                    # d(s.x) - s.dx, once every term of s.x has degree k
+                    acc = {}
+                    for c, y in act_s[gen]:
+                        if degree_of(y) != k:
+                            break
+                        for c2, z in d[y]:
+                            acc[z] = acc.get(z, 0) + c * c2
+                    else:
+                        for c, y in dx:
+                            for c2, z in act_s[y]:
+                                acc[z] = acc.get(z, 0) - c * c2
+                        if not any(map(reduce, filter(None, acc.values()))):
+                            continue
+                    failed.append("d equivariant")
+                    break
+            for name in failed:
+                live.remove(name)
+                checks[name] = Check(name, False, cplx.format_gen(gen), count)
         for table in tables:
             table.forget_below(k, degree_of)
-    for name, _ in identities:
+    for name in live:
         checks[name] = Check(name, True, None, count)
 
     order = ("d.d = 0", "dh + hd = Id - rho", "h.h = 0", "h.iota = 0", "d equivariant")

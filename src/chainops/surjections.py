@@ -157,9 +157,12 @@ class SurjectionComplex(ChainComplex):
     def basepoint_gen(self):
         return tuple(range(1, self.n + 1))
 
-    def act_terms(self, g, gen):
+    def validate_acting(self, g):
         if len(g) != self.n:
             raise InvalidInput("arity mismatch in surjection action")
+        return g
+
+    def act_terms(self, g, gen):
         image = tuple([g[v - 1] for v in gen])
         if self.flavor == "bf":
             return [(1, image)]
@@ -167,12 +170,13 @@ class SurjectionComplex(ChainComplex):
             return [(aj_action_sign(g), image)]
         return [(mu_sign(g, gen), image)]
 
-    def action_law(self):
+    def action_law(self, normal=None, acts=None):
         """Relabelling g o x times a sign: 1 for bf, the parity character
         for aj, and for ms the cocycle mu_sign, which depends on x only
         through its set of odd-factor values.  So the law is the group
         table, that parity is a character and the cocycle law on each of
-        the 2^n sets, seen on one witness per set that a generator has."""
+        the 2^n sets, seen on one witness per set that a generator has
+        (law_cases drops the degenerate (1,1) of n = 1)."""
         witnesses = []
         for mask in range(2 ** self.n):
             odd = tuple(v for v in range(1, self.n + 1) if mask >> (v - 1) & 1)
@@ -180,9 +184,8 @@ class SurjectionComplex(ChainComplex):
             x = self.basepoint_gen() + odd
             if odd == (self.n,):
                 x = odd + self.basepoint_gen()
-            if self.normalize(x) is not None:
-                witnesses.append(x)
-        return law_cases(self, witnesses)
+            witnesses.append(x)
+        return law_cases(self, witnesses, normal, acts)
 
     def contraction_terms(self, gen):
         """h = sum_q (+-1)^q i^q s r^q, the telescoping contraction.

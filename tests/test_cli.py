@@ -208,6 +208,19 @@ def test_cli_iso_and_act():
     assert out.returncode == 0
 
 
+def test_cli_act_refuses_a_permutation_of_another_size(capsys):
+    # a surjection family says so itself; N(ESigma_n) through Perm's product
+    cases = [
+        (["--flavor", "bf", "--n", "3", "--g", "2 1", "(1,2,1,3)"], "arity mismatch in surjection action"),
+        (["--eg", "3", "--g", "2 1", "(1 2 3)"], "composing permutations of different sizes"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(["act", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_aw_ez():
     out = run_cli("ez", "--simplex", "1", "--simplex2", "1", "(0,1)", "(0,1)")
     assert out.returncode == 0 and "((0,0)" in out.stdout

@@ -697,19 +697,16 @@ def test_one_pass_reduces_each_sum_in_the_ring():
 
 def counting(family):
     """A subclass of `family` that counts its boundary_terms,
-    contraction_terms, act_terms and normalize calls per generator.  The
-    action law runs once per complex on its own witnesses, outside the
-    sweep, so its calls are not counted."""
+    contraction_terms, act_terms and normalize calls per generator, the
+    action law's calls included."""
 
     class Counting(family):
         def __init__(self, *args):
             super().__init__(*args)
             self.calls = {}
-            self.counting = True
 
         def count(self, key):
-            if self.counting:
-                self.calls[key] = self.calls.get(key, 0) + 1
+            self.calls[key] = self.calls.get(key, 0) + 1
 
         def boundary_terms(self, gen):
             self.count(("d", gen))
@@ -727,13 +724,6 @@ def counting(family):
             self.count(("normalize", gen))
             return super().normalize(gen)
 
-        def action_law(self):
-            self.counting = False
-            try:
-                yield from super().action_law()
-            finally:
-                self.counting = True
-
     return Counting
 
 
@@ -743,11 +733,16 @@ def test_each_structure_map_runs_once_per_generator():
         counting(MacLaneComplex)(SymmetricGroup(3)),
     ):
         assert verify_contracted(cplx, 3).ok
-        # no structure map runs twice on a generator, and no raw generator
-        # is normalised twice
+        # within one call, the action law included, no structure map runs
+        # twice on a generator, no act(g) twice on a (g, generator) pair,
+        # and no raw generator is normalised twice
         assert {key[0] for key in cplx.calls} == {"d", "h", "act", "normalize"}
         repeated = [key for key, n in cplx.calls.items() if n > 1]
         assert repeated == [], (cplx, repeated[:3])
+        # the law ran through the counted maps: act(g) on the basepoint, a
+        # witness of both families, for every g, the identity included
+        base = cplx.basepoint_gen()
+        assert all(("act", g, base) in cplx.calls for g in cplx.group.elements())
 
 
 def test_action_law_case_counts():

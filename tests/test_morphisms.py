@@ -1,6 +1,10 @@
 """Table reduction, prism maps, roundtrips, and the coalgebra checks."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chainops.complexes import TensorComplex, act, boundary, contract
+from chainops.elements import Element
 from chainops.maclane import sym_eg
 from chainops.morphisms import (
     base_simplex,
@@ -44,6 +48,79 @@ def test_tr_closed_equals_recursive():
                 for gen in E.basis(k):
                     x = E.el(ZZ, gen)
                     assert table_reduction(flavor, x) == std(x), (flavor, n, gen)
+
+
+@st.composite
+def words(draw, letters, length):
+    """A word of `length` letters with no two equal neighbours: each entry
+    is its left neighbour moved on by 1 .. len(letters) - 1 places."""
+    word = [draw(st.integers(0, len(letters) - 1))]
+    for _ in range(length - 1):
+        word.append((word[-1] + draw(st.integers(1, len(letters) - 1))) % len(letters))
+    return tuple(letters[i] for i in word)
+
+
+@st.composite
+def surjections(draw, n, k):
+    """A nondegenerate surjection of arity n >= 3 and degree k: a
+    permutation of 1..n with k more entries put in, each unequal to its
+    neighbours (every such surjection arises, its extra entries put in
+    from left to right)."""
+    word = list(draw(st.permutations(range(1, n + 1))))
+    for _ in range(k):
+        i = draw(st.integers(0, len(word)))
+        near = word[max(i - 1, 0) : i + 1]
+        word.insert(i, draw(st.sampled_from([v for v in range(1, n + 1) if v not in near])))
+    return tuple(word)
+
+
+@st.composite
+def combinations(draw, cplx, gens):
+    """One to three distinct generators drawn from `gens`, each with a
+    nonzero coefficient in -3..3, as an Element of cplx."""
+    terms = draw(st.lists(gens, min_size=1, max_size=3, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(terms), max_size=len(terms)))
+    return Element(cplx, ZZ, cplx.degree_of(terms[0]), list(zip(coeffs, terms)))
+
+
+FLAVORS = ("bf", "ms", "aj")
+
+
+@st.composite
+def tr_cases(draw):
+    E = sym_eg(4)
+    k = draw(st.integers(0, 3))
+    return draw(st.sampled_from(FLAVORS)), draw(combinations(E, words(tuple(all_perms(4)), k + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tr_cases())
+def test_tr_closed_equals_recursive_past_the_suite(case):
+    """TR against a fresh recursive TR on N(ESigma_4) to degree 3, one
+    arity past trpr_suite's n <= 3."""
+    flavor, x = case
+    assert table_reduction(flavor, x) == table_reduction_standard(flavor, 4)(x)
+
+
+# one arity or degree past trpr_suite's round trips (n <= 4, k <= 3):
+# (arity, degrees)
+ROUNDTRIP_PAST_THE_SUITE = ((5, (0, 1, 2, 3)), (3, (4,)), (4, (4,)))
+
+
+@st.composite
+def roundtrip_cases(draw):
+    n, ks = draw(st.sampled_from(ROUNDTRIP_PAST_THE_SUITE))
+    flavor, k = draw(st.sampled_from(FLAVORS)), draw(st.sampled_from(ks))
+    return flavor, draw(combinations(surjection_complex(flavor, n), surjections(n, k)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(roundtrip_cases())
+def test_roundtrip_past_the_suite(case):
+    """TR.PR = Id on S^flavor(5) to degree 3 and on S^flavor(3) and
+    S^flavor(4) at degree 4."""
+    flavor, x = case
+    assert table_reduction(flavor, prism_map(flavor, x)) == x
 
 
 def test_tr_chain_map_equivariant_h_commuting():

@@ -103,6 +103,24 @@ def test_action_is_group_action():
                     assert act(g, act(h, x)) == act(g * h, x)
 
 
+def test_act_refuses_a_permutation_of_another_size():
+    # act checks the arity where the permutation comes in, for every
+    # flavor and in each factor of a tensor product
+    for flavor in ("aj", "bf", "ms"):
+        x = surjection_complex(flavor, 3).el(ZZ, (1, 2, 1, 3))
+        for g in (Perm((2, 1)), Perm((2, 1, 3, 4))):
+            with pytest.raises(InvalidInput, match=r"^arity mismatch in surjection action$"):
+                act(g, x)
+    from chainops.complexes import TensorComplex
+    from chainops.elements import built
+
+    T = TensorComplex((surjection_complex("bf", 2), surjection_complex("bf", 3)))
+    y = built(T, ZZ, ((1, 2), (1, 2, 1, 3)))
+    assert act((Perm((2, 1)), Perm((2, 1, 3))), y) == built(T, ZZ, ((2, 1), (2, 1, 2, 3)))
+    with pytest.raises(InvalidInput, match=r"^arity mismatch in surjection action$"):
+        act((Perm((2, 1)), Perm((2, 1))), y)
+
+
 def test_aj_action_and_augmentation_twisted():
     S = surjection_complex("aj", 3)
     g = Perm((2, 1, 3))
