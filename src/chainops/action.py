@@ -15,6 +15,7 @@ from operator import add, and_, mul, neg
 from .complexes import boundary
 from .elements import Element, add_terms, built, collect
 from .errors import InvalidInput, check_guard, term_guard
+from .groups import SymmetricGroup
 from .perms import koszul_permute
 from .procedure import RecursiveMap
 from .rings import GF, ZZ, _is_prime
@@ -144,7 +145,6 @@ def action_for(x, m):
         if src.flavor == "bf":
             return bf_action(x, m)
         return bf_action(iso(src.flavor, "bf", x), m)
-    from .groups import SymmetricGroup
     from .maclane import InducedMap, MacLaneComplex, cyc_eg, cyclic_into_symmetric, sym_eg
     from .minimal import MinimalComplex, phi_to_EC
     from .morphisms import table_reduction

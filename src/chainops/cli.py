@@ -17,7 +17,8 @@ import sys
 
 from . import errors
 from .complexes import (
-    act, boundary, contract, tensor_elements, TensorComplex, VertexSequenceComplex,
+    act, boundary, contract, named_complex, tensor_elements, TensorComplex,
+    VertexSequenceComplex,
 )
 from .elements import built
 from .errors import GuardExceeded, InvalidInput
@@ -242,25 +243,10 @@ def complex_of(args):
     if args.flavor is not None:
         if args.n is None:
             raise InvalidInput("--flavor needs --n")
-        from .surjections import surjection_complex
-
-        return surjection_complex(args.flavor, args.n)
-    if args.eg is not None:
-        from .maclane import sym_eg
-
-        return sym_eg(args.eg)
-    if args.cyclic is not None:
-        from .maclane import cyc_eg
-
-        return cyc_eg(args.cyclic)
-    if args.minimal is not None:
-        from .minimal import minimal_complex
-
-        return minimal_complex(args.minimal)
-    if args.simplex is not None:
-        from .simplex import simplex_complex
-
-        return simplex_complex(args.simplex)
+        return named_complex(args.flavor, args.n)
+    for family in ("eg", "cyclic", "minimal", "simplex"):
+        if (n := getattr(args, family)) is not None:
+            return named_complex(family, n)
     raise InvalidInput(
         "select a complex: --flavor/--n, --eg, --cyclic, --minimal, or --simplex"
     )
@@ -343,17 +329,16 @@ def cmd_tr(args):
 
     cplx = sym_eg(args.n)
     x = parse_in(args, args.expr, cplx)
-    emit(args, table_reduction(args.flavor or "bf", x))
+    emit(args, table_reduction(args.flavor, x))
 
 
 def cmd_pr(args):
     from .morphisms import prism_map
     from .surjections import surjection_complex
 
-    flavor = args.flavor or "bf"
-    cplx = surjection_complex(flavor, args.n)
+    cplx = surjection_complex(args.flavor, args.n)
     x = parse_in(args, args.expr, cplx)
-    emit(args, prism_map(flavor, x))
+    emit(args, prism_map(args.flavor, x))
 
 
 def _two_rows(args):
@@ -361,24 +346,21 @@ def _two_rows(args):
     --eg/--eg2 or --cyclic/--cyclic2 select: their product complex, the
     closed EZ into it, and the rows a and b, each parsed in its factor."""
     ring = ring_of(args)
-    if args.simplex is not None:
-        from .simplex import ez_element, product_complex, simplex_complex
-
-        m1 = args.simplex
-        m2 = args.simplex2 if args.simplex2 is not None else m1
-        row1 = ElementParser(simplex_complex(m1), ring).generator_only(args.a)
-        row2 = ElementParser(simplex_complex(m2), ring).generator_only(args.b)
-        return product_complex(m1, m2), ez_element, row1, row2, ring
-    from .maclane import cyc_eg, ez_maclane, maclane_complex, sym_eg
-
-    if args.eg is not None:
-        g1 = sym_eg(args.eg)
-        g2 = sym_eg(args.eg2 if args.eg2 is not None else args.eg)
-    elif args.cyclic is not None:
-        g1 = cyc_eg(args.cyclic)
-        g2 = cyc_eg(args.cyclic2 if args.cyclic2 is not None else args.cyclic)
-    else:
+    family = next((f for f in ("simplex", "eg", "cyclic") if getattr(args, f) is not None), None)
+    if family is None:
         raise InvalidInput("aw/ez need --simplex or --eg/--cyclic")
+    n1 = getattr(args, family)
+    n2 = getattr(args, family + "2")
+    n2 = n1 if n2 is None else n2
+    if family == "simplex":
+        from .simplex import ez_element, product_complex
+
+        row1 = ElementParser(named_complex(family, n1), ring).generator_only(args.a)
+        row2 = ElementParser(named_complex(family, n2), ring).generator_only(args.b)
+        return product_complex(n1, n2), ez_element, row1, row2, ring
+    from .maclane import ez_maclane, maclane_complex
+
+    g1, g2 = named_complex(family, n1), named_complex(family, n2)
     row1 = ElementParser(g1, ring).generator_only(args.a)
     row2 = ElementParser(g2, ring).generator_only(args.b)
     product = maclane_complex(ProductGroup((g1.group, g2.group)))
@@ -455,21 +437,14 @@ def cmd_compose(args):
     r, sizes = _parse_arities(args.arities)
     if len(args.exprs) != r + 1:
         raise InvalidInput(f"expected 1 outer and {r} inner elements")
-    if args.be:
-        from .maclane import sym_eg as component
-        from .operads import be_compose as compose
-    else:
-        from functools import partial
+    from .operads import component, compose
 
-        from .operads import surj_compose
-        from .surjections import surjection_complex
-
-        flavor = args.flavor or "bf"
-        component = partial(surjection_complex, flavor)
-        compose = partial(surj_compose, flavor)
-    outer = ElementParser(component(r), ring).parse(read_expr(args.exprs[0]))
-    inners = [ElementParser(component(s), ring).parse(e) for s, e in zip(sizes, args.exprs[1:])]
-    emit(args, compose(outer, inners, ring))
+    family = "be" if args.be else args.flavor or "bf"
+    outer = ElementParser(component(family, r), ring).parse(read_expr(args.exprs[0]))
+    inners = [
+        ElementParser(component(family, s), ring).parse(e) for s, e in zip(sizes, args.exprs[1:])
+    ]
+    emit(args, compose(family, outer, inners, ring))
 
 
 def cmd_partial_compose(args):

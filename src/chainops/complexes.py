@@ -23,13 +23,19 @@ A complex with a group states, next to `act_terms`, the law that makes
 its action a group action (`action_law`): the finite data the action
 depends on, checked through `act_terms` by `law_cases`.  `act` has the
 complex validate a group element from outside (`validate_acting`).
+
+`named_complex(family, n)` is the one map from a family's name to its
+complex; the CLI, the suites and the operads select complexes through it.
 """
 
+import sys
+from importlib import import_module
 from itertools import chain as _chain
 from itertools import product as _product
 
 from .elements import Element, add_terms, built, single
 from .errors import InvalidInput
+from .groups import ProductGroup
 
 
 class ChainComplex:
@@ -264,6 +270,31 @@ def law_cases(cplx, witnesses, normal=None, acts=None):
             yield (None if ok else where(x, s, h)), ok
 
 
+def named_complex(family, n):
+    """The complex of a family by name: a surjection flavor "aj", "bf" or
+    "ms" gives S^flavor(n), "eg" N(ESigma_n), "cyclic" N(EC_n), "minimal"
+    M(n) and "simplex" N(Delta^n).  Only that family's module is imported,
+    and its factory interns the complex, so one name and n give one object."""
+    if family in ("aj", "bf", "ms"):
+        return _family("surjections").surjection_complex(family, n)
+    if family in ("eg", "cyclic"):
+        maclane = _family("maclane")
+        return (maclane.sym_eg if family == "eg" else maclane.cyc_eg)(n)
+    if family == "minimal":
+        return _family("minimal").minimal_complex(n)
+    if family == "simplex":
+        return _family("simplex").simplex_complex(n)
+    raise InvalidInput(f"unknown complex family {family!r}")
+
+
+def _family(module):
+    """The package's module, imported on first use.  An import statement
+    costs about 2 us even once the module is loaded, and the operad engines
+    ask for a complex on every memo miss."""
+    name = f"{__package__}.{module}"
+    return sys.modules.get(name) or import_module(name)
+
+
 def boundary(x):
     return x.map_terms(x.complex.boundary_terms, degree_shift=-1)
 
@@ -305,8 +336,6 @@ class TensorComplex(ChainComplex):
         self.name = " (x) ".join(f.name for f in self.factors)
         groups = [getattr(f, "group", None) for f in self.factors]
         if all(g is not None for g in groups):
-            from .groups import ProductGroup
-
             self.group = ProductGroup(groups)
 
     def validate(self, gen):

@@ -13,7 +13,7 @@ from .complexes import ChainComplex, TensorComplex, law_cases
 from .elements import built
 from .errors import InvalidInput
 from .groups import CyclicGroup
-from .maclane import cyc_eg
+from .maclane import MacLaneComplex, cyc_eg
 from .rings import ZZ
 
 
@@ -166,8 +166,6 @@ def _cyc_between(a, x, c, n):
 
 def pi_from_EC(x):
     """The retraction pi: N_*(EC_n) -> M_* commuting with contractions."""
-    from .maclane import MacLaneComplex
-
     src = x.complex
     if not isinstance(src, MacLaneComplex):
         raise InvalidInput("pi_from_EC expects an element of N(EC_n)")

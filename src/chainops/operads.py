@@ -8,6 +8,10 @@ procedure.TwistedOperadMap, which be_engine and surj_engine build and
 engine_compose evaluates.  The ms and aj surjection structure maps are
 obtained by conjugating with the flavor isomorphisms.
 
+An operad is named by its family: "be" for Barratt-Eccles, a flavor for
+surjections.  component(family, n) is its arity-n component, through
+complexes.named_complex, and domain(family, arities) a composite's
+domain, memoized once for the closed composites and the engines alike.
 Every composite, closed or recursive, takes its inputs through one step,
 _tensor_input, which only checks them: it reads the arities from the
 inputs, holds them to the ring asked for (an engine's own), and tensors
@@ -15,10 +19,10 @@ them into the composite's domain, where tensor_elements refuses an input
 of another family or flavor.
 """
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations_with_replacement, product as _product
 
-from .complexes import TensorComplex, tensor_elements
+from .complexes import TensorComplex, named_complex, tensor_elements
 from .errors import InvalidInput
 from .perms import Perm, block_perm, koszul_sign
 from .rings import ZZ
@@ -47,21 +51,23 @@ def oplus(vs):
 
 # -- the one input step of the composites ---------------------------------------------
 
-# The closed composites' domains, memoized within a bound: building a
-# TensorComplex costs about as much as a small composite, and three rounds
-# of the operad benchmark make 2,376 lookups over 6 (family, arities) keys.
+# The composites' domains, memoized within a bound and shared by the closed
+# composites and the engines: building a TensorComplex costs about as much
+# as a small composite, and three rounds of the operad benchmark make 2,376
+# lookups over 6 (family, arities) keys.
 DOMAIN_MEMO = 64
 
 
+def component(family, n):
+    """The arity-n component of the family's operad: N(ESigma_n) for
+    Barratt-Eccles, family "be", else S^family(n)."""
+    return named_complex("eg" if family == "be" else family, n)
+
+
 @lru_cache(maxsize=DOMAIN_MEMO)
-def _domain(family, arities):
-    """N(ESigma_r) (x) N(ESigma_s1) (x) ... for family "be", else
-    S^family(r) (x) S^family(s1) (x) ...: a closed composite's domain."""
-    if family == "be":
-        from .maclane import sym_eg as component
-    else:
-        component = partial(surjection_complex, family)
-    return TensorComplex(tuple(map(component, arities)))
+def domain(family, arities):
+    """component(r) (x) component(s1) (x) ...: a composite's domain."""
+    return TensorComplex(tuple(component(family, n) for n in arities))
 
 
 def _arity(x):
@@ -72,19 +78,19 @@ def _arity(x):
         raise InvalidInput("an input is not in a component of an operad") from None
 
 
-def _tensor_input(domain, outer, inners, ring=None):
-    """(arities, outer (x) inner_1 (x) ... (x) inner_r in domain(arities))."""
+def _tensor_input(family, outer, inners, ring=None):
+    """(arities, outer (x) inner_1 (x) ... (x) inner_r in domain(family, arities))."""
     if ring is not None and ring != outer.ring:
         raise InvalidInput(f"inputs are over {outer.ring}, not {ring}")
     arities = (_arity(outer),) + tuple(map(_arity, inners))
     if arities[0] != len(inners):
         raise InvalidInput("outer arity does not match the number of inner inputs")
-    return arities, tensor_elements(domain(arities), outer, *inners)
+    return arities, tensor_elements(domain(family, arities), outer, *inners)
 
 
 def engine_compose(engine, outer, inners):
     """A TwistedOperadMap over its ring on elements (outer; inner_1, ..., inner_r)."""
-    arities, x = _tensor_input(engine.domain, outer, inners, engine.ring)
+    arities, x = _tensor_input(engine.family, outer, inners, engine.ring)
     return engine.apply(arities, x)
 
 
@@ -104,12 +110,10 @@ def be_compose_terms(gen, arities):
 def be_compose(outer, inners, ring=None):
     """O_E: N(ESigma_r) (x) N(ESigma_s1) (x) ... -> N(ESigma_s), closed form,
     over the inputs' ring."""
-    from .maclane import sym_eg
-
-    arities, x = _tensor_input(partial(_domain, "be"), outer, inners, ring)
+    arities, x = _tensor_input("be", outer, inners, ring)
     return x.map_terms(
         lambda gen: be_compose_terms(gen, arities),
-        codomain=sym_eg(sum(arities[1:])),
+        codomain=component("be", sum(arities[1:])),
     )
 
 
@@ -215,7 +219,7 @@ def surj_compose_terms(gen, arities):
 def surj_compose(flavor, outer, inners, ring=None):
     """O_S on S^flavor over the inputs' ring; bf natively, ms/aj by
     conjugating the isomorphisms."""
-    arities, x = _tensor_input(partial(_domain, flavor), outer, inners, ring)
+    arities, x = _tensor_input(flavor, outer, inners, ring)
     if flavor != "bf":
         outer_bf = iso(flavor, "bf", outer)
         inners_bf = [iso(flavor, "bf", y) for y in inners]
@@ -238,14 +242,21 @@ def partial_compose(flavor, i, x, y, ring=None):
     return surj_compose(flavor, x, inners, ring)
 
 
+def compose(family, outer, inners, ring=None):
+    """The closed structure map of the family's operad: be_compose for
+    family "be", else surj_compose on S^family."""
+    if family == "be":
+        return be_compose(outer, inners, ring)
+    return surj_compose(family, outer, inners, ring)
+
+
 def be_engine(ring=ZZ):
-    from .maclane import sym_eg
     from .procedure import TwistedOperadMap
 
-    return TwistedOperadMap(sym_eg, ring)
+    return TwistedOperadMap("be", ring)
 
 
 def surj_engine(flavor="bf", ring=ZZ):
     from .procedure import TwistedOperadMap
 
-    return TwistedOperadMap(partial(surjection_complex, flavor), ring)
+    return TwistedOperadMap(flavor, ring)

@@ -72,7 +72,7 @@ holds at x exactly when it holds at every tuple of x's class:
 
 from functools import partial
 
-from .complexes import TensorComplex, augment, boundary, contract
+from .complexes import augment, boundary, contract
 from .elements import Element, add_terms, built, collect
 from .errors import InvalidInput
 from .perms import koszul_permute, permute_by
@@ -227,25 +227,21 @@ class StandardHomotopy(RecursiveMap):
 
 class TwistedOperadMap(RecursiveMap):
     """The standard twisted-equivariant procedure structure map O_B,
-    memoized on (arities, basis tensor), on the family of complexes
-    component(n) (N(ESigma_n) for Barratt-Eccles, S(n) for surjections):
+    memoized on (arities, basis tensor), on the components of the family's
+    operad (operads.component: N(ESigma_n) for Barratt-Eccles, family
+    "be", S^flavor(n) for a surjection flavor):
     O_B(b) = H_s O_B(db) on basis tensors, extended by
-    O_B(g^ x) = O_Sigma(g^) O_B(tau_g x)."""
+    O_B(g^ x) = O_Sigma(g^) O_B(tau_g x).  Its domains are the closed
+    composites' own, operads.domain."""
 
-    def __init__(self, component, ring=ZZ):
-        from .operads import sigma_compose
+    def __init__(self, family, ring=ZZ):
+        from .operads import component, domain, sigma_compose
 
         super().__init__(ring)
-        self.component = component
+        self.family = family
+        self.component = partial(component, family)
+        self.domain = partial(domain, family)
         self._sigma_compose = sigma_compose
-        self._domains = {}
-
-    def domain(self, arities):
-        dom = self._domains.get(arities)
-        if dom is None:
-            factors = tuple(self.component(n) for n in arities)
-            dom = self._domains[arities] = TensorComplex(factors)
-        return dom
 
     def target(self, arities):
         return self.component(sum(arities[1:]))

@@ -16,7 +16,10 @@ checks when it runs: `contracted` the family of each complex it sweeps,
 `trpr` `maclane` and `morphisms`, `minimal` the minimal model,
 `operads` the operads (and `maclane` for the Barratt-Eccles components),
 `morphisms` `maclane`, `morphisms`, `operads` and `action`, `witnesses`
-and `action` their own modules.  So one `chainops verify` compiles only
+and `action` their own modules.  Complexes are named by family, through
+`complexes.named_complex` (a contraction task is (family, n, max_degree)),
+and operads by "be" or a flavor, through `operads.component` and
+`operads.compose`.  So one `chainops verify` compiles only
 the families its suite needs, and a function sent to a `--jobs` worker
 imports what it needs there.  A test that substitutes one of these
 functions patches the module that defines it.
@@ -33,7 +36,7 @@ check names list what was swept.
 
 from itertools import product as _product
 
-from .complexes import TensorComplex, boundary, contract
+from .complexes import TensorComplex, boundary, contract, named_complex
 from .elements import add_terms, reduce_terms
 from .errors import InvalidInput
 from .groups import SymmetricGroup
@@ -96,46 +99,26 @@ def contracted_suite(max_n=4, max_degree=4, jobs=1):
 
 
 def contraction_tasks(max_n, max_degree):
+    """(family, n, max_degree) for every complex the sweep checks; a
+    family is a complexes.named_complex name."""
     tasks = []
     for m in range(0, min(max_n, 4) + 1):
         tasks.append(("simplex", m, max_degree))
     for n in range(2, min(max_n, 4) + 1):
-        tasks.append(("eg-sym", n, max_degree))
+        tasks.append(("eg", n, max_degree))
     for n in range(2, 8):
-        tasks.append(("eg-cyc", n, max_degree))
+        tasks.append(("cyclic", n, max_degree))
     for n in (3, 5, 7):
         tasks.append(("minimal", n, max_degree))
     for flavor in ("aj", "bf", "ms"):
         for n in range(2, min(max_n, 4) + 1):
-            tasks.append((f"surj-{flavor}", n, max_degree))
+            tasks.append((flavor, n, max_degree))
     return tasks
 
 
-def complex_by_tag(tag, n):
-    if tag == "simplex":
-        from .simplex import simplex_complex
-
-        return simplex_complex(n)
-    if tag == "eg-sym":
-        from .maclane import sym_eg
-
-        return sym_eg(n)
-    if tag == "eg-cyc":
-        from .maclane import cyc_eg
-
-        return cyc_eg(n)
-    if tag == "minimal":
-        from .minimal import minimal_complex
-
-        return minimal_complex(n)
-    if tag.startswith("surj-"):
-        return surjection_complex(tag.split("-", 1)[1], n)
-    raise InvalidInput(f"unknown complex tag {tag}")
-
-
 def run_contraction_task(task):
-    tag, n, max_degree = task
-    cplx = complex_by_tag(tag, n)
+    family, n, max_degree = task
+    cplx = named_complex(family, n)
     report = verify_contracted(cplx, max_degree)
     return [
         Check(f"{cplx.name}: {c.name}", c.ok, c.counterexample, c.checked)
@@ -552,29 +535,15 @@ def sigma_suite(max_r=3, max_size=3, assoc_bound=3):
     return Report("symmetric group operad", checks)
 
 
-def _family_compose(kind, outer, inners, ring):
-    from .operads import be_compose, surj_compose
-
-    if kind == "be":
-        return be_compose(outer, inners, ring)
-    return surj_compose(kind, outer, inners, ring)
-
-
-def _family_component(kind, n):
-    if kind == "be":
-        from .maclane import sym_eg
-
-        return sym_eg(n)
-    return surjection_complex(kind, n)
-
-
 def family_associativity(kind, r, r_list, s_matrix, max_degree, ring=ZZ):
     """Both routes around the associativity square on all basis tensors of total degree
     <= max_degree; the regrouping isomorphism carries Koszul signs."""
-    comps = [_family_component(kind, r)]
+    from .operads import component, compose
+
+    comps = [component(kind, r)]
     for i in range(r):
-        comps.append(_family_component(kind, r_list[i]))
-        comps.extend(_family_component(kind, s) for s in s_matrix[i])
+        comps.append(component(kind, r_list[i]))
+        comps.extend(component(kind, s) for s in s_matrix[i])
 
     def squares():
         for gens, els in _tensors(comps, max_degree, ring):
@@ -587,16 +556,16 @@ def family_associativity(kind, r, r_list, s_matrix, max_degree, ring=ZZ):
                 ws.append(els[idx : idx + len(s_matrix[i])])
                 idx += len(s_matrix[i])
             # top: inner composites then outer
-            inner_vals = [_family_compose(kind, vs[i], ws[i], ring) for i in range(r)]
-            top = _family_compose(kind, u, inner_vals, ring)
+            inner_vals = [compose(kind, vs[i], ws[i], ring) for i in range(r)]
+            top = compose(kind, u, inner_vals, ring)
             # bottom: Koszul for moving each v_i left past earlier w-blocks
             exp = 0
             for i in range(1, r):
                 wdeg = sum(w.degree for row in ws[:i] for w in row)
                 exp += vs[i].degree * wdeg
-            mid = _family_compose(kind, u, vs, ring)
+            mid = compose(kind, u, vs, ring)
             flat = [w for row in ws for w in row]
-            bottom = (-1) ** exp * _family_compose(kind, mid, flat, ring)
+            bottom = (-1) ** exp * compose(kind, mid, flat, ring)
             yield gens, top == bottom
 
     return first_fail(
@@ -605,25 +574,27 @@ def family_associativity(kind, r, r_list, s_matrix, max_degree, ring=ZZ):
     )
 
 
-def _recursive_vs_closed(kind, engine, max_degree):
-    from .operads import engine_compose
+def _recursive_vs_closed(engine, max_degree):
+    from .operads import component, compose, engine_compose
 
     for sizes in ((1, 2), (2, 2)):
-        comps = [_family_component(kind, n) for n in (2,) + sizes]
+        comps = [component(engine.family, n) for n in (2,) + sizes]
         for gens, els in _tensors(comps, max_degree):
-            closed = _family_compose(kind, els[0], els[1:], ZZ)
+            closed = compose(engine.family, els[0], els[1:], ZZ)
             yield (sizes,) + gens, engine_compose(engine, els[0], els[1:]) == closed
 
 
 def _unit_axioms():
+    from .operads import component, compose
+
     for kind in ("be", "bf"):
-        unit = _family_component(kind, 1).basepoint(ZZ)
-        comp2 = _family_component(kind, 2)
+        unit = component(kind, 1).basepoint(ZZ)
+        comp2 = component(kind, 2)
         for k in range(0, 3):
             for b in comp2.basis(k):
                 el = comp2.el(ZZ, b)
-                yield (kind, b, "right unit"), _family_compose(kind, el, [unit, unit], ZZ) == el
-                yield (kind, b, "left unit"), _family_compose(kind, unit, [el], ZZ) == el
+                yield (kind, b, "right unit"), compose(kind, el, [unit, unit], ZZ) == el
+                yield (kind, b, "left unit"), compose(kind, unit, [el], ZZ) == el
 
 
 def _clean_outputs():
@@ -668,11 +639,11 @@ def operads_suite(max_degree=2):
     )
 
     # recursive engines against closed forms
-    for kind, engine in (("be", be_engine()), ("bf", surj_engine("bf"))):
+    for engine in (be_engine(), surj_engine("bf")):
         checks.append(
             first_fail(
-                f"{kind} recursive = closed at (2;1,2),(2;2,2), deg<={max_degree}",
-                _recursive_vs_closed(kind, engine, max_degree),
+                f"{engine.family} recursive = closed at (2;1,2),(2;2,2), deg<={max_degree}",
+                _recursive_vs_closed(engine, max_degree),
             )
         )
 

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from .complexes import ChainComplex, law_cases, nondegenerate_words
 from .errors import InvalidInput
+from .groups import SymmetricGroup
 from .perms import Perm, perm_of_word
 
 FLAVORS = ("aj", "bf", "ms")
@@ -101,8 +102,6 @@ class SurjectionComplex(ChainComplex):
             raise InvalidInput(f"unknown flavor {flavor!r}")
         if n < 1:
             raise InvalidInput("arity must be >= 1")
-        from .groups import SymmetricGroup
-
         self.flavor = flavor
         self.n = n
         self.group = SymmetricGroup(n)

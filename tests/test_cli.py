@@ -171,6 +171,26 @@ def test_cli_invalid_input_exit_2():
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("boundary", "(1,2)"),
+            "select a complex: --flavor/--n, --eg, --cyclic, --minimal, or --simplex",
+        ),
+        (("boundary", "--flavor", "bf", "(1,2)"), "--flavor needs --n"),
+        (("aw", "(0,1)", "(0,1)"), "aw/ez need --simplex or --eg/--cyclic"),
+        (("diagonal", "--flavor", "bf", "--n", "2", "(1,2)"), "no diagonal for S^bf(2)"),
+        (("act", "--simplex", "2", "--g", "1", "(0,1)"), "N(Delta^2) carries no group action"),
+    ],
+)
+def test_cli_complex_selection_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_guard_exit_3():
     out = run_cli(
         "bf-action",
@@ -643,6 +663,31 @@ NOT_LOADED = {
     "boundary-simplex": (
         ("boundary", "--simplex", "2", "(0,1,2)"),
         {"action", "maclane", "minimal", "morphisms", "operads", "procedure", "suites"},
+    ),
+    "boundary-eg": (
+        ("boundary", "--eg", "3", "(1 2 3; 2 1 3)"),
+        {"action", "minimal", "morphisms", "operads", "procedure", "simplex", "suites",
+         "surjections", "witnesses"},
+    ),
+    "boundary-minimal": (
+        ("boundary", "--minimal", "3", "(0,2)"),
+        {"action", "morphisms", "operads", "procedure", "simplex", "suites", "surjections",
+         "witnesses"},
+    ),
+    "aw-simplex": (
+        ("aw", "--simplex", "2", "(0,1)", "(1,2)"),
+        {"action", "maclane", "minimal", "morphisms", "operads", "procedure", "suites",
+         "surjections", "witnesses"},
+    ),
+    "ez-cyclic": (
+        ("ez", "--cyclic", "2", "(0,1)", "(1,0)"),
+        {"action", "minimal", "morphisms", "operads", "procedure", "suites", "surjections",
+         "witnesses"},
+    ),
+    "diagonal-minimal": (
+        ("diagonal", "--minimal", "3", "(0,2)"),
+        {"action", "morphisms", "operads", "procedure", "simplex", "suites", "surjections",
+         "witnesses"},
     ),
     "tr": (
         ("tr", "--n", "3", "(1 2 3; 2 3 1)"),

@@ -392,9 +392,10 @@ def test_generators_generate_every_group():
 
 
 def test_generator_sweep_agrees_with_brute_force():
-    from chainops.suites import complex_by_tag, contraction_tasks
+    from chainops.complexes import named_complex
+    from chainops.suites import contraction_tasks
 
-    complexes = [complex_by_tag(tag, n) for tag, n, _ in contraction_tasks(3, 3)]
+    complexes = [named_complex(family, n) for family, n, _ in contraction_tasks(3, 3)]
     complexes += [
         TensorComplex((surjection_complex("bf", 2),) * 3),
         TensorComplex((sym_eg(2),) * 3),
@@ -615,9 +616,10 @@ class ActionOffDegree(MacLaneComplex):
 
 
 def test_one_pass_matches_four_pass_oracle():
-    from chainops.suites import complex_by_tag, contraction_tasks
+    from chainops.complexes import named_complex
+    from chainops.suites import contraction_tasks
 
-    complexes = [(complex_by_tag(tag, n), 3) for tag, n, _ in contraction_tasks(3, 3)]
+    complexes = [(named_complex(family, n), 3) for family, n, _ in contraction_tasks(3, 3)]
     complexes += [
         (TensorComplex((surjection_complex("bf", 2),) * 3), 2),
         (TensorComplex((sym_eg(2),) * 3), 2),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainops.complexes import TensorComplex, act, boundary
+from chainops.complexes import TensorComplex, act, boundary, named_complex
 from chainops.elements import Element
 from chainops import errors
 from chainops.errors import GuardExceeded, InvalidInput, check_guard, set_term_guard, term_guard
@@ -518,21 +518,40 @@ def test_non_permutations_are_refused_with_their_message(capsys):
 def _contracted_families():
     from chainops.suites import contraction_tasks
 
-    return sorted({(tag, n) for tag, n, _ in contraction_tasks(4, 4)})
+    return sorted({(family, n) for family, n, _ in contraction_tasks(4, 4)})
+
+
+def test_named_complex_is_the_interned_complex():
+    """Each family the contraction sweep names gives the very object its
+    factory interns, as map_terms's `image.complex is target` shortcut
+    needs."""
+    from chainops.maclane import cyc_eg
+    from chainops.minimal import minimal_complex
+
+    factories = {"simplex": simplex_complex, "eg": sym_eg, "cyclic": cyc_eg,
+                 "minimal": minimal_complex}
+    for family, n in _contracted_families():
+        factory = factories.get(family) or functools.partial(surjection_complex, family)
+        assert named_complex(family, n) is factory(n)
+    assert {family for family, _ in _contracted_families()} == {
+        "simplex", "eg", "cyclic", "minimal", "aj", "bf", "ms"
+    }
+
+
+@pytest.mark.parametrize("family", ["be", "eg-sym", "surj-bf", "BF", "", None])
+def test_named_complex_refuses_an_unknown_family(family):
+    with pytest.raises(InvalidInput, match="unknown complex family"):
+        named_complex(family, 3)
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_of(tag, n, k):
-    from chainops.suites import complex_by_tag
-
-    return list(complex_by_tag(tag, n).basis(k))
+def _basis_of(family, n, k):
+    return list(named_complex(family, n).basis(k))
 
 
 @functools.lru_cache(maxsize=None)
-def _group_elements(tag, n):
-    from chainops.suites import complex_by_tag
-
-    return list(complex_by_tag(tag, n).group.elements())
+def _group_elements(family, n):
+    return list(named_complex(family, n).group.elements())
 
 
 @settings(max_examples=300, deadline=None)
@@ -540,19 +559,17 @@ def _group_elements(tag, n):
 def test_structure_maps_emit_valid_generators(data):
     """Every raw generator d, h, rho and the action build from a basis
     generator passes validation: canonical and normalize agree on it."""
-    from chainops.suites import complex_by_tag
-
-    tag, n = data.draw(st.sampled_from(_contracted_families()))
-    cplx = complex_by_tag(tag, n)
+    family, n = data.draw(st.sampled_from(_contracted_families()))
+    cplx = named_complex(family, n)
     # N(ESigma_4) has 292,008 generators in degree 3; degree 2 is enough there
-    k = data.draw(st.integers(0, 2 if tag == "eg-sym" else 3))
-    basis = _basis_of(tag, n, k)
+    k = data.draw(st.integers(0, 2 if family == "eg" else 3))
+    basis = _basis_of(family, n, k)
     if not basis:
         return
     gen = data.draw(st.sampled_from(basis))
     raw = cplx.boundary_terms(gen) + cplx.contraction_terms(gen) + cplx.rho_terms(gen)
     if cplx.group is not None:
-        g = data.draw(st.sampled_from(_group_elements(tag, n)))
+        g = data.draw(st.sampled_from(_group_elements(family, n)))
         raw += cplx.act_terms(g, gen)
     for _, r in raw:
         assert cplx.canonical(r) == cplx.normalize(r)

@@ -18,6 +18,8 @@ from chainops.morphisms import fundamental_simplex, table_reduction
 from chainops.operads import (
     be_compose,
     be_engine,
+    component,
+    domain,
     engine_compose,
     k_divisions,
     oplus,
@@ -586,12 +588,25 @@ def test_ms_aj_degree_zero_against_sigma():
 
 
 def test_dropped_engine_is_freed():
-    engine = TwistedOperadMap(S)
+    engine = TwistedOperadMap("bf")
     assert engine.domain((2, 1, 2)) is engine.domain((2, 1, 2))
     ref = weakref.ref(engine)
     del engine
     gc.collect()
     assert ref() is None
+
+
+def test_engines_read_the_composites_domains():
+    """An engine's domains are the closed composites' own, from the one
+    bounded memo, on the components its family names."""
+    for family, engine in (("be", be_engine()), ("ms", surj_engine("ms", GF(3)))):
+        for arities in ((2, 1, 2), (3, 2, 1, 1)):
+            assert engine.domain(arities) is domain(family, arities)
+            assert domain(family, arities).factors == tuple(
+                component(family, n) for n in arities
+            )
+    assert component("be", 3) is sym_eg(3)
+    assert component("bf", 3) is S(3)
 
 
 
