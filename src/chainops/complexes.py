@@ -32,6 +32,7 @@ import sys
 from importlib import import_module
 from itertools import chain as _chain
 from itertools import product as _product
+from math import prod
 
 from .elements import Element, add_terms, built, single
 from .errors import InvalidInput
@@ -276,21 +277,21 @@ def named_complex(family, n):
     M(n) and "simplex" N(Delta^n).  Only that family's module is imported,
     and its factory interns the complex, so one name and n give one object."""
     if family in ("aj", "bf", "ms"):
-        return _family("surjections").surjection_complex(family, n)
+        return package_module("surjections").surjection_complex(family, n)
     if family in ("eg", "cyclic"):
-        maclane = _family("maclane")
+        maclane = package_module("maclane")
         return (maclane.sym_eg if family == "eg" else maclane.cyc_eg)(n)
     if family == "minimal":
-        return _family("minimal").minimal_complex(n)
+        return package_module("minimal").minimal_complex(n)
     if family == "simplex":
-        return _family("simplex").simplex_complex(n)
+        return package_module("simplex").simplex_complex(n)
     raise InvalidInput(f"unknown complex family {family!r}")
 
 
-def _family(module):
+def package_module(module):
     """The package's module, imported on first use.  An import statement
-    costs about 2 us even once the module is loaded, and the operad engines
-    ask for a complex on every memo miss."""
+    costs about 2 us even once the module is loaded, and the operad
+    composites ask for one on every generator."""
     name = f"{__package__}.{module}"
     return sys.modules.get(name) or import_module(name)
 
@@ -437,13 +438,8 @@ class TensorComplex(ChainComplex):
                 yield f"factor {i}: {case}", ok
 
     def decompose(self, gen):
-        gs, coeff, bs = [], 1, []
-        for f, g in zip(self.factors, gen):
-            gi, ci, bi = f.decompose(g)
-            gs.append(gi)
-            coeff *= ci
-            bs.append(bi)
-        return tuple(gs), coeff, tuple(bs)
+        gs, coeffs, bs = zip(*[f.decompose(g) for f, g in zip(self.factors, gen)])
+        return gs, prod(coeffs), bs
 
     def __eq__(self, other):
         return isinstance(other, TensorComplex) and other.factors == self.factors
@@ -467,17 +463,19 @@ def tensor_elements(target, *xs):
 
     The factors' generators are normal and the target normalises factor by
     factor, so every tensor of them is normal and no two are equal: the
-    terms are built as they are, and only the coefficient products are
-    reduced in the ring."""
+    terms are built as they are, factor by factor, and only the
+    coefficient products are reduced in the ring."""
     if len(xs) != len(target.factors):
         raise InvalidInput(f"{target.name} has {len(target.factors)} factors, not {len(xs)}")
-    ring = xs[0].ring
+    ring, degree = xs[0].ring, 0
     for f, x in zip(target.factors, xs):
         if x.complex is not f and x.complex != f:
             raise InvalidInput(f"an element of {x.complex} is not in the factor {f}")
         if x.ring != ring:
             raise InvalidInput("tensoring elements over different rings")
-    degree = sum(x.degree for x in xs)
-    parts = [[(c, g) for g, c in x.terms.items()] for x in xs]
-    terms = {g: nc for c, g in _tensor_terms(parts) if (nc := ring.normalize(c))}
+        degree += x.degree
+    pairs = [((), 1)]
+    for x in xs:
+        pairs = [(t + (g,), c * xc) for t, c in pairs for g, xc in x.terms.items()]
+    terms = {t: nc for t, c in pairs if (nc := ring.normalize(c))}
     return Element(target, ring, degree, terms, _clean=True)

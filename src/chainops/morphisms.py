@@ -7,6 +7,7 @@ surjection to its Eilenberg-Zilber-triangulated prism, vertexwise
 converted to permutations, with flavor signs c(x) and p(x).
 """
 
+from .complexes import package_module
 from .errors import InvalidInput
 from .maclane import MacLaneComplex, sym_eg
 from .perms import Perm
@@ -26,18 +27,19 @@ def table_rows(X):
     that earlier rows gave up (each row's taken entries but its last),
     contributes its first a_j entries, so a_j is at most its length."""
     last = len(X) - 1
+    out = []
 
     def rec(j, left, dead, prefix):
-        row = [v for v in X[j] if v not in dead]
+        row = tuple([v for v in X[j] if v not in dead]) if dead else X[j]
         if j == last:
             if (2 if last else 1) <= left <= len(row):
-                yield tuple(prefix + row[:left])
+                out.append(prefix + row[:left])
             return
         for a in range(1, min(len(row), left - (last - j)) + 1):
-            take = row[:a]
-            yield from rec(j + 1, left - a, dead.union(take[:-1]), prefix + take)
+            rec(j + 1, left - a, dead + row[: a - 1], prefix + row[:a])
 
-    return rec(0, len(X[0]) + last, frozenset(), [])
+    rec(0, len(X[0]) + last, (), ())
+    return out
 
 def table_reduction_terms(flavor, X):
     """All partition summands of TR(X), each with the sign of the iso
@@ -93,14 +95,12 @@ def base_simplex(x):
 
 def prism_terms(x):
     """EZ triangulation of Prism(x) pushed into N(ESigma_n): the ms prism map."""
-    from .simplex import shuffle_words
-
     n = max(x)
     counts = [0] * n
     for w in caesura_word(x):
         counts[w - 1] += 1
     out = []
-    for sign, word in shuffle_words(counts):
+    for sign, word in package_module("simplex").shuffle_words(counts):
         simplex = path_simplex(x, tuple(v + 1 for v in word))
         out.append((sign, simplex))
     return out

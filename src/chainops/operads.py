@@ -16,17 +16,21 @@ Every composite, closed or recursive, takes its inputs through one step,
 _tensor_input, which only checks them: it reads the arities from the
 inputs, holds them to the ring asked for (an engine's own), and tensors
 them into the composite's domain, where tensor_elements refuses an input
-of another family or flavor.
+of another family or flavor and builds the tensor factor by factor.  The
+closed surjection composite reads the outer input's first-occurrence
+permutation straight from the generator, and its caesura-shuffle sign in
+one pass; the engine splits a tensor in one decomposition per factor
+(procedure.TwistedOperadMap.split).
 """
 
 from functools import lru_cache
 from itertools import combinations_with_replacement, product as _product
 
-from .complexes import TensorComplex, named_complex, tensor_elements
+from .complexes import TensorComplex, named_complex, package_module, tensor_elements
 from .errors import InvalidInput
 from .perms import Perm, block_perm, koszul_sign
 from .rings import ZZ
-from .surjections import caesuras, iso, surjection_complex
+from .surjections import first_occurrence_perm, iso, surjection_complex
 
 
 def sigma_compose(u, vs):
@@ -99,11 +103,9 @@ def engine_compose(engine, outer, inners):
 
 def be_compose_terms(gen, arities):
     """EZ of the tuple tensor followed by vertexwise O_Sigma."""
-    from .simplex import ez_columns
-
     return [
         (sign, tuple(sigma_compose(col[0], list(col[1:])) for col in cols))
-        for sign, cols in ez_columns(gen)
+        for sign, cols in package_module("simplex").ez_columns(gen)
     ]
 
 
@@ -160,15 +162,22 @@ def division_sign(dx, x_caesura_pos, tags):
     An x-caesura (rank 0) preceded by any y-caesura is an inversion, and
     so is a y_j-caesura preceded by a y_i-caesura with i > j; omitting
     the second kind breaks d.Phi = Phi.d at total degree 3.
+
+    One pass from the right: an entry is a caesura when its value was met,
+    and a caesura makes an inversion with every caesura of lower rank to
+    its right.
     """
-    word = [
-        0 if p in x_caesura_pos else tags[p - 1] for p in caesuras(dx)
-    ]
+    met = set()
+    below = [0] * (max(tags) + 1)
     count = 0
-    for a in range(len(word)):
-        for b in range(a + 1, len(word)):
-            if word[a] > word[b]:
-                count += 1
+    for p in range(len(dx), 0, -1):
+        v = dx[p - 1]
+        if v not in met:
+            met.add(v)
+            continue
+        rank = 0 if p in x_caesura_pos else tags[p - 1]
+        count += sum(below[:rank])
+        below[rank] += 1
     return -1 if count % 2 else 1
 
 
@@ -200,10 +209,8 @@ def surj_compose_terms(gen, arities):
     the Koszul sign kappa of the tau_g factor permutation.
     """
     x, ys = gen[0], list(gen[1:])
-    r = arities[0]
     sizes = list(arities[1:])
-    comp = surjection_complex("bf", r)
-    g = comp.first_occurrence_perm(x)
+    g = first_occurrence_perm(x)
     if g.is_identity():
         return surj_compose_bf_terms(x, ys)
     degrees = [len(y) - s for y, s in zip(ys, sizes)]

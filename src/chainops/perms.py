@@ -121,8 +121,8 @@ def koszul_sign(g, degrees):
 def permute_by(g, values):
     """Left action of g on a list of positioned values: slot g(i) gets values[i-1]."""
     out = [None] * len(values)
-    for i, v in enumerate(values, start=1):
-        out[g(i) - 1] = v
+    for gi, v in zip(g, values):
+        out[gi - 1] = v
     return out
 
 

@@ -75,7 +75,7 @@ from functools import partial
 from .complexes import augment, boundary, contract
 from .elements import Element, add_terms, built, collect
 from .errors import InvalidInput
-from .perms import koszul_permute, permute_by
+from .perms import perm_of_word, permute_by
 from .rings import ZZ
 
 
@@ -232,7 +232,10 @@ class TwistedOperadMap(RecursiveMap):
     "be", S^flavor(n) for a surjection flavor):
     O_B(b) = H_s O_B(db) on basis tensors, extended by
     O_B(g^ x) = O_Sigma(g^) O_B(tau_g x).  Its domains are the closed
-    composites' own, operads.domain."""
+    composites' own, operads.domain.  A tensor is split by one
+    decomposition of each factor; tau_g reorders the inner factors and
+    their arities once each, with the sign of g^-1 read on the odd-degree
+    inner slots."""
 
     def __init__(self, family, ring=ZZ):
         from .operads import component, domain, sigma_compose
@@ -258,16 +261,18 @@ class TwistedOperadMap(RecursiveMap):
 
     def split(self, gen, arities):
         """O_B(g^ x) = O_Sigma(g^) O_B(tau_g x): the inner inputs of the
-        basis tensor are reordered by g^-1 with its Koszul sign."""
+        basis tensor and their arities are reordered by g^-1, with its
+        Koszul sign, the sign of the word g^-1 reads on the odd inner slots."""
         dom = self.domain(arities)
         ghat, coeff, b = dom.decompose(gen)
         g, hs = ghat[0], ghat[1:]
         inner = b[1:]
         if not g.is_identity():
             ginv = g.inverse()
-            degrees = [f.degree_of(y) for f, y in zip(dom.factors[1:], inner)]
-            sign, inner = koszul_permute(ginv, inner, degrees)
-            coeff *= sign
+            coeff *= perm_of_word(
+                [v for v, f, y in zip(ginv, dom.factors[1:], inner) if f.degree_of(y) % 2]
+            )
+            inner = tuple(permute_by(ginv, inner))
             arities = (arities[0],) + tuple(permute_by(ginv, arities[1:]))
         osig = self._sigma_compose(g, list(hs))
         return (arities, (b[0],) + inner), coeff, None if osig.is_identity() else osig

@@ -239,19 +239,26 @@ class SurjectionComplex(ChainComplex):
 
         yield from words((), 0)
 
-    def first_occurrence_perm(self, gen):
-        seen = []
-        for v in gen:
-            if v not in seen:
-                seen.append(v)
-        return Perm._trusted(seen)
-
     def decompose(self, gen):
-        g = self.first_occurrence_perm(gen)
+        """gen = sign * (g . b): g the first-occurrence permutation and b
+        gen relabelled by g^-1, both read in one pass (the rank of a value
+        is its g^-1), and the sign of the family's action formula on b,
+        which is 1 for bf."""
+        rank = [0] * (self.n + 1)
+        firsts = []
+        b = []
+        for v in gen:
+            r = rank[v]
+            if not r:
+                firsts.append(v)
+                r = rank[v] = len(firsts)
+            b.append(r)
+        g = Perm._trusted(firsts)
         if g.is_identity():
             return g, 1, gen
-        ginv = g.inverse()
-        b = tuple([ginv[v - 1] for v in gen])
+        b = tuple(b)
+        if self.flavor == "bf":
+            return g, 1, b
         (sign, _), = self.act_terms(g, b)
         return g, sign, b
 
@@ -271,12 +278,18 @@ def surjection_complex(flavor, n):
     return SurjectionComplex(flavor, n)
 
 
-def is_basis_gen(x):
-    """First occurrences of 1, 2, ..., n appear in that order."""
+def first_occurrence_perm(x):
+    """The values of x in the order of their first occurrences."""
     seen = []
     for v in x:
         if v not in seen:
             seen.append(v)
+    return Perm._trusted(seen)
+
+
+def is_basis_gen(x):
+    """First occurrences of 1, 2, ..., n appear in that order."""
+    seen = list(first_occurrence_perm(x))
     return seen == sorted(seen)
 
 

@@ -434,6 +434,55 @@ def test_engines_twist_values_term_by_term(ring):
         assert value == closed()
 
 
+def _count_calls(monkeypatch, owner, name, calls, key):
+    """Count the calls to owner.name, an instance's method or a module's
+    function, in calls[key]."""
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls[key] = calls.get(key, 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_each_operad_tensor_is_decomposed_once(monkeypatch):
+    # a warm engine on a twisted (2,2,2) basis tensor decomposes it once,
+    # each factor once, and reads no bf decomposition sign from act_terms
+    # (the twist acts on the value, in S(4), which is not counted)
+    engine = surj_engine("bf", GF(5))
+    gen = ((2, 1, 2), (1, 2, 1), (2, 1))
+    x, ys = S(2).el(GF(5), gen[0]), [S(2).el(GF(5), y) for y in gen[1:]]
+    want = engine_compose(engine, x, ys)
+    assert engine.split(gen, (2, 2, 2))[2] is not None
+    calls = {}
+    _count_calls(monkeypatch, domain("bf", (2, 2, 2)), "decompose", calls, "tensor")
+    _count_calls(monkeypatch, S(2), "decompose", calls, "factor")
+    _count_calls(monkeypatch, S(2), "act_terms", calls, "act_terms")
+    assert engine_compose(engine, x, ys) == want
+    assert calls == {"tensor": 1, "factor": 3}
+
+
+def test_surj_compose_reads_no_factory_per_generator(monkeypatch):
+    # the complexes a composite reads are found once per call: a sum of
+    # many tensors, most of them twisted, asks the factory as often as one
+    import chainops.operads
+    import chainops.surjections
+
+    x = sum((S(3).el(ZZ, g) for g in S(3).basis(2)), S(3).zero(ZZ, 2))
+    ys = [S(2).el(ZZ, (1, 2, 1)), S(1).el(ZZ, (1,)), S(2).el(ZZ, (2, 1))]
+    counts = []
+    for outer in (S(3).el(ZZ, (2, 1, 3, 1, 3)), x):
+        surj_compose("bf", outer, ys)
+        calls = {}
+        for module in (chainops.operads, chainops.surjections):
+            _count_calls(monkeypatch, module, "surjection_complex", calls, "factory")
+        surj_compose("bf", outer, ys)
+        monkeypatch.undo()
+        counts.append(calls.get("factory", 0))
+    assert len(x) > 30 and counts[0] == counts[1] <= 1, counts
+
+
 @pytest.mark.parametrize("ring", [ZZ, GF(5)], ids=str)
 def test_engines_trip_the_term_guard_on_twisted_inputs(ring):
     # cold engines under a fixed guard trip where the recursion first

@@ -2,21 +2,36 @@
 basis enumerators against the straightforward versions they replaced: the
 caesura scan, the sign tables and the contraction rebuilt from scratch for
 every q, the recursive enumerators, and the F[G]-bases filtered out of the
-whole basis.  The oracles are kept here, apart
+whole basis.  Likewise the kernels of the operad composites and engines:
+table rows, decompositions, the twisted split, the caesura-shuffle sign
+and the tensor input.  The oracles are kept here, apart
 from the library, and must agree term by term and in order.  Also: no
 family has generators (or relabelling classes) in negative degree, and
 enumeration is lazy."""
 
 import time
-from itertools import zip_longest
+from functools import lru_cache
+from itertools import product, zip_longest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainops.complexes import TensorComplex
+from chainops.complexes import TensorComplex, tensor_elements
 from chainops.groups import CyclicGroup, ProductGroup, SymmetricGroup
 from chainops.maclane import coinvariant_complex, cyc_eg, maclane_complex, sym_eg
 from chainops.minimal import minimal_complex
+from chainops.morphisms import table_rows
+from chainops.operads import (
+    be_engine,
+    division_sign,
+    division_substitution,
+    k_divisions,
+    sigma_compose,
+    surj_compose_terms,
+    surj_engine,
+)
+from chainops.perms import Perm, block_perm, koszul_sign
+from chainops.rings import GF, ZZ
 from chainops.simplex import product_complex, simplex_complex
 from chainops.surjections import (
     FLAVORS,
@@ -263,3 +278,238 @@ def test_enumeration_is_lazy():
         first = next(iter(cplx.basis(degree)))
         assert time.perf_counter() - start < 0.5
         assert first == next(oracle)
+
+
+# -- the operad tensor kernels ------------------------------------------------------
+#
+# The bookkeeping every operad composite and engine does on one tensor, against
+# the versions it replaced: row extraction as nested generators over frozenset
+# unions, a surjection's decomposition as first occurrences, inverse and the
+# action formula's sign, the twisted split through a Koszul-permuted tuple, the
+# pairwise caesura-shuffle count and the tensor input as an itertools product.
+
+# The operad benchmark's shapes: (family, arities, max degree).
+OPERAD_SHAPES = (
+    ("bf", (2, 2, 2), 3),
+    ("bf", (2, 1, 3), 2),
+    ("bf", (3, 1, 2, 1), 2),
+    ("be", (2, 2, 2), 2),
+    ("be", (2, 1, 3), 1),
+    ("be", (3, 2, 1, 1), 1),
+)
+
+
+def table_rows_oracle(X):
+    last = len(X) - 1
+
+    def rec(j, left, dead, prefix):
+        row = [v for v in X[j] if v not in dead]
+        if j == last:
+            if (2 if last else 1) <= left <= len(row):
+                yield tuple(prefix + row[:left])
+            return
+        for a in range(1, min(len(row), left - (last - j)) + 1):
+            take = row[:a]
+            yield from rec(j + 1, left - a, dead.union(take[:-1]), prefix + take)
+
+    return rec(0, len(X[0]) + last, frozenset(), [])
+
+
+def first_occurrences_oracle(gen):
+    seen = []
+    for v in gen:
+        if v not in seen:
+            seen.append(v)
+    return Perm(seen)
+
+
+def decompose_oracle(cplx, gen):
+    """A surjection as g . b through the complex's own action formula."""
+    g = first_occurrences_oracle(gen)
+    if g.is_identity():
+        return g, 1, gen
+    ginv = g.inverse()
+    b = tuple([ginv[v - 1] for v in gen])
+    (sign, _), = cplx.act_terms(g, b)
+    return g, sign, b
+
+
+def tensor_decompose_oracle(dom, gen):
+    gs, coeff, bs = [], 1, []
+    for f, g in zip(dom.factors, gen):
+        gi, ci, bi = decompose_oracle(f, g) if isinstance(f, SurjectionComplex) else f.decompose(g)
+        gs.append(gi)
+        coeff *= ci
+        bs.append(bi)
+    return tuple(gs), coeff, tuple(bs)
+
+
+def left_action_oracle(g, values):
+    """Slot g(i) gets values[i - 1]."""
+    out = [None] * len(values)
+    for i, v in enumerate(values, start=1):
+        out[g(i) - 1] = v
+    return tuple(out)
+
+
+def split_oracle(dom, gen, arities):
+    ghat, coeff, b = tensor_decompose_oracle(dom, gen)
+    g, hs = ghat[0], ghat[1:]
+    inner = b[1:]
+    if not g.is_identity():
+        ginv = g.inverse()
+        degrees = [f.degree_of(y) for f, y in zip(dom.factors[1:], inner)]
+        coeff *= koszul_sign(ginv, degrees)
+        inner = left_action_oracle(ginv, inner)
+        arities = (arities[0],) + left_action_oracle(ginv, arities[1:])
+    osig = sigma_compose(g, list(hs))
+    return (arities, (b[0],) + inner), coeff, None if osig.is_identity() else osig
+
+
+def division_sign_oracle(dx, x_caesura_pos, tags):
+    word = [0 if p in x_caesura_pos else tags[p - 1] for p in caesuras_oracle(dx)]
+    count = 0
+    for a in range(len(word)):
+        for b in range(a + 1, len(word)):
+            if word[a] > word[b]:
+                count += 1
+    return -1 if count % 2 else 1
+
+
+def surj_compose_terms_oracle(gen, arities):
+    x, ys = gen[0], list(gen[1:])
+    sizes = list(arities[1:])
+    g = first_occurrences_oracle(x)
+    if not g.is_identity():
+        ginv = g.inverse()
+        kappa = koszul_sign(ginv, [len(y) - s for y, s in zip(ys, sizes)])
+        x, ys = tuple([ginv[v - 1] for v in x]), [ys[v - 1] for v in g]
+    counts = [x.count(v) for v in range(1, len(ys) + 1)]
+    shifts = [sum(max(y) for y in ys[:i]) for i in range(len(ys))]
+    shifted = [tuple(v + s for v in y) for y, s in zip(ys, shifts)]
+    out = []
+    for combo in product(*(list(k_divisions(y, k)) for y, k in zip(shifted, counts))):
+        dx, xpos, tags = division_substitution(x, combo)
+        out.append((division_sign_oracle(dx, xpos, tags), dx))
+    if g.is_identity():
+        return out
+    blocks = block_perm(g, sizes)
+    return [(kappa * c, tuple([blocks[v - 1] for v in t])) for c, t in out]
+
+
+def tensor_oracle(xs):
+    """(generator, coefficient) pairs of x_1 (x) ... (x) x_k, in order."""
+    ring = xs[0].ring
+    out = []
+    for combo in product(*[[(c, g) for g, c in x.terms.items()] for x in xs]):
+        coeff = 1
+        for c, _ in combo:
+            coeff *= c
+        if ring.normalize(coeff):
+            out.append((tuple(g for _, g in combo), ring.normalize(coeff)))
+    return out
+
+
+def shape_domain(family, arities):
+    return TensorComplex(tuple(sym_eg(n) if family == "be" else surjection_complex(family, n) for n in arities))
+
+
+def assert_operad_kernels_match(family, arities, gen, engine):
+    dom = shape_domain(family, arities)
+    assert dom.decompose(gen) == tensor_decompose_oracle(dom, gen)
+    assert engine.split(gen, arities) == split_oracle(dom, gen, arities)
+    if family == "bf":
+        assert surj_compose_terms(gen, arities) == surj_compose_terms_oracle(gen, arities)
+
+
+def test_table_rows_match_oracle():
+    for n, max_degree in ((3, 3), (4, 2)):
+        for degree in range(max_degree + 1):
+            for X in sym_eg(n).basis(degree):
+                assert table_rows(X) == list(table_rows_oracle(X)), X
+
+
+def test_surjection_decompositions_match_oracle():
+    for flavor in FLAVORS:
+        for n in range(1, 5):
+            S = surjection_complex(flavor, n)
+            for degree in range(4):
+                for gen in S.basis(degree):
+                    got = S.decompose(gen)
+                    assert got == decompose_oracle(S, gen), (S, gen)
+                    assert type(got[0]) is Perm
+
+
+def test_operad_tensor_kernels_match_oracles_on_the_workload_shapes():
+    engines = {"bf": surj_engine("bf"), "be": be_engine()}
+    for family, arities, max_degree in OPERAD_SHAPES:
+        dom = shape_domain(family, arities)
+        for degree in range(max_degree + 1):
+            for gen in dom.basis(degree):
+                assert_operad_kernels_match(family, arities, gen, engines[family])
+
+
+def test_division_signs_match_the_pairwise_count():
+    # every division of every surjection tensor of the workload's shapes
+    for family, arities, max_degree in OPERAD_SHAPES[:3]:
+        dom = shape_domain(family, arities)
+        for degree in range(max_degree + 1):
+            for x, *ys in dom.basis(degree):
+                counts = [x.count(v) for v in range(1, len(ys) + 1)]
+                for combo in product(*(list(k_divisions(y, k)) for y, k in zip(ys, counts))):
+                    dx, xpos, tags = division_substitution(x, combo)
+                    assert division_sign(dx, xpos, tags) == division_sign_oracle(dx, xpos, tags)
+
+
+def test_tensor_inputs_match_the_product():
+    # each factor the sum of its whole basis in one degree, with
+    # coefficients 1, 2, 3, ... (over GF(5) the multiples of 5 vanish)
+    for ring in (ZZ, GF(5)):
+        for family, arities, max_degree in OPERAD_SHAPES:
+            dom = shape_domain(family, arities)
+            for degrees in product(range(max_degree + 1), repeat=len(arities)):
+                if sum(degrees) > max_degree:
+                    continue
+                xs = [
+                    sum((f.el(ring, g, i + 1) for i, g in enumerate(f.basis(k))), f.zero(ring, k))
+                    for f, k in zip(dom.factors, degrees)
+                ]
+                got = tensor_elements(dom, *xs)
+                assert list(got.terms.items()) == tensor_oracle(xs), (arities, degrees)
+                assert got.degree == sum(degrees)
+
+
+@lru_cache(maxsize=None)
+def listed_basis(cplx, degree):
+    return list(cplx.basis(degree))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(OPERAD_SHAPES), st.data())
+def test_operad_tensor_kernels_match_oracles_past_the_shapes(shape, data):
+    # a basis tensor one degree past the shape's maximum
+    family, arities, max_degree = shape
+    gen = data.draw(st.sampled_from(listed_basis(shape_domain(family, arities), max_degree + 1)))
+    engine = surj_engine("bf") if family == "bf" else be_engine()
+    assert_operad_kernels_match(family, arities, gen, engine)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(3, 4), (4, 3)]), st.data())
+def test_table_rows_match_oracle_past_the_exhaustive_degrees(case, data):
+    n, degree = case
+    elements = list(SymmetricGroup(n).elements())
+    X = [data.draw(st.sampled_from(elements))]
+    for _ in range(degree):
+        # any element but the one before it
+        step = data.draw(st.integers(1, len(elements) - 1))
+        X.append(elements[(elements.index(X[-1]) + step) % len(elements)])
+    assert table_rows(tuple(X)) == list(table_rows_oracle(tuple(X)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FLAVORS), st.integers(2, 4), st.data())
+def test_surjection_decompositions_match_oracle_in_degree_4(flavor, n, data):
+    S = surjection_complex(flavor, n)
+    gen = data.draw(st.sampled_from(listed_basis(S, 4)))
+    assert S.decompose(gen) == decompose_oracle(S, gen)

@@ -35,7 +35,10 @@ first), as the junit-xml time of the test (set-up, call and tear-down;
 collection and start-up excluded), and writes both sides' medians,
 quartiles and runs under "tests" in BENCH_<pr>.json, keeping the
 benchmark results already there.  A benchmark run keeps the "tests"
-entry of the file it replaces.  Only the standard library is used.
+entry of the file it replaces.  At the end either mode prints one stderr
+line per workload and metric, or per test: parent median -> change median,
+the change in per cent and how many pairs the change won.  Only the
+standard library is used.
 """
 
 import argparse
@@ -124,6 +127,18 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def report(label, entry, pairs):
+    """One stderr line: parent median -> change median, the change in per
+    cent and the pairs the change won."""
+    parent, change = entry["parent"]["median"], entry["change"]["median"]
+    delta = f"{(change - parent) / parent:+.1%}" if parent else "n/a"
+    print(
+        f"# {label}: {parent:.6g} -> {change:.6g} ({delta}), "
+        f"change wins {entry['change_wins']} of {pairs} pairs",
+        file=sys.stderr,
+    )
+
+
 def machine():
     model = ""
     try:
@@ -200,6 +215,8 @@ def main(argv=None):
     if args.tests:
         out = dict(previous, tests=time_tests(args.tests, base_rev))
         path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+        for t, entry in out["tests"]["timings"].items():
+            report(f"{t} s", entry, TEST_PAIRS)
         print(path)
         return 0
 
@@ -255,6 +272,8 @@ def main(argv=None):
             }
         entry["metrics"] = metrics
         out["workloads"][w] = entry
+        for name, m in metrics.items():
+            report(f"{w} {name}", m, PAIRS)
     if "tests" in previous:
         out["tests"] = previous["tests"]
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
